@@ -1,0 +1,81 @@
+"""Golden CLI outputs: exit code, stderr and a sha256 of stdout per case.
+
+The data file was recorded before the library's duplicated helpers were
+merged, so any change to what the CLI prints shows up here.  Cases that
+take longer than about half a second (such as `gauge` on the 3D codes)
+are left out to keep the suite fast.  The floating-point `max deviation`
+figures of `smallscale` are masked before hashing.
+
+Regenerate the data file (only after an intended output change) with
+`PYTHONPATH=src python tests/test_cli_golden.py`.
+"""
+
+import hashlib
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from stabgauge.cli import cli_main
+
+DATA = Path(__file__).with_name("data") / "cli_golden.json"
+
+CODES = [
+    "cluster_cubic", "cluster_toric", "cubic", "fractal_ising", "ising2d", "toric2d",
+    "generalized_toric(2,1)", "generalized_toric(3,1)", "generalized_toric(3,2)",
+]
+COMMANDS = [
+    ["verify"], ["render"], ["ungauge"], ["gauge"], ["kernel", "--json"], ["cluster"],
+    ["cluster", "--gauge-sublattice", "matter"],
+    ["cluster", "--gauge-sublattice", "gauge"],
+    ["cluster", "--gauge-sublattice", "both"],
+]
+SLOW = {("gauge", c) for c in ("cubic", "fractal_ising", "generalized_toric(3,1)",
+                               "generalized_toric(3,2)")}
+CASES = [
+    [cmd[0], code] + cmd[1:] for code in CODES for cmd in COMMANDS
+    if (cmd[0], code) not in SLOW
+] + [
+    ["smallscale", "--model", model, "--lengths", "2,2", "--check", "all", "--json"]
+    for model in ("ising2d", "toric2d")
+]
+
+_DEVIATION = re.compile(r"max deviation [^;]*;")
+
+
+def run_case(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(list(argv))
+    stdout = _DEVIATION.sub("max deviation <masked>;", out.getvalue())
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stderr": err.getvalue(),
+        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stdout": stdout,
+    }
+
+
+def _golden() -> dict:
+    return {tuple(case["argv"]): case for case in json.loads(DATA.read_text())}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    want = _golden()[tuple(argv)]
+    got = run_case(argv)
+    assert (got["exit"], got["stderr"], got["stdout_sha256"]) == (
+        want["exit"], want["stderr"], want["stdout_sha256"]
+    ), f"output of {' '.join(argv)} changed; actual stdout:\n{got['stdout']}"
+
+
+if __name__ == "__main__":
+    cases = [run_case(argv) for argv in CASES]
+    for case in cases:
+        del case["stdout"]
+    DATA.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {DATA}")
