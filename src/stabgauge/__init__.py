@@ -10,8 +10,6 @@ from .pauli import (
     VerifyReport,
     canonical_column_set,
     columns_equal_up_to_translation,
-    compose,
-    dagger,
     epsilon_of,
     maps_equal_up_to_translation,
     normalize_column,

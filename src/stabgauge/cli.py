@@ -204,10 +204,7 @@ def cmd_cluster(args) -> int:
     model = _model_of(code)
     spec = cluster_mod.build_cluster(model)
     if args.gauge_sublattice:
-        if args.gauge_sublattice == "both":
-            res = cluster_mod.gauge_sublattice(spec, "both")
-        else:
-            res = cluster_mod.gauge_sublattice(spec, args.gauge_sublattice)
+        res = cluster_mod.gauge_sublattice(spec, args.gauge_sublattice)
         print(dumps_code(res.code), end="")
         return PASS
     print(dumps_code(spec.to_code(f"cluster_{code.name}")), end="")

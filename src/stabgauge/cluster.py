@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gauging import _solve_constraint_preimage
 from .gf2 import Gf2Matrix
 from .pauli import (
     CodeSpec,
@@ -15,7 +14,7 @@ from .pauli import (
     verify_stabilizer,
 )
 from .poly import LaurentPoly
-from .syzygy import bounded_kernel
+from .syzygy import bounded_kernel, bounded_preimage
 from .torus import TorusShape, instantiate, pauli_vector
 
 
@@ -40,10 +39,9 @@ class ClusterSpec:
 
     def to_code(self, name: str = "cluster") -> CodeSpec:
         q = self.q_per_site
-        rows = []
-        for i in range(2 * q):
-            rows.append(tuple(s.entries()[i] for s in self.stabilizers))
-        sigma = GeneratorMap(self.dim, tuple(rows))
+        sigma = GeneratorMap.from_columns(
+            self.dim, 2 * q, [s.entries() for s in self.stabilizers]
+        )
         return CodeSpec(
             name=name, dim=self.dim, q_per_site=q, css=False, sigma=sigma
         )
@@ -82,21 +80,11 @@ def cz_conjugate(c: ClusterSpec, op: PauliColumn) -> PauliColumn:
     adjacent matter qubits; Z factors are untouched.  Applying this to the
     cluster stabilizers strips all Z parts, leaving single-site X types.
     """
-    qm, t = c.matter_q, c.gauge_q
-    eta, eta_dag = c.eta, c.eta.dagger()
-    z_matter = list(op.z_block[:qm])
-    z_gauge = list(op.z_block[qm:])
-    for j in range(t):
-        acc = z_gauge[j]
-        for q in range(qm):
-            acc = acc + eta_dag.entries[j][q] * op.x_block[q]
-        z_gauge[j] = acc
-    for q in range(qm):
-        acc = z_matter[q]
-        for j in range(t):
-            acc = acc + eta.entries[q][j] * op.x_block[qm + j]
-        z_matter[q] = acc
-    return PauliColumn(op.dim, op.q, op.x_block, tuple(z_matter + z_gauge))
+    qm = c.matter_q
+    z_gauge = c.eta.dagger().apply(op.x_block[:qm])
+    z_matter = c.eta.apply(op.x_block[qm:])
+    z = tuple(a + b for a, b in zip(op.z_block, z_matter + z_gauge))
+    return PauliColumn(op.dim, op.q, op.x_block, z)
 
 
 @dataclass(frozen=True)
@@ -164,44 +152,26 @@ def inherited_symmetries(c: ClusterSpec, shape: TorusShape) -> SymmetryReport:
 
 
 def _substitute_sublattice(
-    stabs: list[PauliColumn],
-    dim: int,
-    n_old: int,
-    n_partner: int,
-    old_range: tuple[int, int],
-    adjacency: GeneratorMap,
+    stabs: list[PauliColumn], old_range: tuple[int, int], adjacency: GeneratorMap
 ) -> list[PauliColumn]:
     """Gauge away one sublattice: X there becomes an X pattern on partner
     qubits (via the dagger of the adjacency), Z patterns become single
     partner Z's (the adjacency columns are the constraints being gauged).
 
     Qubit layout of the output: the untouched types keep their slots, the
-    gauged sublattice's slots are dropped, and n_partner new types are
-    appended at the end.
+    gauged sublattice's slots are dropped, and one new type per adjacency
+    column is appended at the end.
     """
     lo, hi = old_range
     adj_dag = adjacency.dagger()
-    zero = LaurentPoly.zero(dim)
     out = []
     for s in stabs:
-        keep_x = [p for i, p in enumerate(s.x_block) if not lo <= i < hi]
-        keep_z = [p for i, p in enumerate(s.z_block) if not lo <= i < hi]
-        gauged_x = list(s.x_block[lo:hi])
-        gauged_z = list(s.z_block[lo:hi])
-        new_x = []
-        for j in range(n_partner):
-            acc = zero
-            for q in range(hi - lo):
-                acc = acc + adj_dag.entries[j][q] * gauged_x[q]
-            new_x.append(acc)
-        new_z = list(_solve_constraint_preimage(adjacency, tuple(gauged_z)))
+        keep_x = s.x_block[:lo] + s.x_block[hi:]
+        keep_z = s.z_block[:lo] + s.z_block[hi:]
+        new_x = adj_dag.apply(s.x_block[lo:hi])
+        new_z = bounded_preimage(adjacency, s.z_block[lo:hi])
         out.append(
-            PauliColumn(
-                dim,
-                len(keep_x) + n_partner,
-                tuple(keep_x + new_x),
-                tuple(keep_z + new_z),
-            )
+            PauliColumn(s.dim, len(keep_x) + adjacency.cols, keep_x + new_x, keep_z + new_z)
         )
     return out
 
@@ -210,7 +180,6 @@ def _substitute_sublattice(
 class SublatticeGauging:
     code: CodeSpec
     extra_z_types: tuple[tuple[LaurentPoly, ...], ...]
-    flagged: bool
 
 
 def gauge_sublattice(
@@ -229,24 +198,22 @@ def gauge_sublattice(
         raise ValueError("which must be matter, gauge or both")
     dim = c.dim
     qm, t = c.matter_q, c.gauge_q
-    stabs = list(c.stabilizers)
     zero = LaurentPoly.zero(dim)
 
-    def kernel_fields(adjacency: GeneratorMap) -> list[tuple[LaurentPoly, ...]]:
-        kb = bounded_kernel(adjacency, box)
-        return kb.generators
+    def kernel_fields(adjacency: GeneratorMap, before: int, after: int):
+        """Kernel generators of the adjacency as Z blocks, zero-padded around."""
+        gens = bounded_kernel(adjacency, box).generators
+        return [(zero,) * before + tuple(g) + (zero,) * after for g in gens]
 
     if which == "matter":
         # constraints on matter are the eta columns (from the gauge stabilizers)
-        new_stabs = _substitute_sublattice(stabs, dim, qm + t, t, (0, qm), c.eta)
-        extra = kernel_fields(c.eta)
+        new_stabs = _substitute_sublattice(list(c.stabilizers), (0, qm), c.eta)
+        extra = kernel_fields(c.eta, t, 0)
         q_new = t + t
-        pad = lambda g: tuple([zero] * t + list(g))
     elif which == "gauge":
-        new_stabs = _substitute_sublattice(stabs, dim, qm + t, qm, (qm, qm + t), c.eta.dagger())
-        extra = kernel_fields(c.eta.dagger())
+        new_stabs = _substitute_sublattice(list(c.stabilizers), (qm, qm + t), c.eta.dagger())
+        extra = kernel_fields(c.eta.dagger(), qm, 0)
         q_new = qm + qm
-        pad = lambda g: tuple([zero] * qm + list(g))
     else:
         once = gauge_sublattice(c, "matter", box)
         # the matter gauging left the old gauge types in slots [0, t) and the
@@ -254,55 +221,21 @@ def gauge_sublattice(
         # Z patterns are generated by the dagger adjacency.  Only the main
         # qm + t types go through; the kernel fields are re-added afterwards.
         mid_stabs = once.code.generator_columns()[: qm + t]
-        new_stabs = _substitute_sublattice(
-            mid_stabs, dim, 2 * t, qm, (0, t), c.eta.dagger()
-        )
-        extra_matter = kernel_fields(c.eta)
-        extra_gauge = kernel_fields(c.eta.dagger())
+        new_stabs = _substitute_sublattice(mid_stabs, (0, t), c.eta.dagger())
+        extra = kernel_fields(c.eta, 0, qm) + kernel_fields(c.eta.dagger(), t, 0)
         q_new = t + qm
-        cols = []
-        for g in extra_matter:
-            cols.append(tuple(list(g) + [zero] * qm))
-        for g in extra_gauge:
-            cols.append(tuple([zero] * t + list(g)))
-        rows = []
-        for i in range(2 * q_new):
-            row = []
-            for s in new_stabs:
-                row.append(s.entries()[i])
-            for g in cols:
-                row.append(g[i - q_new] if i >= q_new else zero)
-            rows.append(tuple(row))
-        sigma = GeneratorMap(dim, tuple(rows))
-        code = CodeSpec(
-            name="cluster-both-gauged",
-            dim=dim,
-            q_per_site=q_new,
-            css=False,
-            sigma=sigma,
-        )
-        rep = verify_stabilizer(code)
-        if not rep.passed:
-            raise AssertionError(f"gauged cluster fails to commute: {rep}")
-        return SublatticeGauging(code=code, extra_z_types=tuple(cols), flagged=False)
-
-    rows = []
-    for i in range(2 * q_new):
-        row = []
-        for s in new_stabs:
-            row.append(s.entries()[i])
-        for g in extra:
-            row.append(pad(g)[i - q_new] if i >= q_new else zero)
-        rows.append(tuple(row))
-    sigma = GeneratorMap(dim, tuple(rows))
+    columns = [s.entries() for s in new_stabs] + [(zero,) * q_new + g for g in extra]
     code = CodeSpec(
-        name=f"cluster-{which}-gauged", dim=dim, q_per_site=q_new, css=False, sigma=sigma
+        name=f"cluster-{which}-gauged",
+        dim=dim,
+        q_per_site=q_new,
+        css=False,
+        sigma=GeneratorMap.from_columns(dim, 2 * q_new, columns),
     )
     rep = verify_stabilizer(code)
     if not rep.passed:
         raise AssertionError(f"gauged cluster fails to commute: {rep}")
-    padded = tuple(tuple(pad(g)) for g in extra)
-    return SublatticeGauging(code=code, extra_z_types=padded, flagged=False)
+    return SublatticeGauging(code=code, extra_z_types=tuple(extra))
 
 
 def cluster_self_dual(c: ClusterSpec, box: tuple[int, ...] | None = None) -> bool:
@@ -332,17 +265,12 @@ def extra_fields_redundant(
     of the main stabilizer types' translates."""
     both = gauge_sublattice(c, "both", box)
     q = both.code.q_per_site
-    main = GeneratorMap(
-        both.code.dim,
-        tuple(
-            tuple(s.entries()[i] for s in both.code.generator_columns()[: c.matter_q + c.gauge_q])
-            for i in range(2 * q)
-        ),
-    )
+    main_stabs = both.code.generator_columns()[: c.matter_q + c.gauge_q]
+    main = GeneratorMap.from_columns(c.dim, 2 * q, [s.entries() for s in main_stabs])
     main_t = instantiate(main, shape)
+    zero = LaurentPoly.zero(c.dim)
     for g in both.extra_z_types:
-        zero = LaurentPoly.zero(c.dim)
-        col = PauliColumn(c.dim, q, (zero,) * q, tuple(g))
+        col = PauliColumn(c.dim, q, (zero,) * q, g)
         v = pauli_vector(col, shape)
         if main_t.solve(v) is None:
             return False

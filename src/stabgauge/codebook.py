@@ -170,13 +170,33 @@ def _poly_to_json(p: LaurentPoly) -> list[list[int]]:
     return [list(t) for t in p.sorted_terms()]
 
 
-def _poly_from_json(data, dim: int) -> LaurentPoly:
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _require_int(value, what: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def _poly_from_json(data, dim: int, what: str) -> LaurentPoly:
     terms = []
-    for t in data:
+    for t in _require_list(data, what):
+        _require_list(t, f"exponent vector in {what}")
         if len(t) != dim:
             raise ValueError(f"exponent vector {t} does not match dim {dim}")
-        terms.append(tuple(int(e) for e in t))
+        terms.append(tuple(_require_int(e, f"exponent in {what}") for e in t))
     return LaurentPoly.from_terms(dim, terms)
+
+
+def _block_from_json(gen: dict, key: str, dim: int, g: int) -> list[LaurentPoly]:
+    what = f"generator {g} {key}"
+    return [_poly_from_json(p, dim, what) for p in _require_list(gen[key], what)]
 
 
 def code_to_dict(code: CodeSpec) -> dict:
@@ -202,39 +222,37 @@ def code_to_dict(code: CodeSpec) -> dict:
 
 
 def code_from_dict(data: dict) -> CodeSpec:
-    dim = int(data["dim"])
-    q = int(data["q_per_site"])
-    css = bool(data["css"])
+    """Read the JSON exchange format, rejecting malformed input with ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a code must be a JSON object")
+    dim = _require_int(data["dim"], "dim", 1)
+    q = _require_int(data["q_per_site"], "q_per_site", 1)
+    css = data["css"]
+    if not isinstance(css, bool):
+        raise ValueError(f"css must be true or false, got {css!r}")
     name = data.get("name", "unnamed")
     notes = data.get("notes", "")
     cols = []
-    for gen in data["generators"]:
-        x = [_poly_from_json(p, dim) for p in gen["x_block"]]
-        z = [_poly_from_json(p, dim) for p in gen["z_block"]]
+    for g, gen in enumerate(_require_list(data["generators"], "generators")):
+        if not isinstance(gen, dict):
+            raise ValueError(f"generator {g} must be a JSON object")
+        x = _block_from_json(gen, "x_block", dim, g)
+        z = _block_from_json(gen, "z_block", dim, g)
         if len(x) != q or len(z) != q:
             raise ValueError("generator block length does not match q_per_site")
         cols.append(tuple(x + z))
     if not css:
-        rows = tuple(tuple(col[i] for col in cols) for i in range(2 * q))
         return CodeSpec(
             name=name, dim=dim, q_per_site=q, css=False,
-            sigma=GeneratorMap(dim, rows), notes=notes,
+            sigma=GeneratorMap.from_columns(dim, 2 * q, cols), notes=notes,
         )
     x_cols = [c for c in cols if any(not p.is_zero() for p in c[:q])]
-    z_cols = [c for c in cols if c not in x_cols]
+    z_cols = [c[q:] for c in cols if c not in x_cols]
     for c in x_cols:
         if any(not p.is_zero() for p in c[q:]):
             raise ValueError("CSS file contains a mixed generator")
-    sigma_x = (
-        GeneratorMap(dim, tuple(tuple(c[i] for c in x_cols) for i in range(q)))
-        if x_cols
-        else None
-    )
-    sigma_z = (
-        GeneratorMap(dim, tuple(tuple(c[q + i] for c in z_cols) for i in range(q)))
-        if z_cols
-        else None
-    )
+    sigma_x = GeneratorMap.from_columns(dim, q, x_cols) if x_cols else None
+    sigma_z = GeneratorMap.from_columns(dim, q, z_cols) if z_cols else None
     return CodeSpec(
         name=name, dim=dim, q_per_site=q, css=True,
         sigma_x=sigma_x, sigma_z=sigma_z, notes=notes,

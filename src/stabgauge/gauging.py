@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix
 from .pauli import (
     CodeSpec,
     GeneratorMap,
@@ -25,11 +24,14 @@ from .pauli import (
     verify_stabilizer,
 )
 from .poly import LaurentPoly
-from .syzygy import KernelBasis, bounded_kernel, certify_on_torus
-
-
-class NotSymmetricError(ValueError):
-    """Raised when an operator's Z part is not generated by the constraints."""
+from .syzygy import (
+    KernelBasis,
+    NotSymmetricError,  # raised by gauge_operator; callers import it from here
+    bounded_kernel,
+    bounded_preimage,
+    certification_lengths,
+    certify_on_torus,
+)
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,6 @@ def ungauge_css(code: CodeSpec) -> SymmetryModel:
     return model
 
 
-def _certification_lengths(model: SymmetryModel, box: tuple[int, ...]) -> tuple[int, ...]:
-    ext = model.constraint_map.support_extent()
-    return tuple(max(3, 2 * (e + max(b, 1)) + 2) for e, b in zip(ext, box))
-
-
 def gauge(
     model: SymmetryModel, box: tuple[int, ...] | None = None
 ) -> tuple[CodeSpec, GaugingComplex]:
@@ -143,7 +140,7 @@ def gauge(
         raise ValueError("model violates constraint compatibility")
     eta = model.constraint_map
     mu = bounded_kernel(eta, box)
-    cert = certify_on_torus(mu, _certification_lengths(model, mu.box))
+    cert = certify_on_torus(mu, certification_lengths(mu))
     sigma_x = eta.dagger()
     sigma_z = mu.matrix()
     code = CodeSpec(
@@ -238,92 +235,6 @@ def double_gauge_check(code: CodeSpec, box: tuple[int, ...] | None = None) -> Du
     return DualityReport(passed=passed, forward_match=fwd_ok, dual_match=dual_ok, diff=diff)
 
 
-def _solve_constraint_preimage(
-    eta: GeneratorMap, z_block: tuple[LaurentPoly, ...]
-) -> tuple[LaurentPoly, ...]:
-    """Solve eta . p = z with p supported in a box around z's support.
-
-    Deterministic: the underlying GF(2) solve zeroes all free variables.
-    Raises NotSymmetricError when no box-local preimage exists.
-    """
-    import itertools as it
-
-    dim = eta.dim
-    zero = all(p.is_zero() for p in z_block)
-    if zero:
-        return tuple(LaurentPoly.zero(dim) for _ in range(eta.cols))
-    # a single translate of a constraint column maps to a single Z; detect it
-    # exactly so those images stay canonical rather than kernel-shifted
-    for t in range(eta.cols):
-        col = eta.column(t)
-        ref = next((p for p in col if not p.is_zero()), None)
-        if ref is None:
-            continue
-        cand = next((p for p in z_block if not p.is_zero()), None)
-        if cand is None or len(cand.terms) != len(ref.terms):
-            continue
-        shift = tuple(
-            a - b for a, b in zip(min(cand.terms), min(ref.terms))
-        )
-        if all(zp == cp.shift(shift) for zp, cp in zip(z_block, col)):
-            out = [LaurentPoly.zero(dim)] * eta.cols
-            out[t] = LaurentPoly.monomial(shift)
-            return tuple(out)
-    monos = [t for p in z_block for t in p.terms]
-    zlo = tuple(min(m[i] for m in monos) for i in range(dim))
-    zhi = tuple(max(m[i] for m in monos) for i in range(dim))
-    elo = [0] * dim
-    ehi = [0] * dim
-    for row in eta.entries:
-        for p in row:
-            if p.is_zero():
-                continue
-            plo, phi = p.support_box()
-            elo = [min(a, b) for a, b in zip(elo, plo)]
-            ehi = [max(a, b) for a, b in zip(ehi, phi)]
-    lo = tuple(a - b for a, b in zip(zlo, ehi))
-    hi = tuple(a - b for a, b in zip(zhi, elo))
-    points = list(it.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
-    pt_index = {e: k for k, e in enumerate(points)}
-    n_vars = eta.cols * len(points)
-
-    region: set[tuple[int, ...]] = set()
-    for q in range(eta.rows):
-        for t in range(eta.cols):
-            for m in eta.entries[q][t].terms:
-                for e in points:
-                    region.add(tuple(a + b for a, b in zip(m, e)))
-        for m in z_block[q].terms:
-            region.add(m)
-    region_list = sorted(region)
-
-    rows = []
-    rhs = 0
-    r = 0
-    for q in range(eta.rows):
-        for u in region_list:
-            row = 0
-            for t in range(eta.cols):
-                terms = eta.entries[q][t].terms
-                for e, k in pt_index.items():
-                    diff = tuple(a - b for a, b in zip(u, e))
-                    if diff in terms:
-                        row ^= 1 << (t * len(points) + k)
-            rows.append(row)
-            if u in z_block[q].terms:
-                rhs |= 1 << r
-            r += 1
-    system = Gf2Matrix(len(rows), n_vars, rows)
-    x = system.solve(rhs)
-    if x is None:
-        raise NotSymmetricError("operator not symmetric: Z part has no local preimage")
-    out = []
-    for t in range(eta.cols):
-        terms = [points[k] for k in range(len(points)) if (x >> (t * len(points) + k)) & 1]
-        out.append(LaurentPoly.from_terms(dim, terms))
-    return tuple(out)
-
-
 def gauge_operator(model: SymmetryModel, op: PauliColumn) -> PauliColumn:
     """Map a symmetric matter operator to its image on the gauge qubits.
 
@@ -334,20 +245,9 @@ def gauge_operator(model: SymmetryModel, op: PauliColumn) -> PauliColumn:
     if op.dim != model.dim or op.q != model.matter_q:
         raise ValueError("operator does not live on the matter lattice")
     eta = model.constraint_map
-    eta_dag = eta.dagger()
-    x_out = []
-    for t in range(eta.cols):
-        acc = LaurentPoly.zero(model.dim)
-        for q in range(model.matter_q):
-            acc = acc + eta_dag.entries[t][q] * op.x_block[q]
-        x_out.append(acc)
-    z_out = _solve_constraint_preimage(eta, op.z_block)
-    return PauliColumn(model.dim, eta.cols, tuple(x_out), tuple(z_out))
-
-
-def enlarged_identity_layout(model: SymmetryModel) -> int:
-    """Qubits per site on the matter-plus-gauge lattice (matter types first)."""
-    return model.matter_q + model.n_constraints
+    x_out = eta.dagger().apply(op.x_block)
+    z_out = bounded_preimage(eta, op.z_block)
+    return PauliColumn(model.dim, eta.cols, x_out, z_out)
 
 
 def pi_generators(model: SymmetryModel) -> list[PauliColumn]:
@@ -384,21 +284,8 @@ def conjugate_by_disentangler(model: SymmetryModel, op: PauliColumn) -> PauliCol
     if op.dim != model.dim or op.q != qm + t:
         raise ValueError("operator does not live on the enlarged lattice")
     eta = model.constraint_map
-    eta_dag = eta.dagger()
-    x_matter = list(op.x_block[:qm])
-    x_gauge = list(op.x_block[qm:])
-    z_matter = list(op.z_block[:qm])
-    z_gauge = list(op.z_block[qm:])
-    for j in range(t):
-        acc = x_gauge[j]
-        for q in range(qm):
-            acc = acc + eta_dag.entries[j][q] * x_matter[q]
-        x_gauge[j] = acc
-    for q in range(qm):
-        acc = z_matter[q]
-        for j in range(t):
-            acc = acc + eta.entries[q][j] * z_gauge[j]
-        z_matter[q] = acc
-    return PauliColumn(
-        op.dim, op.q, tuple(x_matter + x_gauge), tuple(z_matter + z_gauge)
-    )
+    x_matter, x_gauge = op.x_block[:qm], op.x_block[qm:]
+    z_matter, z_gauge = op.z_block[:qm], op.z_block[qm:]
+    x_gauge = tuple(a + b for a, b in zip(x_gauge, eta.dagger().apply(x_matter)))
+    z_matter = tuple(a + b for a, b in zip(z_matter, eta.apply(z_gauge)))
+    return PauliColumn(op.dim, op.q, x_matter + x_gauge, z_matter + z_gauge)

@@ -52,18 +52,6 @@ class Gf2Matrix:
     def identity(cls, n: int) -> Gf2Matrix:
         return cls(n, n, [1 << i for i in range(n)])
 
-    def copy(self) -> Gf2Matrix:
-        return Gf2Matrix(self.rows, self.cols, list(self.data))
-
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def set(self, i: int, j: int, v: int) -> None:
-        if v & 1:
-            self.data[i] |= 1 << j
-        else:
-            self.data[i] &= ~(1 << j)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
@@ -200,14 +188,3 @@ class Gf2Matrix:
                 return None
         return x
 
-
-def vec_from_bits(bits: list[int]) -> int:
-    acc = 0
-    for i, v in enumerate(bits):
-        if v & 1:
-            acc |= 1 << i
-    return acc
-
-
-def vec_to_bits(v: int, n: int) -> list[int]:
-    return [(v >> i) & 1 for i in range(n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import LaurentPoly
+from .poly import LaurentPoly, support_box
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class GeneratorMap:
         return cls(dim, tuple(tuple(row) for row in rows))
 
     @classmethod
+    def from_columns(cls, dim: int, rows: int, columns) -> GeneratorMap:
+        """Build a map with `rows` rows whose columns are the given sequences."""
+        columns = list(columns)
+        return cls(dim, tuple(tuple(col[i] for col in columns) for i in range(rows)))
+
+    @classmethod
     def zero(cls, dim: int, rows: int, cols: int) -> GeneratorMap:
         z = LaurentPoly.zero(dim)
         return cls(dim, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
@@ -55,14 +61,8 @@ class GeneratorMap:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
     def column(self, j: int) -> tuple[LaurentPoly, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[LaurentPoly, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -95,46 +95,22 @@ class GeneratorMap:
             out.append(tuple(row))
         return GeneratorMap(self.dim, tuple(out))
 
-    def __matmul__(self, other: GeneratorMap) -> GeneratorMap:
-        return self.compose(other)
-
-    def hstack(self, other: GeneratorMap) -> GeneratorMap:
-        if self.rows != other.rows or self.dim != other.dim:
-            raise ValueError("row mismatch in hstack")
-        return GeneratorMap(
-            self.dim, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def vstack(self, other: GeneratorMap) -> GeneratorMap:
-        if self.cols != other.cols or self.dim != other.dim:
-            raise ValueError("column mismatch in vstack")
-        return GeneratorMap(self.dim, self.entries + other.entries)
+    def apply(self, col) -> tuple[LaurentPoly, ...]:
+        """The map times one column of polynomials (one entry per map column)."""
+        out = []
+        for row in self.entries:
+            acc = LaurentPoly.zero(self.dim)
+            for p, c in zip(row, col):
+                acc = acc + p * c
+            out.append(acc)
+        return tuple(out)
 
     def support_extent(self) -> tuple[int, ...]:
         """Per-axis width of the combined support box of all entries (0 for a zero map)."""
-        lo = [0] * self.dim
-        hi = [0] * self.dim
-        seen = False
-        for row in self.entries:
-            for p in row:
-                if p.is_zero():
-                    continue
-                plo, phi = p.support_box()
-                if not seen:
-                    lo, hi = list(plo), list(phi)
-                    seen = True
-                else:
-                    lo = [min(a, b) for a, b in zip(lo, plo)]
-                    hi = [max(a, b) for a, b in zip(hi, phi)]
-        return tuple(h - l for l, h in zip(lo, hi))
-
-
-def dagger(m: GeneratorMap) -> GeneratorMap:
-    return m.dagger()
-
-
-def compose(a: GeneratorMap, b: GeneratorMap) -> GeneratorMap:
-    return a.compose(b)
+        box = support_box(p for row in self.entries for p in row)
+        if box is None:
+            return (0,) * self.dim
+        return tuple(h - l for l, h in zip(*box))
 
 
 @dataclass(frozen=True)
@@ -361,9 +337,7 @@ def render_diagram(op: PauliColumn | GeneratorMap) -> str:
         raise ValueError("diagrams are only rendered for dim <= 3")
     if op.is_identity():
         return "I" * op.q
-    monos = [t for p in op.entries() for t in p.terms]
-    lo = tuple(min(m[i] for m in monos) for i in range(op.dim))
-    hi = tuple(max(m[i] for m in monos) for i in range(op.dim))
+    lo, hi = support_box(op.entries())
     if op.dim == 1:
         return " ".join(_site_label(op, (x,)) for x in range(lo[0], hi[0] + 1))
     if op.dim == 2:

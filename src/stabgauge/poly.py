@@ -91,9 +91,7 @@ class LaurentPoly:
         """Componentwise (min, max) of the exponent vectors. Errors on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no support box")
-        lo = tuple(min(t[i] for t in self.terms) for i in range(self.dim))
-        hi = tuple(max(t[i] for t in self.terms) for i in range(self.dim))
-        return lo, hi
+        return support_box([self])
 
     def constant_term(self) -> int:
         return 1 if (0,) * self.dim in self.terms else 0
@@ -106,6 +104,17 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.dim}, {format_poly(self)!r})"
+
+
+def support_box(polys) -> tuple[Monomial, Monomial] | None:
+    """Componentwise (min, max) over the monomials of several polynomials.
+
+    Returns None when none of them has a term.
+    """
+    monos = [t for p in polys for t in p.terms]
+    if not monos:
+        return None
+    return tuple(map(min, zip(*monos))), tuple(map(max, zip(*monos)))
 
 
 def _format_monomial(t: Monomial) -> str:

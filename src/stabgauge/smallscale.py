@@ -28,7 +28,7 @@ from .gauging import (
 from .gf2 import Gf2Matrix
 from .pauli import PauliColumn
 from .poly import LaurentPoly
-from .syzygy import KernelBasis, bounded_kernel, certify_on_torus
+from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate
 
 DEFAULT_QUBIT_CAP = 20
@@ -81,69 +81,46 @@ class DenseLattice:
     def n_total(self) -> int:
         return self.n_matter + self.n_gauge
 
-    def _bit(self, raw: int) -> int:
-        return raw if self.perm is None else self.perm[raw]
-
-    def matter_bit(self, q: int, site: int) -> int:
-        return self._bit(q * self.n_sites + site)
-
-    def gauge_bit(self, t: int, site: int) -> int:
-        return self._bit(self.n_matter + t * self.n_sites + site)
-
-    def matter_mask(self, pattern: int) -> int:
-        """Lift a bitmask over raw matter coordinates to lattice bits."""
+    def lift_mask(self, pattern: int) -> int:
+        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice bits."""
+        if self.perm is None:
+            return pattern
         out = 0
         while pattern:
             low = pattern & -pattern
-            out |= 1 << self._bit(low.bit_length() - 1)
+            out |= 1 << self.perm[low.bit_length() - 1]
             pattern ^= low
         return out
 
-    def enlarged_masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
-        """(xmask, zmask) of an enlarged-layout Pauli column translate."""
-        qm = self.model.matter_q
-        if op.q != qm + self.model.n_constraints:
-            raise ValueError("operator does not live on the enlarged lattice")
+    def raw_masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
+        """(xmask, zmask) of a Pauli column translate over raw coordinates.
+
+        The column lives on the matter lattice (matter_q types) or on the
+        enlarged lattice (matter then gauge types); type ty at site s is raw
+        bit ty * N + s either way.
+        """
+        if op.q not in (self.model.matter_q, self.model.matter_q + self.model.n_constraints):
+            raise ValueError("operator lives on neither the matter nor the enlarged lattice")
         base = site or (0,) * self.shape.dim
-        xmask = zmask = 0
+        masks = [0, 0]
         for ty in range(op.q):
-            for block, mask_is_x in ((op.x_block, True), (op.z_block, False)):
+            for m, block in enumerate((op.x_block, op.z_block)):
                 for term in block[ty].terms:
                     s = self.shape.site_index(tuple(b + o for b, o in zip(base, term)))
-                    bit = (
-                        self.matter_bit(ty, s)
-                        if ty < qm
-                        else self.gauge_bit(ty - qm, s)
-                    )
-                    if mask_is_x:
-                        xmask ^= 1 << bit
-                    else:
-                        zmask ^= 1 << bit
-        return xmask, zmask
+                    masks[m] ^= 1 << (ty * self.n_sites + s)
+        return masks[0], masks[1]
 
-    def matter_masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
-        """(xmask, zmask) of a matter-layout Pauli column translate, matter bits only."""
-        if op.q != self.model.matter_q:
-            raise ValueError("operator does not live on the matter lattice")
-        base = site or (0,) * self.shape.dim
-        xmask = zmask = 0
-        for q in range(op.q):
-            for block, mask_is_x in ((op.x_block, True), (op.z_block, False)):
-                for term in block[q].terms:
-                    s = self.shape.site_index(tuple(b + o for b, o in zip(base, term)))
-                    bit = self.matter_bit(q, s)
-                    if mask_is_x:
-                        xmask ^= 1 << bit
-                    else:
-                        zmask ^= 1 << bit
-        return xmask, zmask
+    def masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
+        """(xmask, zmask) of a Pauli column translate over lattice bits."""
+        xm, zm = self.raw_masks(op, site)
+        return self.lift_mask(xm), self.lift_mask(zm)
 
     def constraint_masks(self) -> list[tuple[int, int]]:
         """All Gauss-law generator translates as (xmask, zmask) pairs."""
         out = []
         for gen in pi_generators(self.model):
             for site in self.shape.sites():
-                out.append(self.enlarged_masks(gen, site))
+                out.append(self.masks(gen, site))
         return out
 
 
@@ -164,17 +141,6 @@ def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]]) -> np.ndarr
     for xm, zm in masks:
         vec = 0.5 * (vec + apply_pauli(vec, xm, zm))
     return vec
-
-
-def symmetry_group_masks(lat: DenseLattice) -> list[int]:
-    """Matter X masks of the full symmetry group, from the torus kernel of
-    the dagger of the constraint map (2^dim_kernel elements)."""
-    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    basis = eta_dag_t.nullspace()
-    group = [0]
-    for b in basis:
-        group = group + [g ^ b for g in group]
-    return [lat.matter_mask(g) for g in group]
 
 
 @dataclass
@@ -205,7 +171,7 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     cols = np.zeros((dim_full, dim_m))
     for lam in range(dim_m):
         vec = np.zeros(dim_full)
-        vec[_embed_matter_index(lat, lam)] = 1.0
+        vec[lat.lift_mask(lam)] = 1.0
         cols[:, lam] = _apply_projectors(vec, masks)
     exponent = len(masks) - dim_k
     if normalized:
@@ -213,17 +179,11 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     return cols, GaugeMapInfo(exponent, dim_k, len(masks))
 
 
-def _embed_matter_index(lat: DenseLattice, lam: int) -> int:
-    idx = 0
-    for raw in range(lat.n_matter):
-        if (lam >> raw) & 1:
-            idx |= 1 << lat._bit(raw)
-    return idx
-
-
 def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
     """Dense matrix of a matter-layout Pauli column on the matter space."""
-    xm_raw, zm_raw = _matter_masks_raw(lat, op)
+    if op.q != lat.model.matter_q:
+        raise ValueError("operator does not live on the matter lattice")
+    xm_raw, zm_raw = lat.raw_masks(op)
     dim = 1 << lat.n_matter
     idx = np.arange(dim)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm_raw) & 1)
@@ -232,42 +192,22 @@ def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
     return mat
 
 
-def _matter_masks_raw(lat: DenseLattice, op: PauliColumn) -> tuple[int, int]:
-    """Masks over raw matter coordinates (ignoring any bit permutation)."""
-    if op.q != lat.model.matter_q:
-        raise ValueError("operator does not live on the matter lattice")
-    xmask = zmask = 0
-    for q in range(op.q):
-        for block, is_x in ((op.x_block, True), (op.z_block, False)):
-            for term in block[q].terms:
-                s = lat.shape.site_index(term)
-                bit = q * lat.n_sites + s
-                if is_x:
-                    xmask ^= 1 << bit
-                else:
-                    zmask ^= 1 << bit
-    return xmask, zmask
-
-
 def symmetric_projector(lat: DenseLattice) -> np.ndarray:
-    """Average of the symmetry group's X products on the matter space."""
-    group = symmetry_group_masks(lat)
+    """Average of the symmetry group's X products on the matter space.
+
+    The group is spanned by the torus kernel of the dagger of the
+    constraint map, as masks over raw matter coordinates.
+    """
+    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
+    group = [0]
+    for b in eta_dag_t.nullspace():
+        group = group + [g ^ b for g in group]
     dim = 1 << lat.n_matter
     idx = np.arange(dim)
     mat = np.zeros((dim, dim))
-    for g_full in group:
-        g = _project_matter_mask(lat, g_full)
+    for g in group:
         mat[idx ^ g, idx] += 1.0
     return mat / len(group)
-
-
-def _project_matter_mask(lat: DenseLattice, mask: int) -> int:
-    """Convert a lattice-bit matter mask back to raw matter coordinates."""
-    out = 0
-    for raw in range(lat.n_matter):
-        if (mask >> lat._bit(raw)) & 1:
-            out |= 1 << raw
-    return out
 
 
 def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
@@ -284,7 +224,7 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
         (zero,) * qm + image.z_block,
     )
     conj = conjugate_by_disentangler(lat.model, enlarged)
-    xm, zm = lat.enlarged_masks(conj)
+    xm, zm = lat.masks(conj)
     masks = lat.constraint_masks()
 
     def act(vec: np.ndarray) -> np.ndarray:
@@ -342,7 +282,7 @@ def check_lemma3(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
 def _claim1_region(lat: DenseLattice, op: PauliColumn):
     """Minimal twirl region: the matter qubits under the operator plus every
     adjacent gauge qubit and the gauge support of the Z-part preimage."""
-    xm_raw, zm_raw = _matter_masks_raw(lat, op)
+    xm_raw, zm_raw = lat.raw_masks(op)
     gamma_m = []
     support = xm_raw | zm_raw
     for raw in range(lat.n_matter):
@@ -380,32 +320,30 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     lat = DenseLattice(model, shape, cap)
     gauge_operator(lat.model, op)  # raises NotSymmetricError early
     gamma_m, gamma_g = _claim1_region(lat, op)
-    n = lat.n_sites
+    nm = lat.n_matter
 
-    # restricted adjacency must be injective on the twirl region
+    # Gauss-law generators at the region's matter qubits; their gauge X bits
+    # are the adjacency, which must be injective on the twirl region
+    pis = pi_generators(model)
+    site_list = list(lat.shape.sites())
+    pi_raw = []
+    for m_raw in gamma_m:
+        q, s = divmod(m_raw, lat.n_sites)
+        pi_raw.append(lat.raw_masks(pis[q], site_list[s]))
     rows = []
     for g_raw in gamma_g:
         row = 0
-        for k, m_raw in enumerate(gamma_m):
-            if _adjacent(lat, m_raw, g_raw):
+        for k, (xm, _) in enumerate(pi_raw):
+            if (xm >> (nm + g_raw)) & 1:
                 row |= 1 << k
         rows.append(row)
     h = Gf2Matrix(len(rows), len(gamma_m), rows)
     region_ok = h.rank() == len(gamma_m)
+    pi_masks = [(lat.lift_mask(xm), lat.lift_mask(zm)) for xm, zm in pi_raw]
 
-    pis = pi_generators(model)
-    site_list = list(lat.shape.sites())
-    pi_masks = []
-    for m_raw in gamma_m:
-        q, s = divmod(m_raw, n)
-        pi_masks.append(lat.enlarged_masks(pis[q], site_list[s]))
+    proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
 
-    proj_mask = 0
-    for g_raw in gamma_g:
-        t, s = divmod(g_raw, n)
-        proj_mask |= 1 << lat.gauge_bit(t, s)
-
-    op_x, op_z = lat.matter_masks(op)
+    op_x, op_z = lat.masks(op)
     dim_full = 1 << lat.n_total
     idx = np.arange(dim_full)
     zero_sel = (idx & proj_mask) == 0
@@ -414,7 +352,7 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     recovered = np.zeros((dim_m, dim_m))
     for v in range(dim_m):
         vec = np.zeros(dim_full)
-        vec[_embed_matter_index(lat, v)] = 1.0
+        vec[lat.lift_mask(v)] = 1.0
         out = np.zeros(dim_full)
         for subset in range(1 << len(gamma_m)):
             xm = zm = 0
@@ -429,7 +367,7 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
             term = apply_pauli(term, xm, zm)
             out += term
         for u in range(dim_m):
-            recovered[u, v] = out[_embed_matter_index(lat, u)]
+            recovered[u, v] = out[lat.lift_mask(u)]
     expected = matter_operator_dense(lat, op)
     dev = float(np.max(np.abs(recovered - expected)))
     return CheckReport(
@@ -439,19 +377,6 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
         details={"region_matter": len(gamma_m), "region_gauge": len(gamma_g),
                  "region_injective": region_ok},
     )
-
-
-def _adjacent(lat: DenseLattice, m_raw: int, g_raw: int) -> bool:
-    n = lat.n_sites
-    q, sm = divmod(m_raw, n)
-    t, sg = divmod(g_raw, n)
-    eta_dag = lat.model.constraint_map.dagger()
-    site_list = list(lat.shape.sites())
-    base = site_list[sm]
-    for term in eta_dag.entries[t][q].terms:
-        if lat.shape.site_index(tuple(b + o for b, o in zip(base, term))) == sg:
-            return True
-    return False
 
 
 def check_matrix_elements(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
@@ -531,7 +456,6 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     lat = DenseLattice(model, shape, cap)
     n = lat.n_total
     nm = lat.n_matter
-    n_sites = lat.n_sites
     eta = model.constraint_map
 
     if model.n_constraints == 0:
@@ -558,41 +482,23 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     im_eta_dag = eta_dag_t.rank()
     # the windowed exactness is a property of the local maps, not of this
     # particular torus, so certify it on lengths large enough to open a window
-    parent_ext = mu_map.dagger().support_extent()
-    cert_lengths = tuple(
-        max(3, 2 * (b + e) + 2)
-        for b, e in zip(eta_cols_basis.box, parent_ext)
-    )
     try:
-        local_ok = certify_on_torus(eta_cols_basis, cert_lengths).passed
+        local_ok = certify_on_torus(eta_cols_basis, certification_lengths(eta_cols_basis)).passed
     except ValueError:
         local_ok = False
 
     masks = lat.constraint_masks()
-    eta_t = instantiate(eta, shape)
-    flat_fields = eta_t.nullspace()
 
     def gauge_zmask(pattern: int) -> int:
-        out = 0
-        b = pattern
-        while b:
-            low = b & -b
-            raw = low.bit_length() - 1
-            t, s = divmod(raw, n_sites)
-            out |= 1 << lat.gauge_bit(t, s)
-            b ^= low
-        return out
+        # raw gauge coordinates follow the nm raw matter coordinates
+        return lat.lift_mask(pattern << nm)
 
-    flat_masks = [(0, gauge_zmask(v)) for v in flat_fields]
+    flat_masks = [(0, gauge_zmask(v)) for v in instantiate(eta, shape).nullspace()]
     mu_translate_masks = []
     if mu_map.cols:
-        mu_t = instantiate(mu_map, shape)
-        for col in range(mu_t.cols):
-            pattern = 0
-            for r in range(mu_t.rows):
-                if (mu_t.data[r] >> col) & 1:
-                    pattern |= 1 << r
-            mu_translate_masks.append((0, gauge_zmask(pattern)))
+        # columns of the instantiated map are the translates' gauge patterns
+        mu_t = instantiate(mu_map, shape).transpose()
+        mu_translate_masks = [(0, gauge_zmask(v)) for v in mu_t.data]
 
     def group_rank(pairs: list[tuple[int, int]]) -> int:
         rows = [xm | (zm << n) for xm, zm in pairs]

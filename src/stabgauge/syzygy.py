@@ -24,8 +24,12 @@ from dataclasses import dataclass, field
 
 from .gf2 import Gf2Matrix
 from .pauli import GeneratorMap
-from .poly import LaurentPoly
+from .poly import LaurentPoly, Monomial, support_box
 from .torus import instantiate, shape_of
+
+
+class NotSymmetricError(ValueError):
+    """Raised when an operator's Z part is not generated by the constraints."""
 
 
 @dataclass
@@ -43,41 +47,64 @@ class KernelBasis:
 
     def matrix(self) -> GeneratorMap:
         """Generators as the columns of a map (parent.cols x n_generators)."""
-        dim = self.parent.dim
-        ncols = self.parent.cols
-        if not self.generators:
-            return GeneratorMap.zero(dim, ncols, 0)
-        rows = []
-        for i in range(ncols):
-            rows.append(tuple(g[i] for g in self.generators))
-        return GeneratorMap(dim, tuple(rows))
+        return GeneratorMap.from_columns(self.parent.dim, self.parent.cols, self.generators)
 
 
-def _box_points(box: tuple[int, ...]):
-    return list(itertools.product(*(range(b + 1) for b in box)))
+def _box_points(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[Monomial]:
+    return list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
 
 
-def _column_extent(col: tuple[LaurentPoly, ...]) -> tuple[int, ...]:
-    dim = col[0].dim
-    monos = [t for p in col for t in p.terms]
-    if not monos:
-        return (0,) * dim
+def _box_system(m: GeneratorMap, points: list[Monomial], rhs=None) -> tuple[Gf2Matrix, int]:
+    """GF(2) equations for m . p (= rhs), each entry of p supported on `points`.
+
+    Unknown j * len(points) + k is the coefficient of x^points[k] in entry
+    j of p.  Each map row gives one equation per monomial its products can
+    reach, plus one per monomial of the matching rhs entry, so that rows
+    with a zero left-hand side still carry the right-hand side.  Returns
+    the system and the right-hand side as a bitmask over its rows.
+    """
+    n = len(points)
+    eq_rows: list[int] = []
+    rhs_bits = 0
+    for i, row in enumerate(m.entries):
+        eqs: dict[Monomial, int] = {}
+        for j, p in enumerate(row):
+            for t in p.terms:
+                for k, e in enumerate(points):
+                    u = tuple(a + b for a, b in zip(t, e))
+                    eqs[u] = eqs.get(u, 0) ^ (1 << (j * n + k))
+        target = rhs[i].terms if rhs is not None else frozenset()
+        for u in target:
+            eqs.setdefault(u, 0)
+        for u in sorted(eqs):
+            if u in target:
+                rhs_bits |= 1 << len(eq_rows)
+            eq_rows.append(eqs[u])
+    return Gf2Matrix(len(eq_rows), m.cols * n, eq_rows), rhs_bits
+
+
+def _unpack(v: int, points: list[Monomial], ncols: int, dim: int) -> tuple[LaurentPoly, ...]:
+    """The column of polynomials whose coefficients are the bits of v."""
+    n = len(points)
     return tuple(
-        max(m[i] for m in monos) - min(m[i] for m in monos) for i in range(dim)
+        LaurentPoly.from_terms(dim, [points[k] for k in range(n) if (v >> (j * n + k)) & 1])
+        for j in range(ncols)
     )
 
 
+def _extent(col: tuple[LaurentPoly, ...]) -> tuple[int, ...]:
+    lo, hi = support_box(col)
+    return tuple(h - l for l, h in zip(lo, hi))
+
+
 def _box_normalize(col: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    """Shift a column so the min corner of its combined support sits at 0.
+    """Shift a nonzero column so the min corner of its combined support sits at 0.
 
     Unlike the lexicographic column normalization this keeps every exponent
     nonnegative, so normalized candidates stay inside the search box.
     """
-    dim = col[0].dim
-    monos = [t for p in col for t in p.terms]
-    if not monos:
-        return col
-    shift = tuple(-min(m[i] for m in monos) for i in range(dim))
+    lo, _ = support_box(col)
+    shift = tuple(-e for e in lo)
     return tuple(p.shift(shift) for p in col)
 
 
@@ -101,50 +128,14 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
     if any(b < 0 for b in box):
         raise ValueError("box extents must be nonnegative")
 
-    points = _box_points(box)
-    n_vars = m.cols * len(points)
-    var_index = {
-        (j, e): j * len(points) + k
-        for j in range(m.cols)
-        for k, e in enumerate(points)
-    }
-
-    # Equations: for each map row, every coefficient of sum_j m[i,j] * p_j
-    # over the dilated support region must vanish.
-    eq_rows: list[int] = []
-    for i in range(m.rows):
-        region: set[tuple[int, ...]] = set()
-        for j in range(m.cols):
-            for t in m.entries[i][j].terms:
-                for e in points:
-                    region.add(tuple(a + b for a, b in zip(t, e)))
-        for u in sorted(region):
-            row = 0
-            for j in range(m.cols):
-                terms = m.entries[i][j].terms
-                for k, e in enumerate(points):
-                    diff = tuple(a - b for a, b in zip(u, e))
-                    if diff in terms:
-                        row ^= 1 << var_index[(j, e)]
-            if row:
-                eq_rows.append(row)
-
-    system = Gf2Matrix(len(eq_rows), n_vars, eq_rows)
-    raw = system.nullspace()
-
     dim = m.dim
+    points = _box_points((0,) * dim, box)
+    n_vars = m.cols * len(points)
+    system, _ = _box_system(m, points)
     candidates: list[tuple[LaurentPoly, ...]] = []
     seen: set[tuple] = set()
-    for v in raw:
-        col = []
-        for j in range(m.cols):
-            terms = [
-                points[k]
-                for k in range(len(points))
-                if (v >> (j * len(points) + k)) & 1
-            ]
-            col.append(LaurentPoly.from_terms(dim, terms))
-        norm = _box_normalize(tuple(col))
+    for v in system.nullspace():
+        norm = _box_normalize(_unpack(v, points, m.cols, dim))
         key = tuple(p.terms for p in norm)
         if key not in seen:
             seen.add(key)
@@ -152,9 +143,8 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
 
     def sort_key(col):
         n_terms = sum(len(p.terms) for p in col)
-        ext = _column_extent(col)
         volume = 1
-        for e in ext:
+        for e in _extent(col):
             volume *= e + 1
         return (n_terms, volume, tuple(p.sorted_terms() for p in col))
 
@@ -186,19 +176,60 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
             if span.solve(vec) is not None:
                 continue
         kept.append(cand)
-        ext = _column_extent(cand)
-        shifts = itertools.product(*(range(b - e + 1) for b, e in zip(box, ext)))
+        shifts = itertools.product(*(range(b - e + 1) for b, e in zip(box, _extent(cand))))
         for sh in shifts:
             tv = column_to_vec(tuple(p.shift(sh) for p in cand))
             if tv is not None:
                 kept_translates.append(tv)
 
-    basis = KernelBasis(parent=m, box=box, generators=kept)
-    for g in basis.generators:
-        composed = m.compose(GeneratorMap(dim, tuple((p,) for p in g)))
-        if not composed.is_zero():
+    for g in kept:
+        if not all(p.is_zero() for p in m.apply(g)):
             raise AssertionError("kernel generator fails the exact identity")
-    return basis
+    return KernelBasis(parent=m, box=box, generators=kept)
+
+
+def bounded_preimage(m: GeneratorMap, target) -> tuple[LaurentPoly, ...]:
+    """Solve m . p = target with p supported in a box around target's support.
+
+    A target that is a single translate of one column of m maps to that
+    translate exactly, so those images stay canonical rather than
+    kernel-shifted.  Otherwise the GF(2) solve zeroes all free variables,
+    which keeps the result deterministic.  Raises NotSymmetricError when no
+    box-local preimage exists.
+    """
+    dim = m.dim
+    tbox = support_box(target)
+    if tbox is None:
+        return (LaurentPoly.zero(dim),) * m.cols
+    cand = next(p for p in target if not p.is_zero())
+    for t in range(m.cols):
+        col = m.column(t)
+        ref = next((p for p in col if not p.is_zero()), None)
+        if ref is None or len(cand.terms) != len(ref.terms):
+            continue
+        shift = tuple(a - b for a, b in zip(min(cand.terms), min(ref.terms)))
+        if all(zp == cp.shift(shift) for zp, cp in zip(target, col)):
+            out = [LaurentPoly.zero(dim)] * m.cols
+            out[t] = LaurentPoly.monomial(shift)
+            return tuple(out)
+    # the box of m is taken to contain the origin even when m's support does not
+    mlo, mhi = support_box([LaurentPoly.one(dim)] + [p for row in m.entries for p in row])
+    lo = tuple(a - b for a, b in zip(tbox[0], mhi))
+    hi = tuple(a - b for a, b in zip(tbox[1], mlo))
+    points = _box_points(lo, hi)
+    system, rhs = _box_system(m, points, target)
+    x = system.solve(rhs)
+    if x is None:
+        raise NotSymmetricError("operator not symmetric: Z part has no local preimage")
+    return _unpack(x, points, m.cols, dim)
+
+
+def certification_lengths(kb: KernelBasis) -> tuple[int, ...]:
+    """Torus lengths on which `certify_on_torus` separates kb's local kernel
+    from the wrapping classes: the box fits twice and a non-wrapping window
+    remains past the parent's support."""
+    ext = kb.parent.support_extent()
+    return tuple(max(3, 2 * (e + max(b, 1)) + 2) for e, b in zip(ext, kb.box))
 
 
 @dataclass(frozen=True)

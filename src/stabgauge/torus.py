@@ -116,32 +116,29 @@ def _local_kernel_counts(code: CodeSpec):
 
     For a CSS code with X generators, eta is the dagger of the X sector map;
     for a single-sector code the sector map itself plays that role.
-    Returns (None, None) when certification does not go through.
+    Returns None when certification does not go through.
     """
-    from .syzygy import bounded_kernel, certify_on_torus
+    from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
 
-    none = (None, None, None)
     if not code.css:
-        return none
+        return None
     if code.n_x_types > 0:
         eta = code.sigma_x.dagger()
     elif code.n_z_types > 0:
         eta = code.sigma_z
     else:
-        return none
+        return None
     try:
         mu = bounded_kernel(eta)
         phi = bounded_kernel(eta.dagger())
     except ValueError:
-        return none
-    ext = eta.support_extent()
-    cert_lengths = tuple(max(3, 2 * (e + max(b, 1)) + 2) for e, b in zip(ext, mu.box))
-    cert = shape_of(cert_lengths)
-    ok_mu = certify_on_torus(mu, cert.lengths).passed
-    ok_phi = certify_on_torus(phi, cert.lengths).passed
+        return None
+    lengths = certification_lengths(mu)
+    ok_mu = certify_on_torus(mu, lengths).passed
+    ok_phi = certify_on_torus(phi, lengths).passed
     if not (ok_mu and ok_phi):
-        return none
-    return len(mu.generators), len(phi.generators), eta
+        return None
+    return len(mu.generators), len(phi.generators)
 
 
 def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
@@ -157,8 +154,8 @@ def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
     bulk = None
     c = None
     counts = _local_kernel_counts(code)
-    if counts[0] is not None:
-        s_mu, s_phi, _ = counts
+    if counts is not None:
+        s_mu, s_phi = counts
         if code.n_x_types > 0:
             # gauged-side formula: qubits per site vs X types, local redundant
             # X stabilizers (phi) vs local Z stabilizers (mu)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stabgauge.cli import cli_main
 from stabgauge.codebook import dumps_code, get_code, loads_code
 
@@ -125,3 +127,35 @@ def test_smallscale_command(capsys):
 def test_generalized_toric_via_cli(capsys):
     code, out, _ = run(capsys, "verify", "generalized_toric(3,2)")
     assert code == 0
+
+
+
+MALFORMED = [
+    (["generators"], {"x_block": []}, "generators must be a list, got dict"),
+    (["generators"], [[1, 0]], "generator 0 must be a JSON object"),
+    (["generators", 0, "x_block"], {"a": 1}, "generator 0 x_block must be a list, got dict"),
+    (["generators", 0, "x_block", 0], 7, "generator 0 x_block must be a list, got int"),
+    (["generators", 0, "x_block", 0], [1], "exponent vector in generator 0 x_block must be a list"),
+    (["generators", 0, "x_block", 0], [[0.5, 0]], "must be an integer, got 0.5"),
+    (["generators", 0, "x_block", 0], [["1", 0]], "must be an integer, got '1'"),
+    (["generators", 0, "x_block", 0], [[True, 0]], "must be an integer, got True"),
+    (["css"], 1, "css must be true or false, got 1"),
+    (["dim"], 0, "dim must be at least 1, got 0"),
+    (["dim"], "2", "dim must be an integer, got '2'"),
+    (["q_per_site"], 0, "q_per_site must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
+def test_malformed_code_file_exits_2(tmp_path, capsys, path, value, message):
+    data = json.loads(dumps_code(get_code("toric2d")))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(file))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse code file {file}: ")
+    assert message in err

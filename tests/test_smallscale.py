@@ -4,7 +4,7 @@ import pytest
 from stabgauge.codebook import get_code
 from stabgauge.gauging import NotSymmetricError, SymmetryModel, symmetry_model_from_code
 from stabgauge.pauli import GeneratorMap, PauliColumn
-from stabgauge.poly import LaurentPoly
+from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     DenseLattice,
     QubitCapExceeded,
@@ -203,3 +203,16 @@ def test_reports_invariant_under_qubit_relabeling(ising_model):
     assert base.passed == shuffled.passed
     assert shuffled.max_deviation <= 1e-10
     assert base.details == shuffled.details
+
+
+def test_claim1_adjacency_follows_gauss_law_masks():
+    # the constraint 1 + x^2 folds to zero on a length-2 circle, so the Gauss-law
+    # generator of a matter qubit flips no gauge qubit and the twirl region
+    # cannot be injective
+    model = SymmetryModel(
+        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
+    )
+    single_x, _ = ops(model)
+    rep = check_claim1(model, shape_of((2,)), single_x)
+    assert rep.details["region_injective"] is False
+    assert not rep.passed
