@@ -17,7 +17,7 @@ from .pauli import (
     symplectic_pair,
     verify_stabilizer,
 )
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Basis, Gf2Matrix
 from .torus import CountReport, TorusShape, count_logical, instantiate, logical_operator_gap, shape_of
 from .syzygy import CertifyReport, KernelBasis, bounded_kernel, certify_on_torus
 from .gauging import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import (
     CodeSpec,
     GeneratorMap,
@@ -222,7 +222,10 @@ def gauge_sublattice(
         # qm + t types go through; the kernel fields are re-added afterwards.
         mid_stabs = once.code.generator_columns()[: qm + t]
         new_stabs = _substitute_sublattice(mid_stabs, (0, t), c.eta.dagger())
-        extra = kernel_fields(c.eta, 0, qm) + kernel_fields(c.eta.dagger(), t, 0)
+        # the matter gauging's kernel fields sit after the t old gauge types;
+        # move them to the front of the t + qm new types
+        extra = [e[t:] + (zero,) * qm for e in once.extra_z_types]
+        extra += kernel_fields(c.eta.dagger(), t, 0)
         q_new = t + qm
     columns = [s.entries() for s in new_stabs] + [(zero,) * q_new + g for g in extra]
     code = CodeSpec(
@@ -267,11 +270,9 @@ def extra_fields_redundant(
     q = both.code.q_per_site
     main_stabs = both.code.generator_columns()[: c.matter_q + c.gauge_q]
     main = GeneratorMap.from_columns(c.dim, 2 * q, [s.entries() for s in main_stabs])
-    main_t = instantiate(main, shape)
+    span = Gf2Basis(instantiate(main, shape).transpose().data)
     zero = LaurentPoly.zero(c.dim)
-    for g in both.extra_z_types:
-        col = PauliColumn(c.dim, q, (zero,) * q, g)
-        v = pauli_vector(col, shape)
-        if main_t.solve(v) is None:
-            return False
-    return True
+    return all(
+        span.contains(pauli_vector(PauliColumn(c.dim, q, (zero,) * q, g), shape))
+        for g in both.extra_z_types
+    )

@@ -184,6 +184,12 @@ def _require_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _require_field(obj: dict, key: str, where: str = ""):
+    if key not in obj:
+        raise ValueError(f"{where}missing field {key!r}")
+    return obj[key]
+
+
 def _poly_from_json(data, dim: int, what: str) -> LaurentPoly:
     terms = []
     for t in _require_list(data, what):
@@ -196,7 +202,8 @@ def _poly_from_json(data, dim: int, what: str) -> LaurentPoly:
 
 def _block_from_json(gen: dict, key: str, dim: int, g: int) -> list[LaurentPoly]:
     what = f"generator {g} {key}"
-    return [_poly_from_json(p, dim, what) for p in _require_list(gen[key], what)]
+    block = _require_field(gen, key, f"generator {g}: ")
+    return [_poly_from_json(p, dim, what) for p in _require_list(block, what)]
 
 
 def code_to_dict(code: CodeSpec) -> dict:
@@ -225,15 +232,15 @@ def code_from_dict(data: dict) -> CodeSpec:
     """Read the JSON exchange format, rejecting malformed input with ValueError."""
     if not isinstance(data, dict):
         raise ValueError("a code must be a JSON object")
-    dim = _require_int(data["dim"], "dim", 1)
-    q = _require_int(data["q_per_site"], "q_per_site", 1)
-    css = data["css"]
+    dim = _require_int(_require_field(data, "dim"), "dim", 1)
+    q = _require_int(_require_field(data, "q_per_site"), "q_per_site", 1)
+    css = _require_field(data, "css")
     if not isinstance(css, bool):
         raise ValueError(f"css must be true or false, got {css!r}")
     name = data.get("name", "unnamed")
     notes = data.get("notes", "")
     cols = []
-    for g, gen in enumerate(_require_list(data["generators"], "generators")):
+    for g, gen in enumerate(_require_list(_require_field(data, "generators"), "generators")):
         if not isinstance(gen, dict):
             raise ValueError(f"generator {g} must be a JSON object")
         x = _block_from_json(gen, "x_block", dim, g)

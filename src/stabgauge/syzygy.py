@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap
 from .poly import LaurentPoly, Monomial, support_box
 from .torus import instantiate, shape_of
@@ -130,7 +130,6 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
 
     dim = m.dim
     points = _box_points((0,) * dim, box)
-    n_vars = m.cols * len(points)
     system, _ = _box_system(m, points)
     candidates: list[tuple[LaurentPoly, ...]] = []
     seen: set[tuple] = set()
@@ -163,24 +162,18 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
         return acc
 
     kept: list[tuple[LaurentPoly, ...]] = []
-    kept_translates: list[int] = []
+    span = Gf2Basis()  # box translates of the kept generators
     for cand in candidates:
         vec = column_to_vec(cand)
         assert vec is not None  # box-normalized candidates stay inside the box
-        if kept_translates:
-            span = Gf2Matrix(n_vars, len(kept_translates))
-            for cidx, tv in enumerate(kept_translates):
-                for b in range(n_vars):
-                    if (tv >> b) & 1:
-                        span.data[b] |= 1 << cidx
-            if span.solve(vec) is not None:
-                continue
+        if span.contains(vec):
+            continue
         kept.append(cand)
         shifts = itertools.product(*(range(b - e + 1) for b, e in zip(box, _extent(cand))))
         for sh in shifts:
             tv = column_to_vec(tuple(p.shift(sh) for p in cand))
             if tv is not None:
-                kept_translates.append(tv)
+                span.add(tv)
 
     for g in kept:
         if not all(p.is_zero() for p in m.apply(g)):
@@ -278,19 +271,10 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     kernel_dim = parent_t.cols - parent_t.rank()
 
     gen_map = kb.matrix()
-    if gen_map.cols:
-        translates = instantiate(gen_map, shape)
-        # columns of `translates` are all torus translates of all generators
-        span_rows = translates.transpose()
-        span_dim = span_rows.rank()
-        containment = all(
-            parent_t.mul_vec(v) == 0 for v in span_rows.data
-        )
-        solver = translates
-    else:
-        span_dim = 0
-        containment = True
-        solver = Gf2Matrix(parent_t.cols, 0)
+    translates = instantiate(gen_map, shape)
+    # columns of `translates` are all torus translates of all generators
+    span = Gf2Basis(translates.transpose().data)
+    containment = all(r == 0 for r in parent_t.mul(translates).data)
 
     pext = kb.parent.support_extent()
     window = tuple(max(l - 1 - e, 0) for l, e in zip(lengths, pext))
@@ -304,14 +288,7 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     ]
     stacked = parent_t.stack(Gf2Matrix(len(selectors), parent_t.cols, selectors))
     local_kernel = stacked.nullspace()
-    missing = 0
-    for v in local_kernel:
-        if solver.cols == 0:
-            if v:
-                missing += 1
-            continue
-        if solver.solve(v) is None:
-            missing += 1
+    missing = sum(not span.contains(v) for v in local_kernel)
     local_spanned = missing == 0
     passed = containment and local_spanned
     if passed and lengths not in kb.certified_tori:
@@ -319,7 +296,7 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     return CertifyReport(
         lengths=lengths,
         kernel_dim=kernel_dim,
-        span_dim=span_dim,
+        span_dim=len(span),
         containment=containment,
         window=window,
         local_kernel_dim=len(local_kernel),

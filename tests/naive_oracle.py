@@ -34,7 +34,8 @@ def naive_rank(mat: np.ndarray) -> int:
     return r
 
 
-def naive_nullspace(mat: np.ndarray) -> list[np.ndarray]:
+def naive_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form (first-column pivots) and the pivot columns."""
     a = (mat % 2).astype(np.uint8).copy()
     m, n = a.shape
     pivots = []
@@ -55,6 +56,12 @@ def naive_nullspace(mat: np.ndarray) -> list[np.ndarray]:
                 a[i] ^= a[r]
         pivots.append(c)
         r += 1
+    return a, pivots
+
+
+def naive_nullspace(mat: np.ndarray) -> list[np.ndarray]:
+    a, pivots = naive_rref(mat)
+    n = a.shape[1]
     basis = []
     pivot_set = set(pivots)
     for f in range(n):
@@ -67,6 +74,18 @@ def naive_nullspace(mat: np.ndarray) -> list[np.ndarray]:
                 v[c] = 1
         basis.append(v)
     return basis
+
+
+def naive_solve(mat: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One solution of mat @ x = b with free variables zero, or None."""
+    m, n = mat.shape
+    a, pivots = naive_rref(np.hstack([mat % 2, np.asarray(b, dtype=np.uint8).reshape(m, 1)]))
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.uint8)
+    for row, c in enumerate(pivots):
+        x[c] = a[row, n]
+    return x
 
 
 def stabilizer_rows(code, lengths) -> np.ndarray:

@@ -159,3 +159,27 @@ def test_malformed_code_file_exits_2(tmp_path, capsys, path, value, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot parse code file {file}: ")
     assert message in err
+
+
+MISSING = [
+    (["dim"], "missing field 'dim'"),
+    (["q_per_site"], "missing field 'q_per_site'"),
+    (["css"], "missing field 'css'"),
+    (["generators"], "missing field 'generators'"),
+    (["generators", 0, "x_block"], "generator 0: missing field 'x_block'"),
+    (["generators", 1, "z_block"], "generator 1: missing field 'z_block'"),
+]
+
+
+@pytest.mark.parametrize("path, message", MISSING, ids=[m for _, m in MISSING])
+def test_missing_field_exits_2_naming_it(tmp_path, capsys, path, message):
+    data = json.loads(dumps_code(get_code("toric2d")))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(file))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse code file {file}: {message}\n"

@@ -1,5 +1,7 @@
 import pytest
 
+import stabgauge.cluster as cluster_mod
+
 from naive_oracle import naive_rank, stabilizer_rows
 from stabgauge.cluster import (
     build_cluster,
@@ -19,6 +21,7 @@ from stabgauge.pauli import (
     verify_stabilizer,
 )
 from stabgauge.poly import LaurentPoly
+from stabgauge.syzygy import bounded_kernel
 from stabgauge.torus import shape_of
 
 
@@ -143,6 +146,19 @@ def test_gauge_matter_sublattice_is_toric_after_cz():
 @pytest.mark.parametrize("make", [toric_cluster, cubic_cluster, identity_cluster])
 def test_double_sublattice_gauging_self_dual(make):
     assert cluster_self_dual(make())
+
+
+def test_double_gauging_searches_each_kernel_once(monkeypatch):
+    searched = []
+
+    def counting_kernel(m, box=None):
+        searched.append(m)
+        return bounded_kernel(m, box)
+
+    monkeypatch.setattr(cluster_mod, "bounded_kernel", counting_kernel)
+    c = cubic_cluster()
+    gauge_sublattice(c, "both")
+    assert searched == [c.eta, c.eta.dagger()]
 
 
 def test_extra_fields_redundant_on_torus():

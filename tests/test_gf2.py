@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import naive_rank, stabilizer_rows
+from naive_oracle import naive_nullspace, naive_rank, naive_rref, naive_solve, stabilizer_rows
 from stabgauge.codebook import get_code
-from stabgauge.gf2 import Gf2Matrix
+from stabgauge.gf2 import Gf2Basis, Gf2Matrix
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -120,3 +120,77 @@ def test_mul_matches_numpy():
 def test_debug_dump_grid():
     m = Gf2Matrix.from_rows([[1, 0], [0, 1]])
     assert str(m) == "10\n01"
+
+
+@st.composite
+def gf2_matrices(draw, max_rows=9, max_cols=11):
+    """Matrices of any shape, zero rows or columns included, with some rows
+    duplicated or replaced by the XOR of two others."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    if rows:
+        index = st.integers(0, rows - 1)
+        for target, a, b in draw(st.lists(st.tuples(index, index, index), max_size=rows)):
+            data[target] = data[a] ^ data[b] if a != b else data[a]
+    return Gf2Matrix(rows, cols, data)
+
+
+def to_array(m: Gf2Matrix) -> np.ndarray:
+    return np.array(m.to_lists(), dtype=np.uint8).reshape(m.rows, m.cols)
+
+
+def pack(bits) -> int:
+    return sum(1 << j for j, v in enumerate(bits) if v)
+
+
+@given(gf2_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_oracle(m):
+    arr = to_array(m)
+    ref, ref_pivots = naive_rref(arr)
+    reduced, pivots = m.row_reduce()
+    assert pivots == ref_pivots
+    assert reduced == [pack(r) for r in ref]
+    assert m.rank() == naive_rank(arr) == len(pivots)
+    assert m.nullspace() == [pack(v) for v in naive_nullspace(arr)]
+
+
+@given(gf2_matrices(), st.integers(0, 2**11 - 1), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_oracle(m, bits, consistent):
+    b = m.mul_vec(bits) if consistent else bits & ((1 << m.rows) - 1)
+    ref = naive_solve(to_array(m), [(b >> i) & 1 for i in range(m.rows)])
+    x = m.solve(b)
+    assert x == (None if ref is None else pack(ref))
+    if consistent:
+        assert x is not None and m.mul_vec(x) == b
+
+
+@given(gf2_matrices(), st.lists(st.integers(0, 2**11 - 1), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_basis_add_and_contains_match_oracle(m, probes):
+    def span_rank(vectors):
+        return naive_rank(to_array(Gf2Matrix(len(vectors), m.cols, vectors)))
+
+    basis = Gf2Basis()
+    kept: list[int] = []
+    for v in m.data:
+        grows = span_rank(kept + [v]) > len(kept)
+        assert basis.contains(v) is not grows
+        assert basis.add(v) is grows
+        if grows:
+            kept.append(v)
+        assert len(basis) == len(kept)
+    for p in list(m.data) + [p & ((1 << m.cols) - 1) for p in probes]:
+        assert basis.contains(p) is (span_rank(kept + [p]) == len(kept))
+    assert all(r.bit_length() - 1 == p for p, r in basis.rows.items())
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1)])
+def test_degenerate_shapes(shape):
+    m = Gf2Matrix(*shape)
+    assert m.row_reduce() == ([0] * shape[0], [])
+    assert m.rank() == 0
+    assert m.nullspace() == [1 << j for j in range(shape[1])]
+    assert m.solve(0) == 0

@@ -216,3 +216,15 @@ def test_claim1_adjacency_follows_gauss_law_masks():
     rep = check_claim1(model, shape_of((2,)), single_x)
     assert rep.details["region_injective"] is False
     assert not rep.passed
+
+
+def test_claim1_region_holds_no_untouched_gauge_qubit():
+    # on a length-2 circle the two terms of 1 + x^2 cancel, so the Gauss-law
+    # generator flips no gauge qubit and single X gauges to no Z part
+    model = SymmetryModel(
+        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
+    )
+    single_x, _ = ops(model)
+    rep = check_claim1(model, shape_of((2,)), single_x)
+    assert rep.details["region_matter"] == 1
+    assert rep.details["region_gauge"] == 0

@@ -56,6 +56,13 @@ def test_cubic_counts_match_oracle_fixtures(lengths):
     assert report.k_encoded == CUBIC_K[lengths]
 
 
+@pytest.mark.parametrize("L", [4, 8, 16])
+def test_cubic_counts_match_closed_form(L):
+    # Haah's cubic code encodes 4L - 2 qubits on the L^3 torus for L = 2^p (arXiv:1101.1962)
+    report = count_logical(get_code("cubic"), shape_of((L, L, L)))
+    assert report.k_encoded == 4 * L - 2
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_ising_has_one_encoded_qubit(L):
     code = get_code("ising2d")
