@@ -81,15 +81,14 @@ class DenseLattice:
     def n_total(self) -> int:
         return self.n_matter + self.n_gauge
 
-    def lift_mask(self, pattern: int) -> int:
-        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice bits."""
+    def lift_mask(self, pattern: int | np.ndarray) -> int | np.ndarray:
+        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice
+        bits; an integer array of bitmasks is lifted elementwise."""
         if self.perm is None:
             return pattern
-        out = 0
-        while pattern:
-            low = pattern & -pattern
-            out |= 1 << self.perm[low.bit_length() - 1]
-            pattern ^= low
+        out = pattern & 0
+        for bit, target in enumerate(self.perm):
+            out |= ((pattern >> bit) & 1) << target
         return out
 
     def raw_masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
@@ -125,13 +124,16 @@ class DenseLattice:
 
 
 def apply_pauli(vec: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
-    """Apply X(xmask) Z(zmask): sign from zmask overlap, then flip xmask bits."""
+    """Apply X(xmask) Z(zmask): sign from zmask overlap, then flip xmask bits.
+
+    vec is one state or a (2^n, m) block of states, acted on column by column.
+    """
     dim = vec.shape[0]
     idx = np.arange(dim)
     out = vec
     if zmask:
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1)
-        out = out * signs
+        out = out * signs.reshape((dim,) + (1,) * (vec.ndim - 1))
     if xmask:
         out = out[idx ^ xmask]
     return out
@@ -150,6 +152,16 @@ class GaugeMapInfo:
     n_constraints: int
 
 
+def _matter_basis_states(lat: DenseLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Each matter basis state adjoined with all-zero gauge qubits, as the
+    columns of a block, and the row each one occupies."""
+    dim_m = 1 << lat.n_matter
+    rows = lat.lift_mask(np.arange(dim_m))
+    block = np.zeros((1 << lat.n_total, dim_m))
+    block[rows, np.arange(dim_m)] = 1.0
+    return block, rows
+
+
 def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, GaugeMapInfo]:
     """Dense state gauging map: project each matter basis state adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
@@ -159,20 +171,12 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     its Gram matrix is exactly the symmetric-subspace projector; K is the
     symmetry group of the model on this torus.
     """
-    n = lat.n_total
-    nm = lat.n_matter
-    dim_full = 1 << n
-    dim_m = 1 << nm
     if lat.model.n_constraints == 0:
-        return np.eye(dim_m), GaugeMapInfo(0, 0, 0)
+        return np.eye(1 << lat.n_matter), GaugeMapInfo(0, 0, 0)
     masks = lat.constraint_masks()
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     dim_k = eta_dag_t.cols - eta_dag_t.rank()
-    cols = np.zeros((dim_full, dim_m))
-    for lam in range(dim_m):
-        vec = np.zeros(dim_full)
-        vec[lat.lift_mask(lam)] = 1.0
-        cols[:, lam] = _apply_projectors(vec, masks)
+    cols = _apply_projectors(_matter_basis_states(lat)[0], masks)
     exponent = len(masks) - dim_k
     if normalized:
         cols *= 2.0 ** (exponent / 2.0)
@@ -183,47 +187,33 @@ def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
     """Dense matrix of a matter-layout Pauli column on the matter space."""
     if op.q != lat.model.matter_q:
         raise ValueError("operator does not live on the matter lattice")
-    xm_raw, zm_raw = lat.raw_masks(op)
-    dim = 1 << lat.n_matter
-    idx = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm_raw) & 1)
-    mat = np.zeros((dim, dim))
-    mat[idx ^ xm_raw, idx] = signs
-    return mat
+    return apply_pauli(np.eye(1 << lat.n_matter), *lat.raw_masks(op))
 
 
 def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     """Average of the symmetry group's X products on the matter space.
 
     The group is spanned by the torus kernel of the dagger of the
-    constraint map, as masks over raw matter coordinates.
+    constraint map, as masks over raw matter coordinates; the product of
+    (1 + X_b)/2 over a basis of it is the group average.
     """
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    group = [0]
-    for b in eta_dag_t.nullspace():
-        group = group + [g ^ b for g in group]
-    dim = 1 << lat.n_matter
-    idx = np.arange(dim)
-    mat = np.zeros((dim, dim))
-    for g in group:
-        mat[idx ^ g, idx] += 1.0
-    return mat / len(group)
+    return _apply_projectors(np.eye(1 << lat.n_matter), [(b, 0) for b in eta_dag_t.nullspace()])
+
+
+def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
+    """The gauged image of a symmetric matter operator on the enlarged lattice
+    (identity on the matter types); raises NotSymmetricError otherwise."""
+    image = gauge_operator(lat.model, op)
+    no_matter = (LaurentPoly.zero(op.dim),) * lat.model.matter_q
+    return PauliColumn(op.dim, op.q + image.q, no_matter + image.x_block, no_matter + image.z_block)
 
 
 def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     """Return a function applying the gauged image of a symmetric matter
-    operator on the full space: the disentangler-conjugated image followed
-    by the Gauss-law projector."""
-    image = gauge_operator(lat.model, op)
-    zero = LaurentPoly.zero(lat.model.dim)
-    qm = lat.model.matter_q
-    enlarged = PauliColumn(
-        op.dim,
-        qm + lat.model.n_constraints,
-        (zero,) * qm + image.x_block,
-        (zero,) * qm + image.z_block,
-    )
-    conj = conjugate_by_disentangler(lat.model, enlarged)
+    operator on the full space, to one state or a block of states: the
+    disentangler-conjugated image followed by the Gauss-law projector."""
+    conj = conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
     xm, zm = lat.masks(conj)
     masks = lat.constraint_masks()
 
@@ -268,7 +258,7 @@ def check_lemma3(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     lat = DenseLattice(model, shape, cap)
     g, _ = build_G(lat)
     act = gauged_operator_action(lat, op)
-    lhs = np.column_stack([act(g[:, j]) for j in range(g.shape[1])])
+    lhs = act(g)
     rhs = g @ matter_operator_dense(lat, op)
     dev = float(np.max(np.abs(lhs - rhs)))
     return CheckReport(
@@ -279,11 +269,12 @@ def check_lemma3(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     )
 
 
-def _claim1_region(lat: DenseLattice, op: PauliColumn):
+def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
     """Minimal twirl region: the matter qubits under the operator, and the
     gauge qubits that their Gauss-law generators flip or the Z-part
-    preimage acts on, read off the XOR masks on the torus.  Also returns
-    the raw (xmask, zmask) of each of those Gauss-law generators."""
+    preimage of its gauged image acts on, read off the XOR masks on the
+    torus.  Also returns the raw (xmask, zmask) of each of those Gauss-law
+    generators."""
     xm_raw, zm_raw = lat.raw_masks(op)
     support = xm_raw | zm_raw
     gamma_m = [raw for raw in range(lat.n_matter) if (support >> raw) & 1]
@@ -293,11 +284,7 @@ def _claim1_region(lat: DenseLattice, op: PauliColumn):
     for raw in gamma_m:
         q, s = divmod(raw, lat.n_sites)
         pi_raw.append(lat.raw_masks(pis[q], site_list[s]))
-    image = gauge_operator(lat.model, op)
-    no_matter = (LaurentPoly.zero(op.dim),) * lat.model.matter_q
-    _, gauge = lat.raw_masks(
-        PauliColumn(op.dim, op.q + image.q, no_matter + image.x_block, no_matter + image.z_block)
-    )
+    _, gauge = lat.raw_masks(image)
     for xm, _ in pi_raw:
         gauge |= xm
     gauge >>= lat.n_matter
@@ -316,8 +303,7 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     silent on all its gauge checks, which is verified and reported.
     """
     lat = DenseLattice(model, shape, cap)
-    gauge_operator(lat.model, op)  # raises NotSymmetricError early
-    gamma_m, gamma_g, pi_raw = _claim1_region(lat, op)
+    gamma_m, gamma_g, pi_raw = _claim1_region(lat, op, _gauged_image(lat, op))
     nm = lat.n_matter
 
     # the gauge X bits of the region's Gauss-law generators are the
@@ -336,30 +322,22 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
 
     op_x, op_z = lat.masks(op)
-    dim_full = 1 << lat.n_total
-    idx = np.arange(dim_full)
-    zero_sel = (idx & proj_mask) == 0
-
-    dim_m = 1 << lat.n_matter
-    recovered = np.zeros((dim_m, dim_m))
-    for v in range(dim_m):
-        vec = np.zeros(dim_full)
-        vec[lat.lift_mask(v)] = 1.0
-        out = np.zeros(dim_full)
-        for subset in range(1 << len(gamma_m)):
-            xm = zm = 0
-            for k in range(len(gamma_m)):
-                if (subset >> k) & 1:
-                    pxm, pzm = pi_masks[k]
-                    xm ^= pxm
-                    zm ^= pzm
-            term = apply_pauli(vec, xm, zm)
-            term = apply_pauli(term, op_x, op_z)
-            term = np.where(zero_sel, term, 0.0)
-            term = apply_pauli(term, xm, zm)
-            out += term
-        for u in range(dim_m):
-            recovered[u, v] = out[lat.lift_mask(u)]
+    basis, basis_rows = _matter_basis_states(lat)
+    zero_sel = (np.arange(basis.shape[0]) & proj_mask) == 0
+    out = np.zeros_like(basis)
+    for subset in range(1 << len(gamma_m)):
+        xm = zm = 0
+        for k in range(len(gamma_m)):
+            if (subset >> k) & 1:
+                pxm, pzm = pi_masks[k]
+                xm ^= pxm
+                zm ^= pzm
+        term = apply_pauli(basis, xm, zm)
+        term = apply_pauli(term, op_x, op_z)
+        term = np.where(zero_sel[:, None], term, 0.0)
+        term = apply_pauli(term, xm, zm)
+        out += term
+    recovered = out[basis_rows]
     expected = matter_operator_dense(lat, op)
     dev = float(np.max(np.abs(recovered - expected)))
     return CheckReport(
@@ -451,7 +429,6 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     eta = model.constraint_map
 
     if model.n_constraints == 0:
-        g, _ = build_G(lat)
         return GroundspaceReport(
             passed=True, ground_dim_flat=1 << nm, ground_dim_local_fields=1 << nm,
             holonomy_sectors=1, g_rank=1 << nm, contained=True, local_exactness=True,
@@ -504,7 +481,7 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     g, _ = build_G(lat)
     contained = True
     for xm, zm in masks + flat_masks:
-        moved = np.column_stack([apply_pauli(g[:, j], xm, zm) for j in range(g.shape[1])])
+        moved = apply_pauli(g, xm, zm)
         if np.max(np.abs(moved - g)) > DERIVED_TOL:
             contained = False
             break

@@ -121,3 +121,64 @@ def naive_logical_count(code, lengths) -> int:
     rows = stabilizer_rows(code, lengths)
     n = code.q_per_site * rows.shape[1] // (2 * code.q_per_site)
     return n - naive_rank(rows)
+
+
+def naive_pauli_matrix(n: int, xmask: int, zmask: int) -> np.ndarray:
+    """Dense X(xmask) Z(zmask) on n qubits as a Kronecker product of 2x2 factors.
+
+    Bit b of a basis index is qubit b, so the first factor is qubit n-1.
+    """
+    eye = np.eye(2)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    out = np.ones((1, 1))
+    for b in reversed(range(n)):
+        factor = (x if (xmask >> b) & 1 else eye) @ (z if (zmask >> b) & 1 else eye)
+        out = np.kron(out, factor)
+    return out
+
+
+def _lift(pattern: int, perm) -> int:
+    if perm is None:
+        return pattern
+    return sum(1 << perm[b] for b in range(len(perm)) if (pattern >> b) & 1)
+
+
+def naive_gauging_map(n_matter: int, n_total: int, gauss_xmasks, perm=None) -> np.ndarray:
+    """Unnormalized state gauging map in coset form.
+
+    The Gauss-law generators are pure X, so projecting the matter basis state
+    lambda (gauge qubits all zero) onto their common +1 space gives column
+    lambda = 2^-r * sum over s in span(gauss_xmasks) of |lambda xor s>, where
+    2^r is the size of the span.  Raw bit b sits at bit perm[b] when a
+    permutation is given.
+    """
+    span = {0}
+    for mask in gauss_xmasks:
+        span |= {s ^ mask for s in span}
+    out = np.zeros((1 << n_total, 1 << n_matter))
+    for lam in range(1 << n_matter):
+        row = _lift(lam, perm)
+        for s in span:
+            out[row ^ s, lam] = 1.0 / len(span)
+    return out
+
+
+def naive_symmetric_projector(n_matter: int, gauss_xmasks, perm=None) -> np.ndarray:
+    """Average of X(g) over the symmetry group, on the matter qubits.
+
+    Gauss-law generator k flips raw matter qubit k and its adjacent gauge
+    qubits; a matter X pattern g is a symmetry when the product of the
+    generators in g flips no gauge qubit.  The group is enumerated pattern by
+    pattern and the average summed from Kronecker products.
+    """
+    group = []
+    for g in range(1 << n_matter):
+        product = 0
+        for k in range(n_matter):
+            if (g >> k) & 1:
+                product ^= gauss_xmasks[k]
+        if product == _lift(g, perm):
+            group.append(g)
+    total = sum(naive_pauli_matrix(n_matter, g, 0) for g in group)
+    return total / len(group)

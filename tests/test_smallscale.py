@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from naive_oracle import naive_gauging_map, naive_pauli_matrix, naive_symmetric_projector
 
 from stabgauge.codebook import get_code
 from stabgauge.gauging import NotSymmetricError, SymmetryModel, symmetry_model_from_code
@@ -15,6 +16,7 @@ from stabgauge.smallscale import (
     check_lemma2,
     check_lemma3,
     check_matrix_elements,
+    matter_operator_dense,
     symmetric_projector,
 )
 from stabgauge.torus import shape_of
@@ -34,6 +36,13 @@ def trivial_model(dim=1, q=1):
 def single_constraint_model():
     # one matter qubit, one on-site Z constraint: no symmetry at all
     return SymmetryModel(dim=1, matter_q=1, constraint_map=GeneratorMap.identity(1, 1))
+
+
+def fold_model():
+    # the constraint 1 + x^2 folds to zero on a length-2 circle
+    return SymmetryModel(
+        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
+    )
 
 
 def ops(model):
@@ -206,12 +215,9 @@ def test_reports_invariant_under_qubit_relabeling(ising_model):
 
 
 def test_claim1_adjacency_follows_gauss_law_masks():
-    # the constraint 1 + x^2 folds to zero on a length-2 circle, so the Gauss-law
-    # generator of a matter qubit flips no gauge qubit and the twirl region
-    # cannot be injective
-    model = SymmetryModel(
-        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
-    )
+    # on a length-2 circle the Gauss-law generator of a matter qubit flips no
+    # gauge qubit, so the twirl region cannot be injective
+    model = fold_model()
     single_x, _ = ops(model)
     rep = check_claim1(model, shape_of((2,)), single_x)
     assert rep.details["region_injective"] is False
@@ -221,10 +227,60 @@ def test_claim1_adjacency_follows_gauss_law_masks():
 def test_claim1_region_holds_no_untouched_gauge_qubit():
     # on a length-2 circle the two terms of 1 + x^2 cancel, so the Gauss-law
     # generator flips no gauge qubit and single X gauges to no Z part
-    model = SymmetryModel(
-        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
-    )
+    model = fold_model()
     single_x, _ = ops(model)
     rep = check_claim1(model, shape_of((2,)), single_x)
     assert rep.details["region_matter"] == 1
     assert rep.details["region_gauge"] == 0
+
+
+def test_apply_pauli_acts_on_blocks_column_by_column(ising_model):
+    lat = DenseLattice(ising_model, SHAPE)
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((1 << lat.n_total, 5))
+    x_only, _ = lat.constraint_masks()[0]
+    z_only = lat.lift_mask(0b101 << lat.n_matter)
+    for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (x_only, z_only | 1)):
+        by_column = np.column_stack([apply_pauli(block[:, j], xm, zm) for j in range(5)])
+        assert np.array_equal(apply_pauli(block, xm, zm), by_column)
+
+
+def _oracle_lattices():
+    ising = symmetry_model_from_code(get_code("ising2d"))
+    perm = tuple(int(i) for i in np.random.default_rng(11).permutation(12))
+    return [
+        DenseLattice(ising, SHAPE),
+        DenseLattice(symmetry_model_from_code(get_code("toric2d")), SHAPE),
+        DenseLattice(fold_model(), shape_of((2,))),
+        DenseLattice(ising, SHAPE, perm=perm),
+    ]
+
+
+ORACLE_LATTICES = _oracle_lattices()
+ORACLE_IDS = ["ising2d", "toric2d", "fold", "ising2d-permuted"]
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_matter_operators_match_kronecker_products(lat):
+    single_x, bond = ops(lat.model)
+    dim = lat.model.dim
+    mixed = PauliColumn(dim, 1, (LaurentPoly.one(dim),), (LaurentPoly.one(dim),))
+    for op in (single_x, bond, mixed, PauliColumn.identity(dim, 1)):
+        expected = naive_pauli_matrix(lat.n_matter, *lat.raw_masks(op))
+        assert np.array_equal(matter_operator_dense(lat, op), expected)
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_gauging_map_matches_coset_form(lat):
+    masks = lat.constraint_masks()
+    assert all(zm == 0 for _, zm in masks)
+    g, _ = build_G(lat, normalized=False)
+    expected = naive_gauging_map(lat.n_matter, lat.n_total, [xm for xm, _ in masks], lat.perm)
+    assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_symmetric_projector_matches_group_average(lat):
+    masks = [xm for xm, _ in lat.constraint_masks()]
+    expected = naive_symmetric_projector(lat.n_matter, masks, lat.perm)
+    assert np.array_equal(symmetric_projector(lat), expected)
