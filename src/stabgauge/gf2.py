@@ -212,17 +212,17 @@ class Gf2Matrix:
             one per free column, in ascending free-column order.
         """
         reduced, pivots = self.row_reduce()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = 1 << f
-            for r, c in enumerate(pivots):
-                if (reduced[r] >> f) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
+        free_mask = (1 << self.cols) - 1 - sum(1 << c for c in pivots)
+        # one vector per free column, in ascending order; each pivot row
+        # sets its pivot bit in the vectors of the free bits it holds
+        basis = {f: 1 << f for f in range(self.cols) if (free_mask >> f) & 1}
+        for r, c in enumerate(pivots):
+            bits = reduced[r] & free_mask
+            while bits:
+                low = bits & -bits
+                basis[low.bit_length() - 1] |= 1 << c
+                bits ^= low
+        return list(basis.values())
 
     def solve(self, b: int) -> int | None:
         """Solve self @ x = b for one x, or return None when inconsistent.

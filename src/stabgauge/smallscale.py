@@ -11,11 +11,18 @@ kernel leave the wrapping (holonomy) sectors degenerate, so the span of
 gauged basis states is compared against the ground space of the
 constraint projectors together with the full torus kernel of the
 constraint map; the holonomy sector count is reported alongside.
+
+Every Gauss-law generator is pure X, so every state the checks touch lies
+in `DenseLattice.rows`, the XOR span of the matter bits and the Gauss-law
+X masks, and blocks hold those rows only.  Amplitudes off them are exact
+zeros; each one on them gets the same float operations as over all 2^n
+basis states.  The qubit cap still counts all matter and gauge qubits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .gauging import (
     gauge_operator,
     pi_generators,
 )
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
@@ -122,26 +129,42 @@ class DenseLattice:
                 out.append(self.masks(gen, site))
         return out
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Sorted basis states that every dense state is supported on: the
+        span of the matter bits and the Gauss-law X masks."""
+        basis = Gf2Basis([self.lift_mask(1 << i) for i in range(self.n_matter)]
+                         + [xm for xm, _ in self.constraint_masks()])
+        rows = np.zeros(1, dtype=np.int64)
+        for v in basis.rows.values():
+            rows = np.concatenate([rows, rows ^ v])
+        return np.sort(rows)
 
-def apply_pauli(vec: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
+
+def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np.ndarray:
     """Apply X(xmask) Z(zmask): sign from zmask overlap, then flip xmask bits.
 
-    vec is one state or a (2^n, m) block of states, acted on column by column.
+    vec is one state or a (len(rows), m) block of states, acted on column by
+    column; entry i is the amplitude of basis state rows[i], for a sorted
+    row set that xmask must map onto itself (ValueError otherwise).
     """
-    dim = vec.shape[0]
-    idx = np.arange(dim)
     out = vec
     if zmask:
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1)
-        out = out * signs.reshape((dim,) + (1,) * (vec.ndim - 1))
+        signs = 1.0 - 2.0 * (np.bitwise_count(rows & zmask) & 1)
+        out = out * signs.reshape((len(rows),) + (1,) * (vec.ndim - 1))
     if xmask:
-        out = out[idx ^ xmask]
+        moved = rows ^ xmask
+        src = np.searchsorted(rows, moved)
+        if not np.array_equal(rows.take(src, mode="clip"), moved):
+            raise ValueError(f"X mask {xmask:#x} leaves the row set")
+        out = out[src]
     return out
 
 
-def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]]) -> np.ndarray:
+def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]],
+                      rows: np.ndarray) -> np.ndarray:
     for xm, zm in masks:
-        vec = 0.5 * (vec + apply_pauli(vec, xm, zm))
+        vec = 0.5 * (vec + apply_pauli(vec, xm, zm, rows))
     return vec
 
 
@@ -154,12 +177,12 @@ class GaugeMapInfo:
 
 def _matter_basis_states(lat: DenseLattice) -> tuple[np.ndarray, np.ndarray]:
     """Each matter basis state adjoined with all-zero gauge qubits, as the
-    columns of a block, and the row each one occupies."""
+    columns of a block over lat.rows, and the position each one occupies."""
     dim_m = 1 << lat.n_matter
-    rows = lat.lift_mask(np.arange(dim_m))
-    block = np.zeros((1 << lat.n_total, dim_m))
-    block[rows, np.arange(dim_m)] = 1.0
-    return block, rows
+    at = np.searchsorted(lat.rows, lat.lift_mask(np.arange(dim_m)))
+    block = np.zeros((len(lat.rows), dim_m))
+    block[at, np.arange(dim_m)] = 1.0
+    return block, at
 
 
 def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, GaugeMapInfo]:
@@ -176,7 +199,7 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     masks = lat.constraint_masks()
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     dim_k = eta_dag_t.cols - eta_dag_t.rank()
-    cols = _apply_projectors(_matter_basis_states(lat)[0], masks)
+    cols = _apply_projectors(_matter_basis_states(lat)[0], masks, lat.rows)
     exponent = len(masks) - dim_k
     if normalized:
         cols *= 2.0 ** (exponent / 2.0)
@@ -187,7 +210,8 @@ def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
     """Dense matrix of a matter-layout Pauli column on the matter space."""
     if op.q != lat.model.matter_q:
         raise ValueError("operator does not live on the matter lattice")
-    return apply_pauli(np.eye(1 << lat.n_matter), *lat.raw_masks(op))
+    dim = 1 << lat.n_matter
+    return apply_pauli(np.eye(dim), *lat.raw_masks(op), np.arange(dim))
 
 
 def symmetric_projector(lat: DenseLattice) -> np.ndarray:
@@ -198,7 +222,8 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     (1 + X_b)/2 over a basis of it is the group average.
     """
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    return _apply_projectors(np.eye(1 << lat.n_matter), [(b, 0) for b in eta_dag_t.nullspace()])
+    dim = 1 << lat.n_matter
+    return _apply_projectors(np.eye(dim), [(b, 0) for b in eta_dag_t.nullspace()], np.arange(dim))
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -211,14 +236,14 @@ def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
 
 def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     """Return a function applying the gauged image of a symmetric matter
-    operator on the full space, to one state or a block of states: the
+    operator on lat.rows, to one state or a block of states: the
     disentangler-conjugated image followed by the Gauss-law projector."""
     conj = conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
     xm, zm = lat.masks(conj)
     masks = lat.constraint_masks()
 
     def act(vec: np.ndarray) -> np.ndarray:
-        return _apply_projectors(apply_pauli(vec, xm, zm), masks)
+        return _apply_projectors(apply_pauli(vec, xm, zm, lat.rows), masks, lat.rows)
 
     return act
 
@@ -322,8 +347,8 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
 
     op_x, op_z = lat.masks(op)
-    basis, basis_rows = _matter_basis_states(lat)
-    zero_sel = (np.arange(basis.shape[0]) & proj_mask) == 0
+    basis, basis_at = _matter_basis_states(lat)
+    zero_sel = (lat.rows & proj_mask) == 0
     out = np.zeros_like(basis)
     for subset in range(1 << len(gamma_m)):
         xm = zm = 0
@@ -332,12 +357,12 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
                 pxm, pzm = pi_masks[k]
                 xm ^= pxm
                 zm ^= pzm
-        term = apply_pauli(basis, xm, zm)
-        term = apply_pauli(term, op_x, op_z)
+        term = apply_pauli(basis, xm, zm, lat.rows)
+        term = apply_pauli(term, op_x, op_z, lat.rows)
         term = np.where(zero_sel[:, None], term, 0.0)
-        term = apply_pauli(term, xm, zm)
+        term = apply_pauli(term, xm, zm, lat.rows)
         out += term
-    recovered = out[basis_rows]
+    recovered = out[basis_at]
     expected = matter_operator_dense(lat, op)
     dev = float(np.max(np.abs(recovered - expected)))
     return CheckReport(
@@ -481,7 +506,7 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     g, _ = build_G(lat)
     contained = True
     for xm, zm in masks + flat_masks:
-        moved = apply_pauli(g, xm, zm)
+        moved = apply_pauli(g, xm, zm, lat.rows)
         if np.max(np.abs(moved - g)) > DERIVED_TOL:
             contained = False
             break

@@ -3,12 +3,18 @@ import pytest
 from naive_oracle import naive_gauging_map, naive_pauli_matrix, naive_symmetric_projector
 
 from stabgauge.codebook import get_code
-from stabgauge.gauging import NotSymmetricError, SymmetryModel, symmetry_model_from_code
+from stabgauge.gauging import (
+    NotSymmetricError,
+    SymmetryModel,
+    conjugate_by_disentangler,
+    symmetry_model_from_code,
+)
 from stabgauge.pauli import GeneratorMap, PauliColumn
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     DenseLattice,
     QubitCapExceeded,
+    _gauged_image,
     apply_pauli,
     build_G,
     check_claim1,
@@ -69,8 +75,9 @@ def test_pauli_products_are_involutions(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(1 << lat.n_total)
+    full = np.arange(1 << lat.n_total)
     for xm, zm in lat.constraint_masks():
-        twice = apply_pauli(apply_pauli(vec, xm, zm), xm, zm)
+        twice = apply_pauli(apply_pauli(vec, xm, zm, full), xm, zm, full)
         assert np.max(np.abs(twice - vec)) <= 1e-12
 
 
@@ -79,9 +86,10 @@ def test_projectors_idempotent_and_commuting(ising_model):
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(1 << lat.n_total)
     masks = lat.constraint_masks()
+    full = np.arange(1 << lat.n_total)
 
     def proj(v, pair):
-        return 0.5 * (v + apply_pauli(v, *pair))
+        return 0.5 * (v + apply_pauli(v, *pair, full))
 
     for pair in masks:
         once = proj(vec, pair)
@@ -238,11 +246,27 @@ def test_apply_pauli_acts_on_blocks_column_by_column(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     rng = np.random.default_rng(3)
     block = rng.standard_normal((1 << lat.n_total, 5))
+    full = np.arange(1 << lat.n_total)
     x_only, _ = lat.constraint_masks()[0]
     z_only = lat.lift_mask(0b101 << lat.n_matter)
     for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (x_only, z_only | 1)):
-        by_column = np.column_stack([apply_pauli(block[:, j], xm, zm) for j in range(5)])
-        assert np.array_equal(apply_pauli(block, xm, zm), by_column)
+        by_column = np.column_stack([apply_pauli(block[:, j], xm, zm, full) for j in range(5)])
+        assert np.array_equal(apply_pauli(block, xm, zm, full), by_column)
+
+
+def test_eighteen_qubit_ising_keeps_only_reachable_rows():
+    # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: 2^11 of
+    # the 2^18 basis states; a full-space fall-back would hold all of them
+    lat = DenseLattice(symmetry_model_from_code(get_code("ising2d")), shape_of((3, 2)))
+    assert lat.n_total == 18
+    assert len(lat.rows) == 2048
+
+
+def test_apply_pauli_rejects_x_mask_outside_rows(ising_model):
+    lat = DenseLattice(ising_model, SHAPE)
+    lone_gauge_x = lat.lift_mask(1 << lat.n_matter)
+    with pytest.raises(ValueError):
+        apply_pauli(np.ones(len(lat.rows)), lone_gauge_x, 0, lat.rows)
 
 
 def _oracle_lattices():
@@ -276,7 +300,22 @@ def test_gauging_map_matches_coset_form(lat):
     assert all(zm == 0 for _, zm in masks)
     g, _ = build_G(lat, normalized=False)
     expected = naive_gauging_map(lat.n_matter, lat.n_total, [xm for xm, _ in masks], lat.perm)
-    assert np.array_equal(g, expected)
+    off_rows = np.ones(1 << lat.n_total, dtype=bool)
+    off_rows[lat.rows] = False
+    assert not expected[off_rows].any()
+    full = np.zeros_like(expected)
+    full[lat.rows] = g
+    assert np.array_equal(full, expected)
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_rows_closed_under_gauss_law_and_gauged_operator_masks(lat):
+    conjugated = [conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
+                  for op in ops(lat.model)]
+    xmasks = [xm for xm, _ in lat.constraint_masks()] + [lat.masks(c)[0] for c in conjugated]
+    assert np.array_equal(np.unique(lat.rows), lat.rows)
+    for xm in xmasks:
+        assert np.isin(lat.rows ^ xm, lat.rows).all()
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
