@@ -9,13 +9,12 @@ from .pauli import (
     CodeSpec,
     GeneratorMap,
     PauliColumn,
-    normalize_column,
-    symplectic_pair,
+    maps_equal_up_to_translation,
     verify_stabilizer,
 )
 from .poly import LaurentPoly
 from .syzygy import bounded_kernel, bounded_preimage
-from .torus import TorusShape, instantiate, pauli_vector
+from .torus import TorusShape, instantiate
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,9 @@ def build_cluster(model) -> ClusterSpec:
         z = [eta.entries[q][j] for q in range(qm)] + [zero] * t
         stabs.append(PauliColumn(dim, qm + t, tuple(x), tuple(z)))
     spec = ClusterSpec(dim, qm, t, eta, tuple(stabs))
-    for a in spec.stabilizers:
-        for b in spec.stabilizers:
-            if not symplectic_pair(a, b).is_zero():
-                raise AssertionError("cluster stabilizers fail to commute")
+    rep = verify_stabilizer(spec.to_code())
+    if not rep.passed:
+        raise AssertionError(f"cluster stabilizers fail to commute: {rep}")
     return spec
 
 
@@ -112,28 +110,15 @@ def inherited_symmetries(c: ClusterSpec, shape: TorusShape) -> SymmetryReport:
     against the torus kernels of the constraint map and its dagger.
     """
     n = shape.n_sites
-    code = c.to_code()
-    sigma_t = instantiate(code.full_sigma(), shape)
+    sigma_t = instantiate(c.to_code().full_sigma(), shape)
     q = c.q_per_site
-    # an X pattern anticommutes with a stabilizer translate exactly when it
-    # overlaps its Z part oddly: constraints come from the Z-block rows
-    z_rows = [sigma_t.data[r] for r in range(q * n, 2 * q * n)]
-    stab_cols = sigma_t.cols
 
     def sublattice_dim(first_type: int, n_types: int) -> int:
-        # unknowns: X pattern supported on the chosen sublattice types
-        nvars = n_types * n
-        rows = []
-        for col in range(stab_cols):
-            row = 0
-            for ty in range(n_types):
-                for s in range(n):
-                    coord = (first_type + ty) * n + s
-                    if (z_rows[coord] >> col) & 1:
-                        row |= 1 << (ty * n + s)
-            rows.append(row)
-        mat = Gf2Matrix(stab_cols, nvars, rows)
-        return nvars - mat.rank()
+        # an X pattern on the chosen types anticommutes with a stabilizer
+        # translate exactly when it overlaps its Z part oddly, so the
+        # symmetries are the left kernel of those types' Z-block rows
+        z_rows = sigma_t.data[(q + first_type) * n : (q + first_type + n_types) * n]
+        return n_types * n - Gf2Matrix(len(z_rows), sigma_t.cols, z_rows).rank()
 
     matter_dim = sublattice_dim(0, c.matter_q)
     gauge_dim = sublattice_dim(c.matter_q, c.gauge_q)
@@ -246,19 +231,17 @@ def cluster_self_dual(c: ClusterSpec, box: tuple[int, ...] | None = None) -> boo
     both = gauge_sublattice(c, "both", box)
     # output layout: [new matter partners: t types][new gauge partners: qm types]
     t, qm = c.gauge_q, c.matter_q
-    q = t + qm
-    transformed = []
-    for s in both.code.generator_columns()[: qm + t]:
-        # swap sublattices back (partner blocks -> original slots) and swap X/Z
-        x = list(s.x_block)
-        z = list(s.z_block)
-        new_x = tuple(z[t:] + z[:t])
-        new_z = tuple(x[t:] + x[:t])
-        transformed.append(PauliColumn(c.dim, q, new_x, new_z))
-    want = [normalize_column(s.entries()) for s in c.stabilizers]
-    got = [normalize_column(s.entries()) for s in transformed]
-    key = lambda col: tuple(p.sorted_terms() for p in col)
-    return sorted(want, key=key) == sorted(got, key=key)
+
+    def swap(block):
+        # partner blocks back to the original slots
+        return block[t:] + block[:t]
+
+    transformed = GeneratorMap.from_columns(
+        c.dim,
+        2 * (t + qm),
+        [swap(s.z_block) + swap(s.x_block) for s in both.code.generator_columns()[: qm + t]],
+    )
+    return maps_equal_up_to_translation(transformed, c.to_code().sigma)
 
 
 def extra_fields_redundant(
@@ -267,12 +250,8 @@ def extra_fields_redundant(
     """On a torus, the kernel fields added by double gauging lie in the span
     of the main stabilizer types' translates."""
     both = gauge_sublattice(c, "both", box)
-    q = both.code.q_per_site
-    main_stabs = both.code.generator_columns()[: c.matter_q + c.gauge_q]
-    main = GeneratorMap.from_columns(c.dim, 2 * q, [s.entries() for s in main_stabs])
-    span = Gf2Basis(instantiate(main, shape).transpose().data)
-    zero = LaurentPoly.zero(c.dim)
-    return all(
-        span.contains(pauli_vector(PauliColumn(c.dim, q, (zero,) * q, g), shape))
-        for g in both.extra_z_types
-    )
+    # the main types' translates come first, the extra fields' after them
+    cols = instantiate(both.code.sigma, shape).transpose().data
+    n_main = (c.matter_q + c.gauge_q) * shape.n_sites
+    span = Gf2Basis(cols[:n_main])
+    return all(span.contains(v) for v in cols[n_main:])

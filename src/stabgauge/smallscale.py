@@ -17,6 +17,10 @@ in `DenseLattice.rows`, the XOR span of the matter bits and the Gauss-law
 X masks, and blocks hold those rows only.  Amplitudes off them are exact
 zeros; each one on them gets the same float operations as over all 2^n
 basis states.  The qubit cap still counts all matter and gauge qubits.
+
+Raw qubit coordinates are the torus bit layout of the `torus` module,
+matter types first and gauge types after them; every Pauli mask is read
+off `instantiate` and split into its X and Z blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .gauging import (
     pi_generators,
 )
 from .gf2 import Gf2Basis, Gf2Matrix
-from .pauli import PauliColumn
+from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate
@@ -51,9 +55,9 @@ class QubitCapExceeded(ValueError):
 class DenseLattice:
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
-    Matter qubit (q, site) gets bit q*N + site; gauge qubit (t, site) gets
-    bit n_matter + t*N + site.  An optional permutation relabels all bits,
-    used to confirm reports do not depend on the basis ordering.
+    Matter qubit (q, site) gets raw bit q*N + site; gauge qubit (t, site)
+    gets raw bit n_matter + t*N + site.  An optional permutation relabels
+    all bits, used to confirm reports do not depend on the basis ordering.
     """
 
     model: SymmetryModel
@@ -98,8 +102,8 @@ class DenseLattice:
             out |= ((pattern >> bit) & 1) << target
         return out
 
-    def raw_masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
-        """(xmask, zmask) of a Pauli column translate over raw coordinates.
+    def raw_masks(self, op: PauliColumn) -> tuple[int, int]:
+        """(xmask, zmask) of a Pauli column over raw coordinates.
 
         The column lives on the matter lattice (matter_q types) or on the
         enlarged lattice (matter then gauge types); type ty at site s is raw
@@ -107,27 +111,30 @@ class DenseLattice:
         """
         if op.q not in (self.model.matter_q, self.model.matter_q + self.model.n_constraints):
             raise ValueError("operator lives on neither the matter nor the enlarged lattice")
-        base = site or (0,) * self.shape.dim
-        masks = [0, 0]
-        for ty in range(op.q):
-            for m, block in enumerate((op.x_block, op.z_block)):
-                for term in block[ty].terms:
-                    s = self.shape.site_index(tuple(b + o for b, o in zip(base, term)))
-                    masks[m] ^= 1 << (ty * self.n_sites + s)
-        return masks[0], masks[1]
+        return self._raw_translates([op])[0]
 
-    def masks(self, op: PauliColumn, site: tuple[int, ...] | None = None) -> tuple[int, int]:
-        """(xmask, zmask) of a Pauli column translate over lattice bits."""
-        xm, zm = self.raw_masks(op, site)
+    def _raw_translates(self, ops: list[PauliColumn]) -> list[tuple[int, int]]:
+        """Raw (xmask, zmask) of every torus translate of the columns; the
+        translate of column k to site s is entry k * N + s."""
+        split = ops[0].q * self.n_sites
+        m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
+        cols = instantiate(m, self.shape).transpose().data
+        return [(v & ((1 << split) - 1), v >> split) for v in cols]
+
+    def masks(self, op: PauliColumn) -> tuple[int, int]:
+        """(xmask, zmask) of a Pauli column over lattice bits."""
+        xm, zm = self.raw_masks(op)
         return self.lift_mask(xm), self.lift_mask(zm)
+
+    @cached_property
+    def _raw_gauss_masks(self) -> list[tuple[int, int]]:
+        """Raw masks of the Gauss-law generator translates, indexed by the
+        raw matter bit q * N + s that each one flips."""
+        return self._raw_translates(pi_generators(self.model))
 
     def constraint_masks(self) -> list[tuple[int, int]]:
         """All Gauss-law generator translates as (xmask, zmask) pairs."""
-        out = []
-        for gen in pi_generators(self.model):
-            for site in self.shape.sites():
-                out.append(self.masks(gen, site))
-        return out
+        return [(self.lift_mask(xm), self.lift_mask(zm)) for xm, zm in self._raw_gauss_masks]
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -303,12 +310,7 @@ def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
     xm_raw, zm_raw = lat.raw_masks(op)
     support = xm_raw | zm_raw
     gamma_m = [raw for raw in range(lat.n_matter) if (support >> raw) & 1]
-    pis = pi_generators(lat.model)
-    site_list = list(lat.shape.sites())
-    pi_raw = []
-    for raw in gamma_m:
-        q, s = divmod(raw, lat.n_sites)
-        pi_raw.append(lat.raw_masks(pis[q], site_list[s]))
+    pi_raw = [lat._raw_gauss_masks[raw] for raw in gamma_m]
     _, gauge = lat.raw_masks(image)
     for xm, _ in pi_raw:
         gauge |= xm

@@ -1,12 +1,22 @@
-"""Finite-torus instantiation of polynomial maps and encoded-qubit counting."""
+"""Finite-torus instantiation of polynomial maps and encoded-qubit counting.
+
+Bit layout on a torus of N sites, used by every module: `instantiate` is
+the only code that sends polynomial terms to torus bits.  Row r of a map
+at site s is bit `r * N + s`, and the translate of column t to site s is
+column `t * N + s`, with sites in row-major order (`TorusShape.sites`).
+Exponents are reduced mod the lengths, so terms that land on the same
+site cancel mod 2, as in R/(x^L - 1).  The bits of one translate are
+`instantiate(m, shape).transpose().data[t * N + s]`.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .gf2 import Gf2Matrix
-from .pauli import CodeSpec, GeneratorMap, PauliColumn, epsilon_of, verify_stabilizer
+from .pauli import CodeSpec, GeneratorMap, epsilon_of, verify_stabilizer
 
 
 @dataclass(frozen=True)
@@ -36,15 +46,7 @@ class TorusShape:
 
     def sites(self):
         """All sites in row-major order."""
-
-        def rec(prefix: tuple[int, ...], axis: int):
-            if axis == len(self.lengths):
-                yield prefix
-                return
-            for c in range(self.lengths[axis]):
-                yield from rec(prefix + (c,), axis + 1)
-
-        yield from rec((), 0)
+        return itertools.product(*map(range, self.lengths))
 
 
 def shape_of(lengths) -> TorusShape:
@@ -55,9 +57,7 @@ def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
     """Instantiate a polynomial map as a binary matrix on the torus.
 
     Column (t, j) holds the coefficient vector of translate x^j of generator
-    column t with exponents reduced mod the lengths.  Rows are ordered with
-    the map row index outermost and the row-major site index innermost, and
-    columns likewise (generator type outermost, translate site innermost).
+    column t, in the bit layout of the module docstring.
     """
     if m.dim != shape.dim:
         raise ValueError("map dimension does not match torus dimension")
@@ -78,18 +78,6 @@ def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
                     s = shape.site_index(tuple(b + o for b, o in zip(base, off)))
                     data[r * n + s] ^= 1 << col
     return Gf2Matrix(rows, cols, data)
-
-
-def pauli_vector(op: PauliColumn, shape: TorusShape) -> int:
-    """Bitmask form of a Pauli column on the torus (X block rows then Z block)."""
-    n = shape.n_sites
-    acc = 0
-    for blocknum, block in enumerate((op.x_block, op.z_block)):
-        for q, p in enumerate(block):
-            r = (blocknum * op.q + q) * n
-            for t in p.terms:
-                acc |= 1 << (r + shape.site_index(t))
-    return acc
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,21 @@ def stabilizer_rows(code, lengths) -> np.ndarray:
     return np.array(rows, dtype=np.uint8) if rows else np.zeros((0, 2 * q * n_sites), dtype=np.uint8)
 
 
+def naive_torus_column(col, shape) -> int:
+    """Bits of one polynomial column on a torus, placed term by term.
+
+    Entry r's term e lands on the site with coordinates e mod L, numbered
+    row-major by numpy, at bit r * N + site; terms on one bit XOR away.
+    """
+    n_sites = int(np.prod(shape.lengths))
+    acc = 0
+    for r, p in enumerate(col):
+        for term in p.terms:
+            coords = tuple(e % length for e, length in zip(term, shape.lengths))
+            acc ^= 1 << (r * n_sites + int(np.ravel_multi_index(coords, shape.lengths)))
+    return acc
+
+
 def naive_logical_count(code, lengths) -> int:
     rows = stabilizer_rows(code, lengths)
     n = code.q_per_site * rows.shape[1] // (2 * code.q_per_site)

@@ -20,7 +20,7 @@ from stabgauge.pauli import (
     symplectic_pair,
     verify_stabilizer,
 )
-from stabgauge.poly import LaurentPoly
+from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.syzygy import bounded_kernel
 from stabgauge.torus import shape_of
 
@@ -164,6 +164,17 @@ def test_double_gauging_searches_each_kernel_once(monkeypatch):
 def test_extra_fields_redundant_on_torus():
     assert extra_fields_redundant(toric_cluster(), shape_of((4, 4)))
     assert extra_fields_redundant(cubic_cluster(), shape_of((3, 3, 3)))
+
+
+def test_extra_fields_redundant_when_terms_fold():
+    # the extra kernel field is (1, 1 + x + x^2); on a length-2 circle its
+    # terms 1 and x^2 land on one site and cancel, leaving a field in the span
+    model = SymmetryModel(
+        dim=1,
+        matter_q=1,
+        constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]]),
+    )
+    assert extra_fields_redundant(build_cluster(model), shape_of((2,)))
 
 
 def test_cluster_codebook_entries_commute():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from naive_oracle import naive_gauging_map, naive_pauli_matrix, naive_symmetric_projector
+from naive_oracle import (
+    naive_gauging_map,
+    naive_pauli_matrix,
+    naive_symmetric_projector,
+    naive_torus_column,
+)
 
 from stabgauge.codebook import get_code
 from stabgauge.gauging import (
     NotSymmetricError,
     SymmetryModel,
     conjugate_by_disentangler,
+    pi_generators,
     symmetry_model_from_code,
 )
 from stabgauge.pauli import GeneratorMap, PauliColumn
@@ -323,3 +329,28 @@ def test_symmetric_projector_matches_group_average(lat):
     masks = [xm for xm, _ in lat.constraint_masks()]
     expected = naive_symmetric_projector(lat.n_matter, masks, lat.perm)
     assert np.array_equal(symmetric_projector(lat), expected)
+
+
+def test_masks_match_term_placement_on_fold_model():
+    # 1 + x^2 folds to zero on a length-2 circle; x^-1, x^3 and x wrap from
+    # both sides onto one site and leave a single bit
+    model = fold_model()
+    shape = shape_of((2,))
+    lat = DenseLattice(model, shape)
+    wrapped = parse_poly("x^-1 + x^3 + x", 1)
+    zero = LaurentPoly.zero(1)
+    single_x, bond = ops(model)
+    matter_ops = [single_x, bond, PauliColumn(1, 1, (wrapped,), (wrapped,))]
+    enlarged = [PauliColumn(1, 2, (zero, wrapped), (wrapped, model.constraint_map.entries[0][0]))]
+    for op in matter_ops + enlarged:
+        split = op.q * lat.n_sites
+        bits = naive_torus_column(op.entries(), shape)
+        assert lat.raw_masks(op) == (bits & ((1 << split) - 1), bits >> split)
+    pis = pi_generators(model)
+    split = pis[0].q * lat.n_sites
+    masks = lat.constraint_masks()
+    for q, pi in enumerate(pis):
+        for s, site in enumerate(shape.sites()):
+            bits = naive_torus_column(pi.shift(site).entries(), shape)
+            expected = (bits & ((1 << split) - 1), bits >> split)
+            assert masks[q * lat.n_sites + s] == expected

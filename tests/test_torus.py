@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from naive_oracle import naive_logical_count, stabilizer_rows
+from naive_oracle import naive_logical_count, naive_torus_column, stabilizer_rows
 from stabgauge.codebook import get_code
 from stabgauge.gf2 import Gf2Matrix
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of, verify_stabilizer
@@ -147,3 +149,41 @@ def test_instantiate_matches_oracle_rows():
     mat = instantiate(code.full_sigma(), shape_of(lengths))
     got = mat.transpose().to_lists()
     assert sorted(map(tuple, got)) == sorted(map(tuple, rows.tolist()))
+
+
+@st.composite
+def maps_on_tori(draw):
+    """Small maps with exponents in [-5, 5] on tori of lengths 2-3, so terms
+    wrap from both sides and often fold onto one site; some columns repeat
+    a term shifted by a whole period."""
+    dim = draw(st.integers(1, 2))
+    lengths = tuple(draw(st.lists(st.integers(2, 3), min_size=dim, max_size=dim)))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-5, 5)] * dim)
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = draw(st.lists(exps, max_size=3))
+            if terms and draw(st.booleans()):
+                axis = draw(st.integers(0, dim - 1))
+                terms.append(tuple(e + lengths[axis] * (a == axis) for a, e in enumerate(terms[0])))
+            row.append(LaurentPoly.from_terms(dim, terms))
+        entries.append(row)
+    return GeneratorMap.from_rows(dim, entries), shape_of(lengths)
+
+
+# x^3 and x land on one site of a length-2 circle and cancel
+@given(maps_on_tori())
+@example((GeneratorMap.from_rows(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
+@settings(max_examples=200, deadline=None)
+def test_instantiate_columns_match_term_placement(case):
+    m, shape = case
+    cols = instantiate(m, shape).transpose().data
+    n = shape.n_sites
+    for t in range(m.cols):
+        for s, site in enumerate(shape.sites()):
+            shifted = [p.shift(site) for p in m.column(t)]
+            assert cols[t * n + s] == naive_torus_column(shifted, shape)
+
