@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 
 from . import cluster as cluster_mod
 from . import smallscale as smallscale_mod
 from .codebook import codebook_names, dumps_code, get_code, loads_code
 from .gauging import double_gauge_check, gauge, symmetry_model_from_code, ungauge_css
-from .pauli import CodeSpec, render_diagram, verify_stabilizer
+from .pauli import CodeSpec, PauliColumn, render_diagram, verify_stabilizer
 from .poly import LaurentPoly
 from .syzygy import bounded_kernel, certify_on_torus
 from .torus import count_logical, logical_operator_gap, shape_of
@@ -39,13 +38,8 @@ def _load(path: str) -> CodeSpec:
         raise SystemExit(f"error: cannot parse code file {path}: {exc}")
 
 
-def _emit(payload, as_json: bool) -> None:
-    if as_json:
-        if is_dataclass(payload):
-            payload = asdict(payload)
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        print(payload if isinstance(payload, str) else str(payload))
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -70,7 +64,7 @@ def cmd_verify(args) -> int:
         if report.witness:
             t, u, p = report.witness
             witness = {"row": t, "col": u, "polynomial": str(p)}
-        _emit({"code": code.name, "passed": report.passed, "witness": witness}, True)
+        _emit({"code": code.name, "passed": report.passed, "witness": witness})
     else:
         print(f"{code.name}: {report}")
     return PASS if report.passed else FAIL
@@ -112,7 +106,7 @@ def cmd_logical(args) -> int:
         "logical_operator_gap": gap[2],
     }
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         print(
             f"{code.name} on {shape.lengths}: k = {report.k_encoded} "
@@ -136,15 +130,12 @@ def cmd_kernel(args) -> int:
         lines.append(str(rep))
         ok = rep.passed
     if args.json:
-        _emit(
-            {
-                "generators": [[str(p) for p in g] for g in kb.generators],
-                "box": list(kb.box),
-                "certified_tori": [list(t) for t in kb.certified_tori],
-                "passed": ok,
-            },
-            True,
-        )
+        _emit({
+            "generators": [[str(p) for p in g] for g in kb.generators],
+            "box": list(kb.box),
+            "certified_tori": [list(t) for t in kb.certified_tori],
+            "passed": ok,
+        })
     else:
         print("\n".join(lines))
     return PASS if ok else FAIL
@@ -184,16 +175,13 @@ def cmd_duality_check(args) -> int:
     code = _load(args.code)
     report = double_gauge_check(code)
     if args.json:
-        _emit(
-            {
-                "code": code.name,
-                "passed": report.passed,
-                "forward_match": report.forward_match,
-                "dual_match": report.dual_match,
-                "diff": report.diff,
-            },
-            True,
-        )
+        _emit({
+            "code": code.name,
+            "passed": report.passed,
+            "forward_match": report.forward_match,
+            "dual_match": report.dual_match,
+            "diff": report.diff,
+        })
     else:
         print(f"{code.name}: {report}")
     return PASS if report.passed else FAIL
@@ -215,8 +203,6 @@ def cmd_smallscale(args) -> int:
     code = _load(args.model)
     model = _model_of(code)
     shape = shape_of(_parse_ints(args.lengths))
-    from .pauli import PauliColumn
-
     zero = LaurentPoly.zero(model.dim)
     one = LaurentPoly.one(model.dim)
     single_x = PauliColumn(model.dim, model.matter_q, (one,) + (zero,) * (model.matter_q - 1),
@@ -224,26 +210,27 @@ def cmd_smallscale(args) -> int:
     bond = PauliColumn(model.dim, model.matter_q,
                        (zero,) * model.matter_q,
                        tuple(model.constraint_map.entries[q][0] for q in range(model.matter_q)))
-    reports = []
-    which = args.check
     try:
-        if which in ("all", "lemma2"):
-            reports.append(smallscale_mod.check_lemma2(model, shape, cap=args.cap))
-        if which in ("all", "lemma3"):
-            reports.append(smallscale_mod.check_lemma3(model, shape, single_x, cap=args.cap))
-            reports.append(smallscale_mod.check_lemma3(model, shape, bond, cap=args.cap))
-        if which in ("all", "claim1"):
-            reports.append(smallscale_mod.check_claim1(model, shape, single_x, cap=args.cap))
-            reports.append(smallscale_mod.check_claim1(model, shape, bond, cap=args.cap))
-        if which in ("all", "elements"):
-            reports.append(smallscale_mod.check_matrix_elements(model, shape, single_x, cap=args.cap))
-        if which in ("all", "groundspace"):
-            reports.append(smallscale_mod.check_groundspace_span(model, shape, cap=args.cap))
+        lat = smallscale_mod.DenseLattice(model, shape, args.cap)
     except smallscale_mod.QubitCapExceeded as exc:
         raise SystemExit(f"error: {exc}")
+    reports = []
+    which = args.check
+    if which in ("all", "lemma2"):
+        reports.append(smallscale_mod.check_lemma2(lat))
+    if which in ("all", "lemma3"):
+        reports.append(smallscale_mod.check_lemma3(lat, single_x))
+        reports.append(smallscale_mod.check_lemma3(lat, bond))
+    if which in ("all", "claim1"):
+        reports.append(smallscale_mod.check_claim1(lat, single_x))
+        reports.append(smallscale_mod.check_claim1(lat, bond))
+    if which in ("all", "elements"):
+        reports.append(smallscale_mod.check_matrix_elements(lat, single_x))
+    if which in ("all", "groundspace"):
+        reports.append(smallscale_mod.check_groundspace_span(lat))
     ok = all(r.passed for r in reports)
     if args.json:
-        _emit([str(r) for r in reports], True)
+        _emit([str(r) for r in reports])
     else:
         for r in reports:
             print(r)

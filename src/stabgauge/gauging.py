@@ -208,6 +208,8 @@ def double_gauge_check(code: CodeSpec, box: tuple[int, ...] | None = None) -> Du
     """
     if not code.css:
         raise ValueError("duality check needs a CSS code")
+    if code.n_z_types == 0:
+        raise ValueError("duality check needs Z stabilizers")
     report = verify_stabilizer(code)
     if not report.passed:
         raise ValueError(f"code is not commuting: {report}")

@@ -18,6 +18,11 @@ X masks, and blocks hold those rows only.  Amplitudes off them are exact
 zeros; each one on them gets the same float operations as over all 2^n
 basis states.  The qubit cap still counts all matter and gauge qubits.
 
+Every check takes one `DenseLattice` (and the operator it checks, where it
+has one), so a run builds the lattice, its rows and its Gauss-law masks
+once.  The qubit cap and the qubit permutation are set on the lattice
+only; no check takes either.
+
 Raw qubit coordinates are the torus bit layout of the `torus` module,
 matter types first and gauge types after them; every Pauli mask is read
 off `instantiate` and split into its X and Z blocks.
@@ -36,7 +41,7 @@ from .gauging import (
     gauge_operator,
     pi_generators,
 )
-from .gf2 import Gf2Basis, Gf2Matrix
+from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
@@ -45,6 +50,8 @@ from .torus import TorusShape, instantiate
 DEFAULT_QUBIT_CAP = 20
 CONSTRUCTION_TOL = 1e-12
 DERIVED_TOL = 1e-10
+MATRIX_ELEMENT_TRIALS = 20
+MATRIX_ELEMENT_SEED = 7
 
 
 class QubitCapExceeded(ValueError):
@@ -179,7 +186,6 @@ def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]],
 class GaugeMapInfo:
     norm_exponent: int
     symmetry_dim: int
-    n_constraints: int
 
 
 def _matter_basis_states(lat: DenseLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +208,7 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     symmetry group of the model on this torus.
     """
     if lat.model.n_constraints == 0:
-        return np.eye(1 << lat.n_matter), GaugeMapInfo(0, 0, 0)
+        return np.eye(1 << lat.n_matter), GaugeMapInfo(0, 0)
     masks = lat.constraint_masks()
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     dim_k = eta_dag_t.cols - eta_dag_t.rank()
@@ -210,7 +216,7 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     exponent = len(masks) - dim_k
     if normalized:
         cols *= 2.0 ** (exponent / 2.0)
-    return cols, GaugeMapInfo(exponent, dim_k, len(masks))
+    return cols, GaugeMapInfo(exponent, dim_k)
 
 
 def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
@@ -226,10 +232,14 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
 
     The group is spanned by the torus kernel of the dagger of the
     constraint map, as masks over raw matter coordinates; the product of
-    (1 + X_b)/2 over a basis of it is the group average.
+    (1 + X_b)/2 over a basis of it is the group average.  With no
+    constraint types there is nothing to gauge, and the projector is the
+    identity, as the gauging map is.
     """
-    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     dim = 1 << lat.n_matter
+    if lat.model.n_constraints == 0:
+        return np.eye(dim)
+    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     return _apply_projectors(np.eye(dim), [(b, 0) for b in eta_dag_t.nullspace()], np.arange(dim))
 
 
@@ -268,14 +278,10 @@ class CheckReport:
         return f"{self.name}: {status} (max deviation {self.max_deviation:.3e}; {extras})"
 
 
-def check_lemma2(model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUBIT_CAP,
-                 perm: tuple[int, ...] | None = None) -> CheckReport:
+def check_lemma2(lat: DenseLattice) -> CheckReport:
     """Gram matrix of the gauging map versus the symmetric-subspace projector."""
-    lat = DenseLattice(model, shape, cap, perm)
     g, info = build_G(lat)
-    gram = g.T @ g
-    proj = symmetric_projector(lat) if model.n_constraints else np.eye(gram.shape[0])
-    dev = float(np.max(np.abs(gram - proj)))
+    dev = float(np.max(np.abs(g.T @ g - symmetric_projector(lat))))
     return CheckReport(
         name="gram-vs-symmetric-projector",
         passed=dev <= DERIVED_TOL,
@@ -284,10 +290,8 @@ def check_lemma2(model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUB
     )
 
 
-def check_lemma3(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
-                 cap: int = DEFAULT_QUBIT_CAP) -> CheckReport:
+def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
-    lat = DenseLattice(model, shape, cap)
     g, _ = build_G(lat)
     act = gauged_operator_action(lat, op)
     lhs = act(g)
@@ -319,8 +323,7 @@ def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
     return gamma_m, gamma_g, pi_raw
 
 
-def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
-                 cap: int = DEFAULT_QUBIT_CAP) -> CheckReport:
+def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Partial-trace inversion: gauging then restricting the gauge qubits to
     the all-zero state recovers a symmetric operator exactly.
 
@@ -329,21 +332,12 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     the region is small enough that no nonzero X pattern inside it is
     silent on all its gauge checks, which is verified and reported.
     """
-    lat = DenseLattice(model, shape, cap)
     gamma_m, gamma_g, pi_raw = _claim1_region(lat, op, _gauged_image(lat, op))
     nm = lat.n_matter
 
-    # the gauge X bits of the region's Gauss-law generators are the
-    # adjacency, which must be injective on the twirl region
-    rows = []
-    for g_raw in gamma_g:
-        row = 0
-        for k, (xm, _) in enumerate(pi_raw):
-            if (xm >> (nm + g_raw)) & 1:
-                row |= 1 << k
-        rows.append(row)
-    h = Gf2Matrix(len(rows), len(gamma_m), rows)
-    region_ok = h.rank() == len(gamma_m)
+    # every gauge X bit of the region's Gauss-law generators lies in the
+    # region, so their gauge patterns must be independent
+    region_ok = len(Gf2Basis(xm >> nm for xm, _ in pi_raw)) == len(gamma_m)
     pi_masks = [(lat.lift_mask(xm), lat.lift_mask(zm)) for xm, zm in pi_raw]
 
     proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
@@ -376,45 +370,26 @@ def check_claim1(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
     )
 
 
-def check_matrix_elements(model: SymmetryModel, shape: TorusShape, op: PauliColumn,
-                          psi0: np.ndarray | None = None,
-                          psi1: np.ndarray | None = None,
-                          trials: int = 20, seed: int = 7,
-                          cap: int = DEFAULT_QUBIT_CAP) -> CheckReport:
+def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Matrix elements of a symmetric operator between a symmetric state and an
-    arbitrary state survive the gauging sandwich."""
-    lat = DenseLattice(model, shape, cap)
+    arbitrary state survive the gauging sandwich, on seeded random states."""
     g, _ = build_G(lat)
     act = gauged_operator_action(lat, op)
     o_m = matter_operator_dense(lat, op)
-    proj = symmetric_projector(lat) if model.n_constraints else np.eye(o_m.shape[0])
-    rng = np.random.default_rng(seed)
+    proj = symmetric_projector(lat)
+    rng = np.random.default_rng(MATRIX_ELEMENT_SEED)
     dim_m = o_m.shape[0]
-
-    def one(p0, p1) -> float:
-        sym = proj @ p0
+    worst = 0.0
+    for _ in range(MATRIX_ELEMENT_TRIALS):
+        sym = proj @ rng.standard_normal(dim_m)
         norm = np.linalg.norm(sym)
         if norm < 1e-9:
             raise ValueError("state has no symmetric component")
         sym = sym / norm
-        lhs = sym @ (o_m @ p1)
-        rhs = (g @ sym) @ act(g @ p1)
-        return abs(lhs - rhs)
-
-    if psi0 is not None or psi1 is not None:
-        if psi0 is None or psi1 is None:
-            raise ValueError("provide both states or neither")
-        if not np.allclose(proj @ psi0, psi0, atol=DERIVED_TOL):
-            raise ValueError("psi0 is not symmetric")
-        dev = one(psi0, psi1)
-        return CheckReport("matrix-elements", dev <= DERIVED_TOL, float(dev), {"trials": 1})
-    worst = 0.0
-    for _ in range(trials):
-        p0 = rng.standard_normal(dim_m)
         p1 = rng.standard_normal(dim_m)
-        worst = max(worst, one(p0, p1))
+        worst = max(worst, abs(sym @ (o_m @ p1) - (g @ sym) @ act(g @ p1)))
     return CheckReport(
-        "matrix-elements", worst <= DERIVED_TOL, float(worst), {"trials": trials}
+        "matrix-elements", worst <= DERIVED_TOL, float(worst), {"trials": MATRIX_ELEMENT_TRIALS}
     )
 
 
@@ -440,8 +415,7 @@ class GroundspaceReport:
         )
 
 
-def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
-                           cap: int = DEFAULT_QUBIT_CAP) -> GroundspaceReport:
+def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     """The gauged basis states span the flat-connection ground sector.
 
     The comparison sector is cut out by the Gauss-law projectors together
@@ -450,7 +424,7 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
     wrapping (holonomy) sectors, whose count is reported.  Exactness of
     the local field content is certified in its windowed form first.
     """
-    lat = DenseLattice(model, shape, cap)
+    model, shape = lat.model, lat.shape
     n = lat.n_total
     nm = lat.n_matter
     eta = model.constraint_map
@@ -497,8 +471,7 @@ def check_groundspace_span(model: SymmetryModel, shape: TorusShape,
         mu_translate_masks = [(0, gauge_zmask(v)) for v in mu_t.data]
 
     def group_rank(pairs: list[tuple[int, int]]) -> int:
-        rows = [xm | (zm << n) for xm, zm in pairs]
-        return Gf2Matrix(len(rows), 2 * n, rows).rank()
+        return len(Gf2Basis(xm | (zm << n) for xm, zm in pairs))
 
     rank_flat = group_rank(masks + flat_masks)
     rank_local = group_rank(masks + mu_translate_masks)

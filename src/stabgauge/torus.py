@@ -177,7 +177,9 @@ def logical_operator_gap(code: CodeSpec, shape: TorusShape) -> tuple[int, int, i
     sigma = code.full_sigma()
     eps_t = instantiate(epsilon_of(sigma), shape)
     sig_t = instantiate(sigma, shape)
-    dim_ker = eps_t.cols - eps_t.rank()
+    # epsilon of a map with no columns has no columns either, so the domain
+    # dimension is counted from the code, not read off eps_t
+    dim_ker = 2 * code.q_per_site * shape.n_sites - eps_t.rank()
     rank_im = sig_t.rank()
     gap = dim_ker - rank_im
     k = code.q_per_site * shape.n_sites - rank_im

@@ -28,6 +28,7 @@ from stabgauge.pauli import (
 )
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
+    DenseLattice,
     check_claim1,
     check_groundspace_span,
     check_lemma2,
@@ -169,12 +170,13 @@ def test_criterion_8_smallscale_suite():
     single_x = PauliColumn(2, 1, (one,), (zero,))
     bond = PauliColumn(2, 1, (zero,), (model.constraint_map.entries[0][0],))
 
-    reports = [check_lemma2(model, shape)]
+    lat = DenseLattice(model, shape)
+    reports = [check_lemma2(lat)]
     for op in (single_x, bond):
-        reports.append(check_lemma3(model, shape, op))
-        reports.append(check_claim1(model, shape, op))
-        reports.append(check_matrix_elements(model, shape, op, trials=20))
-    ground = check_groundspace_span(model, shape)
+        reports.append(check_lemma3(lat, op))
+        reports.append(check_claim1(lat, op))
+        reports.append(check_matrix_elements(lat, op))
+    ground = check_groundspace_span(lat)
     deviations = [r.max_deviation for r in reports]
     ok = all(r.passed for r in reports) and ground.passed
     ok &= max(deviations) <= 1e-10

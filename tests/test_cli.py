@@ -183,3 +183,34 @@ def test_missing_field_exits_2_naming_it(tmp_path, capsys, path, message):
     code, out, err = run(capsys, "verify", str(file))
     assert code == 2 and out == ""
     assert err == f"error: cannot parse code file {file}: {message}\n"
+
+
+def _write_code(tmp_path, generators, dim=1):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(
+        {"name": "c", "dim": dim, "q_per_site": 1, "css": True, "generators": generators}
+    ))
+    return str(path)
+
+
+def test_logical_on_code_without_generators(tmp_path, capsys):
+    # every qubit is logical: k = Q * N and the gap is 2k
+    path = _write_code(tmp_path, [])
+    code, out, err = run(capsys, "logical", path, "--lengths", "4", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["k_encoded"] == 4
+    assert payload["logical_operator_gap"] == 8
+
+
+@pytest.mark.parametrize("sector, message", [
+    ("x_block", "duality check needs Z stabilizers"),
+    ("z_block", "code has no X stabilizers to ungauge"),
+])
+def test_duality_check_on_single_sector_code_exits_2(tmp_path, capsys, sector, message):
+    # one generator 1 + x, all in one sector
+    gen = {"x_block": [[]], "z_block": [[]]}
+    gen[sector] = [[[0], [1]]]
+    code, out, err = run(capsys, "duality-check", _write_code(tmp_path, [gen]))
+    assert code == 2 and out == ""
+    assert message in err

@@ -2,7 +2,9 @@
 
 The data file was recorded before the library's duplicated helpers were
 merged (the 18-qubit `smallscale` case before the dense checks were
-restricted to the reachable basis rows), so any change to what the CLI
+restricted to the reachable basis rows; the per-check `smallscale` cases,
+its cap refusal and the `duality-check` and `logical` cases before every
+dense check took one shared lattice), so any change to what the CLI
 prints shows up here.  Cases that take longer than about half a second
 (such as `gauge` on the 3D codes) are left out to keep the suite fast.  The floating-point `max deviation`
 figures of `smallscale` are masked before hashing.
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from stabgauge.cli import cli_main
+from stabgauge.codebook import get_code
 
 DATA = Path(__file__).with_name("data") / "cli_golden.json"
 
@@ -42,6 +45,16 @@ CASES = [
 ] + [
     ["smallscale", "--model", model, "--lengths", lengths, "--check", "all", "--json"]
     for model, lengths in (("ising2d", "2,2"), ("toric2d", "2,2"), ("ising2d", "3,2"))
+] + [
+    ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", check, "--json"]
+    for check in ("lemma2", "lemma3", "claim1", "elements", "groundspace")
+] + [
+    ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--cap", "5"],
+] + [
+    case for code in CODES for case in (
+        ["duality-check", code, "--json"],
+        ["logical", code, "--lengths", ",".join(["4"] * get_code(code).dim), "--json"],
+    )
 ]
 
 _DEVIATION = re.compile(r"max deviation [^;]*;")

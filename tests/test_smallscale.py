@@ -18,7 +18,9 @@ from stabgauge.gauging import (
 from stabgauge.pauli import GeneratorMap, PauliColumn
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
+    DERIVED_TOL,
     DenseLattice,
+    GroundspaceReport,
     QubitCapExceeded,
     _gauged_image,
     apply_pauli,
@@ -125,18 +127,23 @@ def test_no_constraint_model_gauges_to_identity():
     assert np.array_equal(g, np.eye(8))
 
 
+def test_no_constraint_model_symmetric_projector_is_identity():
+    lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
+    assert np.array_equal(symmetric_projector(lat), np.eye(8))
+    assert check_lemma2(lat).max_deviation == 0.0
+
+
 def test_lemma2_ising(ising_model):
-    rep = check_lemma2(ising_model, SHAPE)
+    rep = check_lemma2(DenseLattice(ising_model, SHAPE))
     assert rep.passed
     assert rep.max_deviation <= 1e-10
     assert rep.details["symmetry_dim"] == 1
 
 
 def test_lemma2_no_symmetry_model_gram_is_identity():
-    model = single_constraint_model()
-    rep = check_lemma2(model, shape_of((2,)))
+    lat = DenseLattice(single_constraint_model(), shape_of((2,)))
+    rep = check_lemma2(lat)
     assert rep.passed
-    lat = DenseLattice(model, shape_of((2,)))
     g, _ = build_G(lat)
     assert np.max(np.abs(g.T @ g - np.eye(4))) <= 1e-10
 
@@ -144,62 +151,44 @@ def test_lemma2_no_symmetry_model_gram_is_identity():
 def test_lemma2_cap_guard():
     model = symmetry_model_from_code(get_code("fractal_ising"))
     with pytest.raises(QubitCapExceeded):
-        check_lemma2(model, shape_of((2, 2, 2)))
+        check_lemma2(DenseLattice(model, shape_of((2, 2, 2))))
 
 
 def test_lemma3_single_x_bond_and_identity(ising_model):
     single_x, bond = ops(ising_model)
     ident = PauliColumn.identity(2, 1)
+    lat = DenseLattice(ising_model, SHAPE)
     for op in (single_x, bond, ident):
-        rep = check_lemma3(ising_model, SHAPE, op)
+        rep = check_lemma3(lat, op)
         assert rep.passed and rep.max_deviation <= 1e-10
 
 
 def test_lemma3_rejects_nonsymmetric(ising_model):
     zero, one = LaurentPoly.zero(2), LaurentPoly.one(2)
     with pytest.raises(NotSymmetricError):
-        check_lemma3(ising_model, SHAPE, PauliColumn(2, 1, (zero,), (one,)))
+        check_lemma3(DenseLattice(ising_model, SHAPE), PauliColumn(2, 1, (zero,), (one,)))
 
 
 def test_claim1_recovers_operators(ising_model):
     single_x, bond = ops(ising_model)
     ident = PauliColumn.identity(2, 1)
+    lat = DenseLattice(ising_model, SHAPE)
     for op in (single_x, bond, ident):
-        rep = check_claim1(ising_model, SHAPE, op)
+        rep = check_claim1(lat, op)
         assert rep.passed and rep.max_deviation <= 1e-10
         assert rep.details["region_injective"]
 
 
 def test_matrix_elements_randomized(ising_model):
-    single_x, bond = ops(ising_model)
-    for op in (single_x, bond):
-        rep = check_matrix_elements(ising_model, SHAPE, op, trials=20)
-        assert rep.passed and rep.max_deviation <= 1e-10
-
-
-def test_matrix_elements_explicit_states(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
-    proj = symmetric_projector(lat)
-    rng = np.random.default_rng(5)
-    psi0 = proj @ rng.standard_normal(16)
-    psi0 /= np.linalg.norm(psi0)
-    psi1 = rng.standard_normal(16)
-    single_x, _ = ops(ising_model)
-    rep = check_matrix_elements(ising_model, SHAPE, single_x, psi0=psi0, psi1=psi1)
-    assert rep.passed
-
-
-def test_matrix_elements_rejects_asymmetric_state(ising_model):
-    rng = np.random.default_rng(6)
-    psi0 = rng.standard_normal(16)
-    psi1 = rng.standard_normal(16)
-    single_x, _ = ops(ising_model)
-    with pytest.raises(ValueError):
-        check_matrix_elements(ising_model, SHAPE, single_x, psi0=psi0, psi1=psi1)
+    for op in ops(ising_model):
+        rep = check_matrix_elements(lat, op)
+        assert rep.passed and rep.max_deviation <= 1e-10
+        assert rep.details == {"trials": 20}
 
 
 def test_groundspace_span_ising(ising_model):
-    rep = check_groundspace_span(ising_model, SHAPE)
+    rep = check_groundspace_span(DenseLattice(ising_model, SHAPE))
     assert rep.passed
     # fixtures from the dense reference run: the local fields alone leave the
     # wrapping sectors degenerate, the gauged states fill exactly one of them
@@ -213,19 +202,32 @@ def test_groundspace_span_ising(ising_model):
 
 
 def test_groundspace_no_constraints_trivially_spanned():
-    rep = check_groundspace_span(trivial_model(q=1), shape_of((3,)))
+    rep = check_groundspace_span(DenseLattice(trivial_model(q=1), shape_of((3,))))
     assert rep.passed
     assert rep.holonomy_sectors == 1
 
 
-def test_reports_invariant_under_qubit_relabeling(ising_model):
-    rng = np.random.default_rng(11)
-    perm = tuple(int(i) for i in rng.permutation(12))
-    base = check_lemma2(ising_model, SHAPE)
-    shuffled = check_lemma2(ising_model, SHAPE, perm=perm)
-    assert base.passed == shuffled.passed
-    assert shuffled.max_deviation <= 1e-10
-    assert base.details == shuffled.details
+def _all_reports(lat):
+    # the seven reports of `smallscale --check all`
+    single_x, bond = ops(lat.model)
+    return [check_lemma2(lat), check_lemma3(lat, single_x), check_lemma3(lat, bond),
+            check_claim1(lat, single_x), check_claim1(lat, bond),
+            check_matrix_elements(lat, single_x), check_groundspace_span(lat)]
+
+
+def test_reports_invariant_under_qubit_relabeling():
+    for name in ("ising2d", "toric2d"):
+        model = symmetry_model_from_code(get_code(name))
+        base = DenseLattice(model, SHAPE)
+        perm = tuple(int(i) for i in np.random.default_rng(11).permutation(base.n_total))
+        shuffled = DenseLattice(model, SHAPE, perm=perm)
+        for want, got in zip(_all_reports(base), _all_reports(shuffled), strict=True):
+            assert want.passed and got.passed
+            if isinstance(want, GroundspaceReport):
+                assert got == want
+            else:
+                assert (got.name, got.details) == (want.name, want.details)
+                assert got.max_deviation <= DERIVED_TOL
 
 
 def test_claim1_adjacency_follows_gauss_law_masks():
@@ -233,7 +235,7 @@ def test_claim1_adjacency_follows_gauss_law_masks():
     # gauge qubit, so the twirl region cannot be injective
     model = fold_model()
     single_x, _ = ops(model)
-    rep = check_claim1(model, shape_of((2,)), single_x)
+    rep = check_claim1(DenseLattice(model, shape_of((2,))), single_x)
     assert rep.details["region_injective"] is False
     assert not rep.passed
 
@@ -243,7 +245,7 @@ def test_claim1_region_holds_no_untouched_gauge_qubit():
     # generator flips no gauge qubit and single X gauges to no Z part
     model = fold_model()
     single_x, _ = ops(model)
-    rep = check_claim1(model, shape_of((2,)), single_x)
+    rep = check_claim1(DenseLattice(model, shape_of((2,))), single_x)
     assert rep.details["region_matter"] == 1
     assert rep.details["region_gauge"] == 0
 
