@@ -18,7 +18,15 @@ from .pauli import (
     verify_stabilizer,
 )
 from .gf2 import Gf2Basis, Gf2Matrix
-from .torus import CountReport, TorusShape, count_logical, instantiate, logical_operator_gap, shape_of
+from .torus import (
+    CountReport,
+    TorusShape,
+    count_logical,
+    instantiate,
+    logical_operator_gap,
+    rank_on_torus,
+    shape_of,
+)
 from .syzygy import CertifyReport, KernelBasis, bounded_kernel, certify_on_torus
 from .gauging import (
     DualityReport,

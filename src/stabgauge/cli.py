@@ -309,7 +309,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             return USAGE
         return exc.code or 0
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return USAGE
 
 

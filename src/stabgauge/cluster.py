@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Gf2Basis, Gf2Matrix
+from .gf2 import Gf2Basis
 from .pauli import (
     CodeSpec,
     GeneratorMap,
@@ -14,7 +14,7 @@ from .pauli import (
 )
 from .poly import LaurentPoly
 from .syzygy import bounded_kernel, bounded_preimage
-from .torus import TorusShape, instantiate
+from .torus import TorusShape, instantiate, rank_on_torus
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,23 @@ def inherited_symmetries(c: ClusterSpec, shape: TorusShape) -> SymmetryReport:
     against the torus kernels of the constraint map and its dagger.
     """
     n = shape.n_sites
-    sigma_t = instantiate(c.to_code().full_sigma(), shape)
+    sigma = c.to_code().full_sigma()
     q = c.q_per_site
 
     def sublattice_dim(first_type: int, n_types: int) -> int:
         # an X pattern on the chosen types anticommutes with a stabilizer
         # translate exactly when it overlaps its Z part oddly, so the
         # symmetries are the left kernel of those types' Z-block rows
-        z_rows = sigma_t.data[(q + first_type) * n : (q + first_type + n_types) * n]
-        return n_types * n - Gf2Matrix(len(z_rows), sigma_t.cols, z_rows).rank()
+        z_rows = sigma.entries[q + first_type : q + first_type + n_types]
+        return n_types * n - rank_on_torus(GeneratorMap(c.dim, z_rows), shape)
 
     matter_dim = sublattice_dim(0, c.matter_q)
     gauge_dim = sublattice_dim(c.matter_q, c.gauge_q)
 
-    eta_t = instantiate(c.eta, shape)
-    eta_dag_t = instantiate(c.eta.dagger(), shape)
-    ker_eta = eta_t.cols - eta_t.rank()
-    ker_eta_dag = eta_dag_t.cols - eta_dag_t.rank()
+    # eta and its dagger instantiate to transposes, so they share one rank
+    eta_rank = rank_on_torus(c.eta, shape)
+    ker_eta = c.eta.cols * n - eta_rank
+    ker_eta_dag = c.eta.rows * n - eta_rank
     return SymmetryReport(
         shape=shape,
         matter_dim=matter_dim,
@@ -251,7 +251,7 @@ def extra_fields_redundant(
     of the main stabilizer types' translates."""
     both = gauge_sublattice(c, "both", box)
     # the main types' translates come first, the extra fields' after them
-    cols = instantiate(both.code.sigma, shape).transpose().data
+    cols = instantiate(both.code.sigma.dagger(), shape).data
     n_main = (c.matter_q + c.gauge_q) * shape.n_sites
     span = Gf2Basis(cols[:n_main])
     return all(span.contains(v) for v in cols[n_main:])

@@ -45,7 +45,7 @@ from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
-from .torus import TorusShape, instantiate
+from .torus import TorusShape, instantiate, rank_on_torus
 
 DEFAULT_QUBIT_CAP = 20
 CONSTRUCTION_TOL = 1e-12
@@ -125,7 +125,7 @@ class DenseLattice:
         translate of column k to site s is entry k * N + s."""
         split = ops[0].q * self.n_sites
         m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
-        cols = instantiate(m, self.shape).transpose().data
+        cols = instantiate(m.dagger(), self.shape).data
         return [(v & ((1 << split) - 1), v >> split) for v in cols]
 
     def masks(self, op: PauliColumn) -> tuple[int, int]:
@@ -210,8 +210,9 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     if lat.model.n_constraints == 0:
         return np.eye(1 << lat.n_matter), GaugeMapInfo(0, 0)
     masks = lat.constraint_masks()
-    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    dim_k = eta_dag_t.cols - eta_dag_t.rank()
+    eta = lat.model.constraint_map
+    # K is the torus kernel of the dagger of eta, whose rank is eta's
+    dim_k = eta.rows * lat.n_sites - rank_on_torus(eta, lat.shape)
     cols = _apply_projectors(_matter_basis_states(lat)[0], masks, lat.rows)
     exponent = len(masks) - dim_k
     if normalized:
@@ -446,10 +447,10 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
         box=tuple(max(e, 1) for e in eta_dag.support_extent()),
         generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
     )
+    # rows of the dagger's instantiation are the translates' gauge patterns
     mu_dag_t = instantiate(mu_map.dagger(), shape)
-    eta_dag_t = instantiate(eta_dag, shape)
-    ker_mu_dag = mu_dag_t.cols - mu_dag_t.rank()
-    im_eta_dag = eta_dag_t.rank()
+    ker_mu_dag = mu_dag_t.cols - rank_on_torus(mu_map, shape)
+    im_eta_dag = rank_on_torus(eta, shape)
     # the windowed exactness is a property of the local maps, not of this
     # particular torus, so certify it on lengths large enough to open a window
     try:
@@ -464,11 +465,7 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
         return lat.lift_mask(pattern << nm)
 
     flat_masks = [(0, gauge_zmask(v)) for v in instantiate(eta, shape).nullspace()]
-    mu_translate_masks = []
-    if mu_map.cols:
-        # columns of the instantiated map are the translates' gauge patterns
-        mu_t = instantiate(mu_map, shape).transpose()
-        mu_translate_masks = [(0, gauge_zmask(v)) for v in mu_t.data]
+    mu_translate_masks = [(0, gauge_zmask(v)) for v in mu_dag_t.data]
 
     def group_rank(pairs: list[tuple[int, int]]) -> int:
         return len(Gf2Basis(xm | (zm << n) for xm, zm in pairs))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap
 from .poly import LaurentPoly, Monomial, support_box
-from .torus import instantiate, shape_of
+from .torus import instantiate, rank_on_torus, shape_of
 
 
 class NotSymmetricError(ValueError):
@@ -268,13 +268,13 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     shape = shape_of(lengths)
     n = shape.n_sites
     parent_t = instantiate(kb.parent, shape)
-    kernel_dim = parent_t.cols - parent_t.rank()
+    kernel_dim = parent_t.cols - rank_on_torus(kb.parent, shape)
 
     gen_map = kb.matrix()
-    translates = instantiate(gen_map, shape)
-    # columns of `translates` are all torus translates of all generators
-    span = Gf2Basis(translates.transpose().data)
-    containment = all(r == 0 for r in parent_t.mul(translates).data)
+    # rows of the dagger's instantiation are all torus translates of all generators
+    span = Gf2Basis(instantiate(gen_map.dagger(), shape).data)
+    # instantiation is a ring homomorphism, so this is parent_t times the translates
+    containment = not any(instantiate(kb.parent.compose(gen_map), shape).data)
 
     pext = kb.parent.support_extent()
     window = tuple(max(l - 1 - e, 0) for l, e in zip(lengths, pext))

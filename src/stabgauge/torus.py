@@ -5,8 +5,12 @@ the only code that sends polynomial terms to torus bits.  Row r of a map
 at site s is bit `r * N + s`, and the translate of column t to site s is
 column `t * N + s`, with sites in row-major order (`TorusShape.sites`).
 Exponents are reduced mod the lengths, so terms that land on the same
-site cancel mod 2, as in R/(x^L - 1).  The bits of one translate are
-`instantiate(m, shape).transpose().data[t * N + s]`.
+site cancel mod 2, as in R/(x^L - 1).  Rows are built as block shifts:
+row (r, s) is row (r, 0) translated by s inside every N-bit column
+block.  Columns come from the dagger: `instantiate(m.dagger(), shape)`
+is the transpose of `instantiate(m, shape)`, so the bits of one
+translate are `instantiate(m.dagger(), shape).data[t * N + s]`, and no
+torus matrix is ever transposed.
 """
 
 from __future__ import annotations
@@ -56,28 +60,56 @@ def shape_of(lengths) -> TorusShape:
 def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
     """Instantiate a polynomial map as a binary matrix on the torus.
 
-    Column (t, j) holds the coefficient vector of translate x^j of generator
-    column t, in the bit layout of the module docstring.
+    Entry (r * N + s, t * N + j) is the coefficient of x^(s - j) in
+    m[r][t], in the bit layout of the module docstring.  Row (r, 0) is
+    built from the terms, and row (r, s) is its translate by s inside
+    every N-bit column block.
     """
     if m.dim != shape.dim:
         raise ValueError("map dimension does not match torus dimension")
     n = shape.n_sites
-    rows = m.rows * n
-    cols = m.cols * n
-    data = [0] * rows
-    site_list = list(shape.sites())
-    for r in range(m.rows):
-        for t in range(m.cols):
-            p = m.entries[r][t]
-            if p.is_zero():
-                continue
-            offsets = [tuple(e) for e in p.terms]
-            for j, base in enumerate(site_list):
-                col = t * n + j
-                for off in offsets:
-                    s = shape.site_index(tuple(b + o for b, o in zip(base, off)))
-                    data[r * n + s] ^= 1 << col
-    return Gf2Matrix(rows, cols, data)
+    full = (1 << m.cols * n) - 1
+    # one (length, stride, wrap, low, high) per axis: `low` selects the bits whose
+    # coordinate on the axis is below L - 1, tiled over every column block
+    axes = []
+    stride = n
+    for length in shape.lengths:
+        stride //= length
+        repunit = full // ((1 << length * stride) - 1)
+        low = ((1 << (length - 1) * stride) - 1) * repunit
+        axes.append((length, stride, (length - 1) * stride, low, full ^ low))
+    data = []
+    for row in m.entries:
+        base = 0
+        for t, p in enumerate(row):
+            for e in p.terms:
+                # terms that fold onto one site cancel here
+                base ^= 1 << (t * n + shape.site_index(tuple(-c for c in e)))
+        translates = [base]
+        # translating by one step along an axis carries coordinate L - 1 to 0;
+        # taking the axes slowest first keeps the sites in row-major order
+        for length, stride, wrap, low, high in axes:
+            steps = []
+            for u in translates:
+                steps.append(u)
+                for _ in range(length - 1):
+                    u = ((u & low) << stride) | ((u & high) >> wrap)
+                    steps.append(u)
+            translates = steps
+        data += translates
+    return Gf2Matrix(m.rows * n, m.cols * n, data)
+
+
+def rank_on_torus(m: GeneratorMap, shape: TorusShape) -> int:
+    """GF(2) rank of `instantiate(m, shape)`.
+
+    A tall map is instantiated through its dagger, whose rows are the
+    columns of the instantiated map, so the basis takes the shorter side
+    and no matrix is transposed.
+    """
+    if m.cols < m.rows:
+        m = m.dagger()
+    return instantiate(m, shape).rank()
 
 
 @dataclass(frozen=True)
@@ -135,9 +167,8 @@ def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
     if not report.passed:
         raise ValueError(f"code is not commuting: {report}")
     sigma = code.full_sigma()
-    mat = instantiate(sigma, shape)
     n = code.q_per_site * shape.n_sites
-    stab_rank = mat.rank()
+    stab_rank = rank_on_torus(sigma, shape)
     k = n - stab_rank
     bulk = None
     c = None
@@ -175,12 +206,10 @@ def logical_operator_gap(code: CodeSpec, shape: TorusShape) -> tuple[int, int, i
     if not report.passed:
         raise ValueError(f"code is not commuting: {report}")
     sigma = code.full_sigma()
-    eps_t = instantiate(epsilon_of(sigma), shape)
-    sig_t = instantiate(sigma, shape)
     # epsilon of a map with no columns has no columns either, so the domain
-    # dimension is counted from the code, not read off eps_t
-    dim_ker = 2 * code.q_per_site * shape.n_sites - eps_t.rank()
-    rank_im = sig_t.rank()
+    # dimension is counted from the code, not read off epsilon
+    dim_ker = 2 * code.q_per_site * shape.n_sites - rank_on_torus(epsilon_of(sigma), shape)
+    rank_im = rank_on_torus(sigma, shape)
     gap = dim_ker - rank_im
     k = code.q_per_site * shape.n_sites - rank_im
     if gap != 2 * k:

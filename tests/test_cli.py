@@ -116,6 +116,12 @@ def test_codebook_list_and_dump(capsys):
     assert loads_code(out).name == "ising2d"
 
 
+def test_unknown_codebook_entry_message_is_unquoted(capsys):
+    code, _, err = run(capsys, "codebook", "dump", "nosuch")
+    assert code == 2
+    assert err.startswith("error: unknown code 'nosuch'")
+
+
 def test_smallscale_command(capsys):
     code, out, _ = run(
         capsys, "smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", "lemma2"

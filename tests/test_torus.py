@@ -3,11 +3,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_oracle import naive_logical_count, naive_torus_column, stabilizer_rows
-from stabgauge.codebook import get_code
+from stabgauge.codebook import codebook_names, get_code
 from stabgauge.gf2 import Gf2Matrix
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of, verify_stabilizer
 from stabgauge.poly import LaurentPoly
-from stabgauge.torus import count_logical, instantiate, logical_operator_gap, shape_of
+from stabgauge.torus import (
+    count_logical,
+    instantiate,
+    logical_operator_gap,
+    rank_on_torus,
+    shape_of,
+)
 
 
 def test_identity_map_instantiates_to_identity():
@@ -153,11 +159,12 @@ def test_instantiate_matches_oracle_rows():
 
 @st.composite
 def maps_on_tori(draw):
-    """Small maps with exponents in [-5, 5] on tori of lengths 2-3, so terms
-    wrap from both sides and often fold onto one site; some columns repeat
+    """Small maps with exponents in [-5, 5] on tori of 1-3 axes of lengths
+    2-5, so terms wrap from both sides and often fold onto one site, and
+    every axis stride of a 3-axis torus is exercised; some columns repeat
     a term shifted by a whole period."""
-    dim = draw(st.integers(1, 2))
-    lengths = tuple(draw(st.lists(st.integers(2, 3), min_size=dim, max_size=dim)))
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim)))
     rows = draw(st.integers(1, 3))
     cols = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(-5, 5)] * dim)
@@ -187,3 +194,65 @@ def test_instantiate_columns_match_term_placement(case):
             shifted = [p.shift(site) for p in m.column(t)]
             assert cols[t * n + s] == naive_torus_column(shifted, shape)
 
+
+
+@given(maps_on_tori())
+@settings(max_examples=200, deadline=None)
+def test_dagger_instantiates_to_transpose(case):
+    m, shape = case
+    assert instantiate(m.dagger(), shape) == instantiate(m, shape).transpose()
+
+
+@given(maps_on_tori())
+@settings(max_examples=200, deadline=None)
+def test_rank_on_torus_matches_rank(case):
+    m, shape = case
+    assert rank_on_torus(m, shape) == instantiate(m, shape).rank()
+
+
+def test_map_without_columns_instantiates_to_no_columns():
+    m = GeneratorMap.zero(2, 3, 0)
+    shape = shape_of((2, 3))
+    mat = instantiate(m, shape)
+    assert (mat.rows, mat.cols) == (18, 0)
+    assert mat.data == [0] * 18
+    # the dagger has no rows, so there are no translates to read off
+    assert instantiate(m.dagger(), shape).data == []
+    assert rank_on_torus(m, shape) == 0
+
+
+def test_map_without_rows_instantiates_to_no_rows():
+    m = GeneratorMap(2, ())
+    shape = shape_of((3, 2))
+    assert instantiate(m, shape) == Gf2Matrix(0, 0)
+    assert rank_on_torus(m, shape) == 0
+
+
+UNEVEN_TORI = {2: [(2, 3), (3, 5), (4, 2)], 3: [(2, 3, 4), (3, 2, 5)]}
+CODEBOOK = [n for n in codebook_names() if n != "generalized_toric(d,k)"] + [
+    "generalized_toric(2,1)",
+    "generalized_toric(3,1)",
+]
+# frozen from the naive elimination oracle
+UNEVEN_K = {
+    ("cubic", (2, 3, 4)): 4,
+    ("fractal_ising", (3, 2, 5)): 1,
+    ("generalized_toric(3,1)", (3, 2, 5)): 3,
+}
+
+
+@pytest.mark.parametrize(
+    "name, lengths",
+    [
+        pytest.param(n, lengths, id=f"{n}-{'x'.join(map(str, lengths))}")
+        for n in CODEBOOK
+        for lengths in UNEVEN_TORI[get_code(n).dim]
+    ],
+)
+def test_counts_match_oracle_on_uneven_tori(name, lengths):
+    code = get_code(name)
+    shape = shape_of(lengths)
+    k = count_logical(code, shape).k_encoded
+    assert k == naive_logical_count(code, lengths) == UNEVEN_K.get((name, lengths), k)
+    _, _, gap = logical_operator_gap(code, shape)
+    assert gap == 2 * k
