@@ -4,7 +4,9 @@ The data file was recorded before the library's duplicated helpers were
 merged (the 18-qubit `smallscale` case before the dense checks were
 restricted to the reachable basis rows; the per-check `smallscale` cases,
 its cap refusal and the `duality-check` and `logical` cases before every
-dense check took one shared lattice), so any change to what the CLI
+dense check took one shared lattice; the `kernel --certify` cases before
+the certificate restricted its window by a column mask and stopped
+recording certified tori on the kernel basis), so any change to what the CLI
 prints shows up here.  Cases that take longer than about half a second
 (such as `gauge` on the 3D codes) are left out to keep the suite fast.  The floating-point `max deviation`
 figures of `smallscale` are masked before hashing.
@@ -37,6 +39,7 @@ COMMANDS = [
     ["cluster", "--gauge-sublattice", "gauge"],
     ["cluster", "--gauge-sublattice", "both"],
 ]
+CSS_CODES = [c for c in CODES if get_code(c).css]
 SLOW = {("gauge", c) for c in ("cubic", "fractal_ising", "generalized_toric(3,1)",
                                "generalized_toric(3,2)")}
 CASES = [
@@ -55,6 +58,15 @@ CASES = [
         ["duality-check", code, "--json"],
         ["logical", code, "--lengths", ",".join(["4"] * get_code(code).dim), "--json"],
     )
+] + [
+    ["kernel", code, "--certify", ",".join(["6"] * get_code(code).dim)] + fmt
+    for code in CSS_CODES for fmt in ([], ["--json"])
+] + [
+    # an undersized box: the unspanned count depends on the window-local basis
+    ["kernel", "generalized_toric(3,1)", "--box", "1,1,0", "--certify", "6,6,6"] + fmt
+    for fmt in ([], ["--json"])
+] + [
+    ["kernel", "ising2d", "--box", "0,0", "--certify", "6,6", "--json"],
 ]
 
 _DEVIATION = re.compile(r"max deviation [^;]*;")
