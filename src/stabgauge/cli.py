@@ -15,7 +15,6 @@ from . import smallscale as smallscale_mod
 from .codebook import codebook_names, dumps_code, get_code, loads_code
 from .gauging import double_gauge_check, gauge, symmetry_model_from_code, ungauge_css
 from .pauli import CodeSpec, PauliColumn, render_diagram, verify_stabilizer
-from .poly import LaurentPoly
 from .syzygy import bounded_kernel, certify_on_torus
 from .torus import count_logical, logical_operator_gap, shape_of
 
@@ -125,15 +124,17 @@ def cmd_kernel(args) -> int:
     for g in kb.generators:
         lines.append("  (" + ", ".join(str(p) for p in g) + ")")
     ok = True
+    certified = []
     if args.certify:
         rep = certify_on_torus(kb, _parse_ints(args.certify))
         lines.append(str(rep))
         ok = rep.passed
+        certified = [list(rep.lengths)] if ok else []
     if args.json:
         _emit({
             "generators": [[str(p) for p in g] for g in kb.generators],
             "box": list(kb.box),
-            "certified_tori": [list(t) for t in kb.certified_tori],
+            "certified_tori": certified,
             "passed": ok,
         })
     else:
@@ -203,13 +204,9 @@ def cmd_smallscale(args) -> int:
     code = _load(args.model)
     model = _model_of(code)
     shape = shape_of(_parse_ints(args.lengths))
-    zero = LaurentPoly.zero(model.dim)
-    one = LaurentPoly.one(model.dim)
-    single_x = PauliColumn(model.dim, model.matter_q, (one,) + (zero,) * (model.matter_q - 1),
-                           (zero,) * model.matter_q)
-    bond = PauliColumn(model.dim, model.matter_q,
-                       (zero,) * model.matter_q,
-                       tuple(model.constraint_map.entries[q][0] for q in range(model.matter_q)))
+    single_x = PauliColumn.single_x(model.dim, model.matter_q, 0)
+    bond = PauliColumn(model.dim, model.matter_q, single_x.z_block,
+                       model.constraint_map.column(0))
     try:
         lat = smallscale_mod.DenseLattice(model, shape, args.cap)
     except smallscale_mod.QubitCapExceeded as exc:

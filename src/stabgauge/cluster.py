@@ -1,4 +1,9 @@
-"""Cluster models on the bipartite constraint graph, and their gauging."""
+"""Cluster models on the bipartite constraint graph, and their gauging.
+
+Everything derives from the constraint map eta: the matter types are its
+rows, the gauge types its columns, and the stabilizers are the CZ
+conjugates of single-site X.
+"""
 
 from __future__ import annotations
 
@@ -26,15 +31,30 @@ class ClusterSpec:
     and Z on its adjacent matter qubits.
     """
 
-    dim: int
-    matter_q: int
-    gauge_q: int
     eta: GeneratorMap
-    stabilizers: tuple[PauliColumn, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.eta.dim
+
+    @property
+    def matter_q(self) -> int:
+        return self.eta.rows
+
+    @property
+    def gauge_q(self) -> int:
+        return self.eta.cols
 
     @property
     def q_per_site(self) -> int:
         return self.matter_q + self.gauge_q
+
+    @property
+    def stabilizers(self) -> tuple[PauliColumn, ...]:
+        # the CZ layer is an involution, so it sends single-site X to the
+        # stabilizer of that type
+        q = self.q_per_site
+        return tuple(cz_conjugate(self, PauliColumn.single_x(self.dim, q, i)) for i in range(q))
 
     def to_code(self, name: str = "cluster") -> CodeSpec:
         q = self.q_per_site
@@ -48,23 +68,7 @@ class ClusterSpec:
 
 def build_cluster(model) -> ClusterSpec:
     """Build the cluster model of a symmetry model's bipartite constraint graph."""
-    dim = model.dim
-    qm = model.matter_q
-    t = model.n_constraints
-    eta = model.constraint_map
-    eta_dag = eta.dagger()
-    zero = LaurentPoly.zero(dim)
-    one = LaurentPoly.one(dim)
-    stabs = []
-    for q in range(qm):
-        x = [one if i == q else zero for i in range(qm)] + [zero] * t
-        z = [zero] * qm + [eta_dag.entries[j][q] for j in range(t)]
-        stabs.append(PauliColumn(dim, qm + t, tuple(x), tuple(z)))
-    for j in range(t):
-        x = [zero] * qm + [one if i == j else zero for i in range(t)]
-        z = [eta.entries[q][j] for q in range(qm)] + [zero] * t
-        stabs.append(PauliColumn(dim, qm + t, tuple(x), tuple(z)))
-    spec = ClusterSpec(dim, qm, t, eta, tuple(stabs))
+    spec = ClusterSpec(model.constraint_map)
     rep = verify_stabilizer(spec.to_code())
     if not rep.passed:
         raise AssertionError(f"cluster stabilizers fail to commute: {rep}")
@@ -167,9 +171,7 @@ class SublatticeGauging:
     extra_z_types: tuple[tuple[LaurentPoly, ...], ...]
 
 
-def gauge_sublattice(
-    c: ClusterSpec, which: str, box: tuple[int, ...] | None = None
-) -> SublatticeGauging:
+def gauge_sublattice(c: ClusterSpec, which: str) -> SublatticeGauging:
     """Gauge the matter sublattice, the gauge sublattice, or both.
 
     Gauging one sublattice doubles the remaining one: each X or Z field
@@ -187,7 +189,7 @@ def gauge_sublattice(
 
     def kernel_fields(adjacency: GeneratorMap, before: int, after: int):
         """Kernel generators of the adjacency as Z blocks, zero-padded around."""
-        gens = bounded_kernel(adjacency, box).generators
+        gens = bounded_kernel(adjacency).generators
         return [(zero,) * before + tuple(g) + (zero,) * after for g in gens]
 
     if which == "matter":
@@ -200,7 +202,7 @@ def gauge_sublattice(
         extra = kernel_fields(c.eta.dagger(), qm, 0)
         q_new = qm + qm
     else:
-        once = gauge_sublattice(c, "matter", box)
+        once = gauge_sublattice(c, "matter")
         # the matter gauging left the old gauge types in slots [0, t) and the
         # new partners in [t, 2t); now gauge the old gauge sublattice, whose
         # Z patterns are generated by the dagger adjacency.  Only the main
@@ -226,9 +228,9 @@ def gauge_sublattice(
     return SublatticeGauging(code=code, extra_z_types=tuple(extra))
 
 
-def cluster_self_dual(c: ClusterSpec, box: tuple[int, ...] | None = None) -> bool:
+def cluster_self_dual(c: ClusterSpec) -> bool:
     """Gauging both sublattices returns the model up to sublattice swap and X<->Z."""
-    both = gauge_sublattice(c, "both", box)
+    both = gauge_sublattice(c, "both")
     # output layout: [new matter partners: t types][new gauge partners: qm types]
     t, qm = c.gauge_q, c.matter_q
 
@@ -244,12 +246,10 @@ def cluster_self_dual(c: ClusterSpec, box: tuple[int, ...] | None = None) -> boo
     return maps_equal_up_to_translation(transformed, c.to_code().sigma)
 
 
-def extra_fields_redundant(
-    c: ClusterSpec, shape: TorusShape, box: tuple[int, ...] | None = None
-) -> bool:
+def extra_fields_redundant(c: ClusterSpec, shape: TorusShape) -> bool:
     """On a torus, the kernel fields added by double gauging lie in the span
     of the main stabilizer types' translates."""
-    both = gauge_sublattice(c, "both", box)
+    both = gauge_sublattice(c, "both")
     # the main types' translates come first, the extra fields' after them
     cols = instantiate(both.code.sigma.dagger(), shape).data
     n_main = (c.matter_q + c.gauge_q) * shape.n_sites

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from dataclasses import replace
 from math import comb
 
 from .cluster import build_cluster
@@ -129,14 +130,8 @@ def generalized_toric(d: int, k: int) -> CodeSpec:
 
 def _cluster_from(code_name: str, out_name: str) -> CodeSpec:
     model = symmetry_model_from_code(get_code(code_name))
-    spec = build_cluster(model)
-    code = spec.to_code(out_name)
-    return CodeSpec(
-        name=out_name,
-        dim=code.dim,
-        q_per_site=code.q_per_site,
-        css=False,
-        sigma=code.sigma,
+    return replace(
+        build_cluster(model).to_code(out_name),
         notes=f"cluster model on the bipartite constraint graph of {code_name}",
     )
 

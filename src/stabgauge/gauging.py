@@ -23,7 +23,6 @@ from .pauli import (
     maps_equal_up_to_translation,
     verify_stabilizer,
 )
-from .poly import LaurentPoly
 from .syzygy import (
     KernelBasis,
     NotSymmetricError,  # raised by gauge_operator; callers import it from here
@@ -199,7 +198,7 @@ def _describe_columns(label: str, m: GeneratorMap) -> str:
     return "\n".join(lines)
 
 
-def double_gauge_check(code: CodeSpec, box: tuple[int, ...] | None = None) -> DualityReport:
+def double_gauge_check(code: CodeSpec) -> DualityReport:
     """Ungauge then regauge a CSS code, in both sector orders, and compare.
 
     The comparison allows per-column monomial translation and column
@@ -216,7 +215,7 @@ def double_gauge_check(code: CodeSpec, box: tuple[int, ...] | None = None) -> Du
 
     def round_trip(c: CodeSpec) -> tuple[bool, str]:
         model = ungauge_css(c)
-        regauged, _ = gauge(model, box)
+        regauged, _ = gauge(model)
         ok_x = maps_equal_up_to_translation(regauged.sigma_x, c.sigma_x)
         ok_z = maps_equal_up_to_translation(regauged.sigma_z, c.sigma_z)
         if ok_x and ok_z:
@@ -256,21 +255,15 @@ def pi_generators(model: SymmetryModel) -> list[PauliColumn]:
     """Local Gauss-law generators on the matter-plus-gauge lattice.
 
     One per matter qubit type: X on the matter qubit times X on every
-    adjacent gauge qubit under the dagger of the constraint map.
+    adjacent gauge qubit under the dagger of the constraint map.  The CX
+    disentangler is an involution, so these are its images of single-site
+    matter X.
     """
-    dim = model.dim
-    qm = model.matter_q
-    t = model.n_constraints
-    eta_dag = model.constraint_map.dagger()
-    zero = LaurentPoly.zero(dim)
-    out = []
-    for q in range(qm):
-        x_matter = [LaurentPoly.one(dim) if i == q else zero for i in range(qm)]
-        x_gauge = [eta_dag.entries[j][q] for j in range(t)]
-        out.append(
-            PauliColumn(dim, qm + t, tuple(x_matter + x_gauge), (zero,) * (qm + t))
-        )
-    return out
+    q = model.matter_q + model.n_constraints
+    return [
+        conjugate_by_disentangler(model, PauliColumn.single_x(model.dim, q, i))
+        for i in range(model.matter_q)
+    ]
 
 
 def conjugate_by_disentangler(model: SymmetryModel, op: PauliColumn) -> PauliColumn:

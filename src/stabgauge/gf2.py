@@ -6,13 +6,12 @@ so row updates are single word-level XOR operations.
 Every elimination goes through `Gf2Basis`, an incremental echelon basis
 that keys each stored row by its pivot, the row's highest set bit, so one
 reduction step is a `bit_length` and a dict lookup.  `Gf2Matrix.rank`
-inserts the rows, or the columns when there are fewer of them: fewer,
-longer vectors eliminate several times faster on torus translate matrices
-(cubic code at L=16: 0.09 s on the 8,192 columns against 0.45 s on the
-16,384 rows).  `Gf2Matrix.row_reduce` needs first-column pivots, so it
-inserts the rows bit-reversed and back-substitutes once; the reduced row
-echelon form of a row space is unique, so the result does not depend on
-the insertion order.  All results are reproducible bit-exactly.
+inserts the rows; which side of a torus matrix to insert is chosen by
+`torus.rank_on_torus` before the matrix is built.  `Gf2Matrix.row_reduce`
+needs first-column pivots, so it inserts the rows bit-reversed and
+back-substitutes once; the reduced row echelon form of a row space is
+unique, so the result does not depend on the insertion order.  All
+results are reproducible bit-exactly.
 """
 
 from __future__ import annotations
@@ -175,11 +174,6 @@ class Gf2Matrix:
             out.append(acc)
         return Gf2Matrix(self.rows, other.cols, out)
 
-    def stack(self, other: Gf2Matrix) -> Gf2Matrix:
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Gf2Matrix(self.rows + other.rows, self.cols, self.data + other.data)
-
     def row_reduce(self) -> tuple[list[int], list[int]]:
         """Reduced row echelon form with first-column pivots.
 
@@ -201,8 +195,7 @@ class Gf2Matrix:
 
     def rank(self) -> int:
         """GF(2) rank; the matrix is not modified."""
-        vectors = self.transpose().data if self.cols < self.rows else self.data
-        return len(Gf2Basis(vectors))
+        return len(Gf2Basis(self.data))
 
     def nullspace(self) -> list[int]:
         """Basis of the right nullspace as column bitmasks.

@@ -135,6 +135,12 @@ class PauliColumn:
         return cls(dim, q, (z,) * q, (z,) * q)
 
     @classmethod
+    def single_x(cls, dim: int, q: int, i: int) -> PauliColumn:
+        """X on qubit type i of the site at the origin, of q types per site."""
+        z = LaurentPoly.zero(dim)
+        return cls(dim, q, GeneratorMap.identity(dim, q).column(i), (z,) * q)
+
+    @classmethod
     def from_entries(cls, dim: int, entries) -> PauliColumn:
         """Build from a flat 2Q sequence of polynomials (X block then Z block)."""
         entries = tuple(entries)

@@ -447,9 +447,10 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
         box=tuple(max(e, 1) for e in eta_dag.support_extent()),
         generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
     )
-    # rows of the dagger's instantiation are the translates' gauge patterns
+    # rows of the dagger's instantiation are the translates' gauge patterns;
+    # with no local kernel they are none, so the domain size is not read off it
     mu_dag_t = instantiate(mu_map.dagger(), shape)
-    ker_mu_dag = mu_dag_t.cols - rank_on_torus(mu_map, shape)
+    ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, shape)
     im_eta_dag = rank_on_torus(eta, shape)
     # the windowed exactness is a property of the local maps, not of this
     # particular torus, so certify it on lengths large enough to open a window

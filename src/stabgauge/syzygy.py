@@ -13,14 +13,18 @@ wrapping classes are exactly the interesting degeneracy of the models
 this library targets), so the certificate checks two things instead of
 bare span equality: every translate lies in the kernel, and every kernel
 element supported in a window too small to wrap is spanned by the
-translates.  An undersized search box fails the second check with a
-dimension deficit; the wrapping classes are reported, not hidden.
+translates.  The window is a column mask: the window-local kernel is the
+nullspace of the torus matrix with every column outside the window
+cleared, less the unit vectors of those cleared columns.  An undersized
+search box fails the second check with a dimension deficit; the wrapping
+classes are reported, not hidden.  Certification is a pure function of
+the kernel basis and the torus: it returns a report and changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap
@@ -39,7 +43,6 @@ class KernelBasis:
     parent: GeneratorMap
     box: tuple[int, ...]
     generators: list[tuple[LaurentPoly, ...]]
-    certified_tori: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -259,6 +262,8 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     Passes when all generator translates lie in the kernel and every kernel
     element supported in a non-wrapping window is in their span.  Kernel
     elements that wrap the torus are reported via `wrapping_deficit`.
+    The window is a mask on the torus matrix's columns; `kb` is not
+    modified.
     """
     lengths = tuple(int(l) for l in lengths)
     if len(lengths) != kb.dim:
@@ -278,21 +283,17 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
 
     pext = kb.parent.support_extent()
     window = tuple(max(l - 1 - e, 0) for l, e in zip(lengths, pext))
-    # restrict to kernel elements supported on window sites (per column type)
-    allowed = set()
-    for j in range(kb.parent.cols):
-        for coords in itertools.product(*(range(w + 1) for w in window)):
-            allowed.add(j * n + shape.site_index(coords))
-    selectors = [
-        1 << b for b in range(parent_t.cols) if b not in allowed
-    ]
-    stacked = parent_t.stack(Gf2Matrix(len(selectors), parent_t.cols, selectors))
-    local_kernel = stacked.nullspace()
+    # window sites of every column type; each cleared column is free with
+    # its own unit vector, which the filter drops
+    sites = sum(
+        1 << shape.site_index(c) for c in itertools.product(*(range(w + 1) for w in window))
+    )
+    allowed = sum(sites << (j * n) for j in range(kb.parent.cols))
+    masked = Gf2Matrix(parent_t.rows, parent_t.cols, [r & allowed for r in parent_t.data])
+    local_kernel = [v for v in masked.nullspace() if v & allowed]
     missing = sum(not span.contains(v) for v in local_kernel)
     local_spanned = missing == 0
     passed = containment and local_spanned
-    if passed and lengths not in kb.certified_tori:
-        kb.certified_tori.append(lengths)
     return CertifyReport(
         lengths=lengths,
         kernel_dim=kernel_dim,

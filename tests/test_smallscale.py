@@ -201,6 +201,16 @@ def test_groundspace_span_ising(ising_model):
     assert rep.image_eta_dagger_dim == 3
 
 
+def test_groundspace_counts_kernel_of_mu_dagger_without_local_kernel():
+    # the 1D Ising bond 1 + x has no local kernel, so mu has no columns and
+    # mu-dagger no rows; the kernel of mu-dagger is then all 4 gauge qubits
+    eta = GeneratorMap.from_rows(1, [[parse_poly("1 + x", 1)]])
+    model = SymmetryModel(dim=1, matter_q=1, constraint_map=eta)
+    rep = check_groundspace_span(DenseLattice(model, shape_of((4,))))
+    assert rep.kernel_mu_dagger_dim == 4
+    assert rep.image_eta_dagger_dim == 3
+
+
 def test_groundspace_no_constraints_trivially_spanned():
     rep = check_groundspace_span(DenseLattice(trivial_model(q=1), shape_of((3,))))
     assert rep.passed

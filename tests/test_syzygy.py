@@ -1,11 +1,15 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from naive_oracle import naive_nullspace
+from naive_oracle import naive_nullspace, naive_rank, naive_torus_column
 from stabgauge.codebook import get_code
 from stabgauge.gauging import symmetry_model_from_code
 from stabgauge.pauli import GeneratorMap, columns_equal_up_to_translation
 from stabgauge.poly import parse_poly
-from stabgauge.syzygy import KernelBasis, bounded_kernel, certify_on_torus
+from stabgauge.syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
+from stabgauge.torus import shape_of
 
 
 def ising_eta():
@@ -78,7 +82,6 @@ def test_certify_ising_on_6x6():
     assert rep.kernel_dim == 37
     assert rep.span_dim == 35
     assert rep.wrapping_deficit == 2
-    assert (6, 6) in kb.certified_tori
 
 
 def test_certify_kernel_dim_matches_oracle():
@@ -118,3 +121,67 @@ def test_empty_kernel_certifies_vacuously():
     rep = certify_on_torus(kb, (5, 5))
     assert rep.passed
     assert rep.kernel_dim == 0
+
+
+
+def _dense_translates(cols, width, lengths) -> np.ndarray:
+    """Every torus translate of every column (of `width` entries), placed term
+    by term, as dense 0/1 rows in the (type, row-major site) layout."""
+    shape = shape_of(lengths)
+    size = width * shape.n_sites
+    rows = []
+    for col in cols:
+        for site in np.ndindex(*lengths):
+            bits = naive_torus_column(tuple(p.shift(site) for p in col), shape)
+            rows.append([(bits >> b) & 1 for b in range(size)])
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), size)
+
+
+def _window_columns(rep, n_types) -> list[int]:
+    """Torus columns of every type on the sites of the report's window."""
+    n = int(np.prod(rep.lengths))
+    sites = itertools.product(*(range(w + 1) for w in rep.window))
+    return sorted(
+        t * n + int(np.ravel_multi_index(c, rep.lengths)) for c in sites for t in range(n_types)
+    )
+
+
+def _sector_kernels(name):
+    code = get_code(name)
+    for m in (code.sigma_x, code.sigma_z):
+        if m is not None:
+            yield bounded_kernel(m)
+            yield bounded_kernel(m.dagger())
+
+
+@pytest.mark.parametrize("name", ["ising2d", "toric2d", "generalized_toric(2,1)"])
+def test_window_local_kernel_matches_oracle(name):
+    for kb in _sector_kernels(name):
+        parent = kb.parent
+        lengths = certification_lengths(kb)
+        # one column per translate of a parent column
+        cols = [parent.column(t) for t in range(parent.cols)]
+        mat = _dense_translates(cols, parent.rows, lengths).T
+        dropped = [kb.generators[:i] + kb.generators[i + 1:] for i in range(len(kb.generators))]
+        for gens in [kb.generators] + dropped:
+            rep = certify_on_torus(KernelBasis(parent, kb.box, list(gens)), lengths)
+            window = _window_columns(rep, parent.cols)
+            local = naive_nullspace(mat[:, window])
+            assert rep.local_kernel_dim == len(local)
+            span = _dense_translates(gens, parent.cols, lengths)
+            span_rank = naive_rank(span)
+            missing = 0
+            for v in local:
+                full = np.zeros(mat.shape[1], dtype=np.uint8)
+                full[window] = v
+                missing += naive_rank(np.vstack([span, full])) > span_rank
+            assert rep.missing_local == missing
+
+
+def test_window_local_kernel_dim_matches_oracle_fractal():
+    kb = bounded_kernel(fractal_eta())
+    parent = kb.parent
+    cols = [parent.column(t) for t in range(parent.cols)]
+    mat = _dense_translates(cols, parent.rows, (6, 6, 6)).T
+    rep = certify_on_torus(kb, (6, 6, 6))
+    assert rep.local_kernel_dim == len(naive_nullspace(mat[:, _window_columns(rep, parent.cols)]))
