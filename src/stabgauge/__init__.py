@@ -30,7 +30,6 @@ from .torus import (
 from .syzygy import CertifyReport, KernelBasis, bounded_kernel, certify_on_torus
 from .gauging import (
     DualityReport,
-    GaugingComplex,
     NotSymmetricError,
     SymmetryModel,
     conjugate_by_disentangler,

@@ -146,12 +146,12 @@ def cmd_gauge(args) -> int:
     code = _load(args.code)
     model = _model_of(code)
     box = _parse_ints(args.box) if args.box else None
-    gauged, cx = gauge(model, box)
+    gauged, cert = gauge(model, box)
     out = dumps_code(gauged)
-    if not cx.mu_certified:
+    if not cert.passed:
         print("warning: kernel certification inconclusive; enlarge --box", file=sys.stderr)
     print(out, end="")
-    return PASS if cx.mu_certified else FAIL
+    return PASS if cert.passed else FAIL
 
 
 def cmd_ungauge(args) -> int:

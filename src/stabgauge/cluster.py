@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gauging import SymmetryModel, gauge_operator
 from .gf2 import Gf2Basis
 from .pauli import (
     CodeSpec,
@@ -18,7 +19,7 @@ from .pauli import (
     verify_stabilizer,
 )
 from .poly import LaurentPoly
-from .syzygy import bounded_kernel, bounded_preimage
+from .syzygy import bounded_kernel
 from .torus import TorusShape, instantiate, rank_on_torus
 
 
@@ -66,7 +67,7 @@ class ClusterSpec:
         )
 
 
-def build_cluster(model) -> ClusterSpec:
+def build_cluster(model: SymmetryModel) -> ClusterSpec:
     """Build the cluster model of a symmetry model's bipartite constraint graph."""
     spec = ClusterSpec(model.constraint_map)
     rep = verify_stabilizer(spec.to_code())
@@ -143,25 +144,24 @@ def inherited_symmetries(c: ClusterSpec, shape: TorusShape) -> SymmetryReport:
 def _substitute_sublattice(
     stabs: list[PauliColumn], old_range: tuple[int, int], adjacency: GeneratorMap
 ) -> list[PauliColumn]:
-    """Gauge away one sublattice: X there becomes an X pattern on partner
-    qubits (via the dagger of the adjacency), Z patterns become single
-    partner Z's (the adjacency columns are the constraints being gauged).
+    """Gauge away one sublattice: each stabilizer's part on types [lo, hi)
+    goes through `gauge_operator`, with the adjacency as the constraint map
+    (its columns are the constraints being gauged).
 
     Qubit layout of the output: the untouched types keep their slots, the
     gauged sublattice's slots are dropped, and one new type per adjacency
     column is appended at the end.
     """
     lo, hi = old_range
-    adj_dag = adjacency.dagger()
+    model = SymmetryModel(adjacency)
     out = []
     for s in stabs:
+        part = PauliColumn(s.dim, hi - lo, s.x_block[lo:hi], s.z_block[lo:hi])
+        image = gauge_operator(model, part)
         keep_x = s.x_block[:lo] + s.x_block[hi:]
         keep_z = s.z_block[:lo] + s.z_block[hi:]
-        new_x = adj_dag.apply(s.x_block[lo:hi])
-        new_z = bounded_preimage(adjacency, s.z_block[lo:hi])
-        out.append(
-            PauliColumn(s.dim, len(keep_x) + adjacency.cols, keep_x + new_x, keep_z + new_z)
-        )
+        q = len(keep_x) + image.q
+        out.append(PauliColumn(s.dim, q, keep_x + image.x_block, keep_z + image.z_block))
     return out
 
 

@@ -1,13 +1,18 @@
 """The gauging duality for tensor-product X symmetries of Pauli models.
 
 A symmetry model is a lattice of matter qubits whose X symmetry is pinned
-down locally by Z-constraint fields, the columns of a map eta.  Gauging
-adjoins one gauge qubit per constraint type, sends single-site matter X
-to an X star on adjacent gauge qubits, sends each constraint field to a
-single gauge Z, and adds the box-local kernel generators of eta as
-flat-connection Z fields.  The result is a CSS code; reading the
-construction backwards from a CSS code recovers the matter model, and
-doing both is the identity up to per-column translation.
+down locally by Z-constraint fields, the columns of a map eta, and
+everything in the gauging derives from eta.  Gauging adjoins one gauge
+qubit per constraint type: the X stabilizers are the dagger of eta, so
+single-site matter X becomes an X star on adjacent gauge qubits, and the
+Z stabilizers are the box-local kernel generators of eta, the
+flat-connection fields.  A symmetric operator is gauged by one rule: its
+X part goes through the dagger of eta and its Z part to a preimage under
+eta.  The box-local X symmetries of the matter model generate the kernel
+of the dagger of eta, so they commute with every constraint by
+construction.  Reading the gauging backwards from a CSS code recovers the
+matter model, and doing both is the identity up to per-column
+translation.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from .pauli import (
     GeneratorMap,
     PauliColumn,
     canonical_column_set,
-    epsilon_of,
     maps_equal_up_to_translation,
     verify_stabilizer,
 )
 from .syzygy import (
-    KernelBasis,
+    CertifyReport,
     NotSymmetricError,  # raised by gauge_operator; callers import it from here
     bounded_kernel,
     bounded_preimage,
@@ -37,43 +41,31 @@ from .syzygy import (
 class SymmetryModel:
     """Matter qubits with a locally-defined tensor-product X symmetry.
 
-    constraint_map has one row per matter qubit type and one column per
-    Z-constraint type; local_x_map holds any box-local X fields commuting
-    with every constraint (empty for models with only global symmetries).
+    constraint_map (eta) has one row per matter qubit type and one column
+    per Z-constraint type; the lattice dimension and both type counts are
+    read off it.
     """
 
-    dim: int
-    matter_q: int
     constraint_map: GeneratorMap
-    local_x_map: GeneratorMap | None = None
     notes: str = ""
 
-    def __post_init__(self) -> None:
-        if self.constraint_map.rows != self.matter_q:
-            raise ValueError("constraint map must have one row per matter qubit type")
-        if self.local_x_map is not None and self.local_x_map.rows != self.matter_q:
-            raise ValueError("local X map must have one row per matter qubit type")
+    @property
+    def dim(self) -> int:
+        return self.constraint_map.dim
+
+    @property
+    def matter_q(self) -> int:
+        return self.constraint_map.rows
 
     @property
     def n_constraints(self) -> int:
         return self.constraint_map.cols
 
-    def check_compatibility(self) -> bool:
-        """Local X fields must commute with every constraint field."""
-        if self.local_x_map is None or self.local_x_map.cols == 0:
-            return True
-        return self.local_x_map.dagger().compose(self.constraint_map).is_zero()
-
-
-@dataclass
-class GaugingComplex:
-    """Stabilizer data of a gauged model together with its kernel basis."""
-
-    sigma: GeneratorMap
-    epsilon: GeneratorMap
-    mu: KernelBasis
-    source: SymmetryModel
-    mu_certified: bool
+    @property
+    def local_x_map(self) -> GeneratorMap:
+        """Box-local X fields, one per column: the kernel generators of the
+        dagger of eta, which commute with every constraint field."""
+        return bounded_kernel(self.constraint_map.dagger()).matrix()
 
 
 def symmetry_model_from_code(code: CodeSpec) -> SymmetryModel:
@@ -85,23 +77,15 @@ def symmetry_model_from_code(code: CodeSpec) -> SymmetryModel:
     sector = code.sigma_z if code.n_z_types > 0 else code.sigma_x
     if sector is None:
         raise ValueError("code has no generators")
-    phi = bounded_kernel(sector.dagger())
-    return SymmetryModel(
-        dim=code.dim,
-        matter_q=code.q_per_site,
-        constraint_map=sector,
-        local_x_map=phi.matrix(),
-        notes=f"from {code.name}",
-    )
+    return SymmetryModel(sector, notes=f"from {code.name}")
 
 
 def ungauge_css(code: CodeSpec) -> SymmetryModel:
     """Read the matter model off a CSS code.
 
-    The matter lattice carries one qubit per X-stabilizer type; the
-    constraints are the dagger of the X sector map (one per original qubit
-    type), and the local X fields generate the box-local kernel of the X
-    sector map.
+    The matter lattice carries one qubit per X-stabilizer type, and the
+    constraints are the dagger of the X sector map, one per original qubit
+    type.
     """
     if not code.css:
         raise ValueError("ungauging needs a CSS code")
@@ -110,58 +94,37 @@ def ungauge_css(code: CodeSpec) -> SymmetryModel:
         raise ValueError(f"code is not commuting: {report}")
     if code.n_x_types == 0:
         raise ValueError("code has no X stabilizers to ungauge")
-    eta = code.sigma_x.dagger()
-    phi = bounded_kernel(code.sigma_x)
-    model = SymmetryModel(
-        dim=code.dim,
-        matter_q=code.n_x_types,
-        constraint_map=eta,
-        local_x_map=phi.matrix(),
-        notes=f"ungauged {code.name}",
-    )
-    if not model.check_compatibility():
-        raise AssertionError("local X fields fail to commute with the constraints")
-    return model
+    return SymmetryModel(code.sigma_x.dagger(), notes=f"ungauged {code.name}")
 
 
 def gauge(
     model: SymmetryModel, box: tuple[int, ...] | None = None
-) -> tuple[CodeSpec, GaugingComplex]:
+) -> tuple[CodeSpec, CertifyReport]:
     """Gauge a symmetry model into a CSS code on the gauge-qubit lattice.
 
     X stabilizers are the dagger of the constraint map (one per matter
     qubit type); Z stabilizers are the box-local kernel generators of the
     constraint map.  The kernel basis is certified on a torus large enough
-    to separate local from wrapping kernel elements; an inconclusive
-    certificate flags the result but still returns the code.
+    to separate local from wrapping kernel elements, and the certificate
+    is returned with the code; an inconclusive one flags the result but
+    still returns the code.
     """
-    if not model.check_compatibility():
-        raise ValueError("model violates constraint compatibility")
     eta = model.constraint_map
     mu = bounded_kernel(eta, box)
     cert = certify_on_torus(mu, certification_lengths(mu))
-    sigma_x = eta.dagger()
-    sigma_z = mu.matrix()
     code = CodeSpec(
         name="gauged",
         dim=model.dim,
         q_per_site=model.n_constraints,
         css=True,
-        sigma_x=sigma_x,
-        sigma_z=sigma_z,
+        sigma_x=eta.dagger(),
+        sigma_z=mu.matrix(),
         notes=f"gauged from: {model.notes}" if model.notes else "gauged",
     )
-    sigma = code.full_sigma()
-    complex_ = GaugingComplex(
-        sigma=sigma,
-        epsilon=epsilon_of(sigma),
-        mu=mu,
-        source=model,
-        mu_certified=cert.passed,
-    )
-    if not complex_.epsilon.compose(complex_.sigma).is_zero():
-        raise AssertionError("gauged code fails the commutation identity")
-    return code, complex_
+    report = verify_stabilizer(code)
+    if not report.passed:
+        raise AssertionError(f"gauged code fails the commutation identity: {report}")
+    return code, cert
 
 
 def _swap_sectors(code: CodeSpec) -> CodeSpec:

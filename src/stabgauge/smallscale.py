@@ -41,7 +41,7 @@ from .gauging import (
     gauge_operator,
     pi_generators,
 )
-from .gf2 import Gf2Basis
+from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
@@ -202,13 +202,10 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     """Dense state gauging map: project each matter basis state adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
-    With no constraint types there is nothing to gauge and the map is the
-    identity.  When normalized, the map is scaled by 2^((NQ - dim K)/2) so
-    its Gram matrix is exactly the symmetric-subspace projector; K is the
-    symmetry group of the model on this torus.
+    When normalized, the map is scaled by 2^((NQ - dim K)/2) so its Gram
+    matrix is exactly the symmetric-subspace projector; K is the symmetry
+    group of the model on this torus.
     """
-    if lat.model.n_constraints == 0:
-        return np.eye(1 << lat.n_matter), GaugeMapInfo(0, 0)
     masks = lat.constraint_masks()
     eta = lat.model.constraint_map
     # K is the torus kernel of the dagger of eta, whose rank is eta's
@@ -233,14 +230,13 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
 
     The group is spanned by the torus kernel of the dagger of the
     constraint map, as masks over raw matter coordinates; the product of
-    (1 + X_b)/2 over a basis of it is the group average.  With no
-    constraint types there is nothing to gauge, and the projector is the
-    identity, as the gauging map is.
+    (1 + X_b)/2 over a basis of it is the group average.
     """
     dim = 1 << lat.n_matter
-    if lat.model.n_constraints == 0:
-        return np.eye(dim)
-    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
+    # the dagger of a map with no columns has no rows to carry the matter
+    # count, so the column count comes from the lattice
+    fields = instantiate(lat.model.constraint_map.dagger(), lat.shape).data
+    eta_dag_t = Gf2Matrix(len(fields), lat.n_matter, fields)
     return _apply_projectors(np.eye(dim), [(b, 0) for b in eta_dag_t.nullspace()], np.arange(dim))
 
 
@@ -429,13 +425,6 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     n = lat.n_total
     nm = lat.n_matter
     eta = model.constraint_map
-
-    if model.n_constraints == 0:
-        return GroundspaceReport(
-            passed=True, ground_dim_flat=1 << nm, ground_dim_local_fields=1 << nm,
-            holonomy_sectors=1, g_rank=1 << nm, contained=True, local_exactness=True,
-            kernel_mu_dagger_dim=0, image_eta_dagger_dim=0,
-        )
 
     mu = bounded_kernel(eta)
     mu_map = mu.matrix()

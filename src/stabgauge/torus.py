@@ -133,34 +133,36 @@ class CountReport:
     c_constant: int | None
 
 
-def _local_kernel_counts(code: CodeSpec):
-    """(S_for_kernel_of_eta, S_for_kernel_of_eta_dagger) from certified bounded kernels.
+def _per_cell(code: CodeSpec) -> int | None:
+    """Per-cell local count q - s.cols + |ker s| - |ker s-dagger|, from
+    certified bounded kernels.
 
-    For a CSS code with X generators, eta is the dagger of the X sector map;
-    for a single-sector code the sector map itself plays that role.
-    Returns None when certification does not go through.
+    s is the X sector map of a CSS code, or its Z sector map when it has no
+    X generators: qubits per site against generator types, then the local
+    redundancies of the generators against the local fields of their
+    dagger.  Returns None when certification does not go through.
     """
     from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
 
     if not code.css:
         return None
     if code.n_x_types > 0:
-        eta = code.sigma_x.dagger()
+        s = code.sigma_x
     elif code.n_z_types > 0:
-        eta = code.sigma_z
+        s = code.sigma_z
     else:
         return None
     try:
-        mu = bounded_kernel(eta)
-        phi = bounded_kernel(eta.dagger())
+        ker_s = bounded_kernel(s)
+        ker_s_dag = bounded_kernel(s.dagger())
     except ValueError:
         return None
-    lengths = certification_lengths(mu)
-    ok_mu = certify_on_torus(mu, lengths).passed
-    ok_phi = certify_on_torus(phi, lengths).passed
-    if not (ok_mu and ok_phi):
+    # the dagger keeps the support extent, so either kernel gives these lengths
+    lengths = certification_lengths(ker_s)
+    if not (certify_on_torus(ker_s, lengths).passed
+            and certify_on_torus(ker_s_dag, lengths).passed):
         return None
-    return len(mu.generators), len(phi.generators)
+    return code.q_per_site - s.cols + len(ker_s.generators) - len(ker_s_dag.generators)
 
 
 def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
@@ -174,17 +176,8 @@ def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
     k = n - stab_rank
     bulk = None
     c = None
-    counts = _local_kernel_counts(code)
-    if counts is not None:
-        s_mu, s_phi = counts
-        if code.n_x_types > 0:
-            # gauged-side formula: qubits per site vs X types, local redundant
-            # X stabilizers (phi) vs local Z stabilizers (mu)
-            per_cell = code.q_per_site - code.n_x_types + s_phi - s_mu
-        else:
-            # matter-side formula: qubits per site vs constraint types, local
-            # Z redundancies (mu) vs local X symmetries (phi)
-            per_cell = code.q_per_site - code.n_z_types + s_mu - s_phi
+    per_cell = _per_cell(code)
+    if per_cell is not None:
         bulk = per_cell * shape.n_sites
         c = k - bulk
     return CountReport(

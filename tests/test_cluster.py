@@ -34,7 +34,7 @@ def cubic_cluster():
 
 
 def identity_cluster():
-    model = SymmetryModel(dim=1, matter_q=1, constraint_map=GeneratorMap.identity(1, 1))
+    model = SymmetryModel(GeneratorMap.identity(1, 1))
     return build_cluster(model)
 
 
@@ -170,9 +170,7 @@ def test_extra_fields_redundant_when_terms_fold():
     # the extra kernel field is (1, 1 + x + x^2); on a length-2 circle its
     # terms 1 and x^2 land on one site and cancel, leaving a field in the span
     model = SymmetryModel(
-        dim=1,
-        matter_q=1,
-        constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]]),
+        GeneratorMap.from_rows(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]])
     )
     assert extra_fields_redundant(build_cluster(model), shape_of((2,)))
 

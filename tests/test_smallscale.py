@@ -44,19 +44,17 @@ def ising_model():
 
 
 def trivial_model(dim=1, q=1):
-    return SymmetryModel(dim=dim, matter_q=q, constraint_map=GeneratorMap.zero(dim, q, 0))
+    return SymmetryModel(GeneratorMap.zero(dim, q, 0))
 
 
 def single_constraint_model():
     # one matter qubit, one on-site Z constraint: no symmetry at all
-    return SymmetryModel(dim=1, matter_q=1, constraint_map=GeneratorMap.identity(1, 1))
+    return SymmetryModel(GeneratorMap.identity(1, 1))
 
 
 def fold_model():
     # the constraint 1 + x^2 folds to zero on a length-2 circle
-    return SymmetryModel(
-        dim=1, matter_q=1, constraint_map=GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]])
-    )
+    return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]]))
 
 
 def ops(model):
@@ -121,16 +119,38 @@ def test_normalization_exponent_is_integer(ising_model):
     assert info.norm_exponent == 3
 
 
-def test_no_constraint_model_gauges_to_identity():
+def test_no_constraint_model_gauges_to_symmetric_projector():
+    # with no constraints every matter X pattern is a symmetry, so G is the
+    # average over all of them
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
     g, info = build_G(lat)
-    assert np.array_equal(g, np.eye(8))
+    assert np.array_equal(g, np.full((8, 8), 2.0**-3))
+    assert np.array_equal(g, symmetric_projector(lat))
+    assert (info.norm_exponent, info.symmetry_dim) == (0, 3)
 
 
-def test_no_constraint_model_symmetric_projector_is_identity():
+def test_no_constraint_model_symmetric_projector_averages_every_x_pattern():
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
-    assert np.array_equal(symmetric_projector(lat), np.eye(8))
+    assert np.array_equal(symmetric_projector(lat), np.full((8, 8), 2.0**-3))
     assert check_lemma2(lat).max_deviation == 0.0
+
+
+@pytest.mark.parametrize("q,lengths", [(1, (3,)), (2, (2,))])
+def test_no_constraint_model_reports(q, lengths):
+    # the seven reports of `smallscale --check all`, with the identity as the
+    # only symmetric Z part; the Gauss-law generators touch no gauge qubit,
+    # so the claim-1 twirl region of single X cannot be injective
+    lat = DenseLattice(trivial_model(q=q), shape_of(lengths))
+    single_x = PauliColumn.single_x(1, q, 0)
+    ident = PauliColumn.identity(1, q)
+    lemma2 = check_lemma2(lat)
+    assert lemma2.passed and lemma2.details["symmetry_dim"] == lat.n_matter
+    assert check_lemma3(lat, single_x).passed and check_lemma3(lat, ident).passed
+    claim1 = check_claim1(lat, single_x)
+    assert not claim1.passed and claim1.details["region_injective"] is False
+    assert check_claim1(lat, ident).passed
+    assert check_matrix_elements(lat, single_x).passed
+    assert check_groundspace_span(lat).passed
 
 
 def test_lemma2_ising(ising_model):
@@ -205,7 +225,7 @@ def test_groundspace_counts_kernel_of_mu_dagger_without_local_kernel():
     # the 1D Ising bond 1 + x has no local kernel, so mu has no columns and
     # mu-dagger no rows; the kernel of mu-dagger is then all 4 gauge qubits
     eta = GeneratorMap.from_rows(1, [[parse_poly("1 + x", 1)]])
-    model = SymmetryModel(dim=1, matter_q=1, constraint_map=eta)
+    model = SymmetryModel(eta)
     rep = check_groundspace_span(DenseLattice(model, shape_of((4,))))
     assert rep.kernel_mu_dagger_dim == 4
     assert rep.image_eta_dagger_dim == 3

@@ -123,6 +123,24 @@ def test_bulk_term_and_residual():
         assert ri.bulk_term == 0 and ri.c_constant == ri.k_encoded
 
 
+@pytest.mark.parametrize("name,tori", [
+    ("ising2d", [(3, 3), (4, 2)]),
+    ("fractal_ising", [(2, 2, 2), (4, 4, 4)]),
+])
+def test_x_only_code_counts_like_its_z_only_original(name, tori):
+    # the sitewise Hadamard takes the Z-only code to an X-only one with the
+    # same counts, so both sector choices of the local-count formula agree
+    code = get_code(name)
+    swapped = CodeSpec(name=f"{name}-swapped", dim=code.dim, q_per_site=code.q_per_site,
+                       css=True, sigma_x=code.sigma_z)
+    for lengths in tori:
+        want = count_logical(code, shape_of(lengths))
+        got = count_logical(swapped, shape_of(lengths))
+        assert want.bulk_term is not None
+        assert (got.k_encoded, got.bulk_term, got.c_constant) == (
+            want.k_encoded, want.bulk_term, want.c_constant)
+
+
 def test_non_css_bulk_unavailable():
     report = count_logical(get_code("cluster_toric"), shape_of((2, 2)))
     assert report.bulk_term is None and report.c_constant is None
