@@ -104,10 +104,10 @@ def gauge(
 
     X stabilizers are the dagger of the constraint map (one per matter
     qubit type); Z stabilizers are the box-local kernel generators of the
-    constraint map.  The kernel basis is certified on a torus large enough
-    to separate local from wrapping kernel elements, and the certificate
-    is returned with the code; an inconclusive one flags the result but
-    still returns the code.
+    constraint map, which commute by `bounded_kernel`'s exact identity.
+    The kernel basis is certified on a torus large enough to separate
+    local from wrapping kernel elements, and the certificate is returned
+    with the code; an inconclusive one flags the result but still returns it.
     """
     eta = model.constraint_map
     mu = bounded_kernel(eta, box)
@@ -121,9 +121,6 @@ def gauge(
         sigma_z=mu.matrix(),
         notes=f"gauged from: {model.notes}" if model.notes else "gauged",
     )
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise AssertionError(f"gauged code fails the commutation identity: {report}")
     return code, cert
 
 
@@ -166,15 +163,13 @@ def double_gauge_check(code: CodeSpec) -> DualityReport:
 
     The comparison allows per-column monomial translation and column
     reordering; the dual order exchanges the X and Z sectors before and
-    after, which is the relabeling the construction itself introduces.
+    after, which is the relabeling the construction itself introduces;
+    `ungauge_css` rejects a code that does not commute.
     """
     if not code.css:
         raise ValueError("duality check needs a CSS code")
     if code.n_z_types == 0:
         raise ValueError("duality check needs Z stabilizers")
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise ValueError(f"code is not commuting: {report}")
 
     def round_trip(c: CodeSpec) -> tuple[bool, str]:
         model = ungauge_css(c)

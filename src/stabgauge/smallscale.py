@@ -19,9 +19,9 @@ zeros; each one on them gets the same float operations as over all 2^n
 basis states.  The qubit cap still counts all matter and gauge qubits.
 
 Every check takes one `DenseLattice` (and the operator it checks, where it
-has one), so a run builds the lattice, its rows and its Gauss-law masks
-once.  The qubit cap and the qubit permutation are set on the lattice
-only; no check takes either.
+has one), so a run builds the lattice, its rows, its Gauss-law masks and
+its gauging map once.  The qubit cap and the qubit permutation are set on
+the lattice only; no check takes either.
 
 Raw qubit coordinates are the torus bit layout of the `torus` module,
 matter types first and gauge types after them; every Pauli mask is read
@@ -154,6 +154,13 @@ class DenseLattice:
             rows = np.concatenate([rows, rows ^ v])
         return np.sort(rows)
 
+    @cached_property
+    def gauging_map(self) -> tuple[np.ndarray, GaugeMapInfo]:
+        """`build_G` of this lattice, built once and read-only."""
+        g, info = build_G(self)
+        g.flags.writeable = False
+        return g, info
+
 
 def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np.ndarray:
     """Apply X(xmask) Z(zmask): sign from zmask overlap, then flip xmask bits.
@@ -182,7 +189,7 @@ def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]],
     return vec
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaugeMapInfo:
     norm_exponent: int
     symmetry_dim: int
@@ -198,13 +205,13 @@ def _matter_basis_states(lat: DenseLattice) -> tuple[np.ndarray, np.ndarray]:
     return block, at
 
 
-def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, GaugeMapInfo]:
+def build_G(lat: DenseLattice) -> tuple[np.ndarray, GaugeMapInfo]:
     """Dense state gauging map: project each matter basis state adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
-    When normalized, the map is scaled by 2^((NQ - dim K)/2) so its Gram
-    matrix is exactly the symmetric-subspace projector; K is the symmetry
-    group of the model on this torus.
+    It is scaled by 2^((NQ - dim K)/2) so its Gram matrix is exactly the
+    symmetric-subspace projector; K is the symmetry group of the model on
+    this torus.  Checks read it from `DenseLattice.gauging_map`.
     """
     masks = lat.constraint_masks()
     eta = lat.model.constraint_map
@@ -212,8 +219,7 @@ def build_G(lat: DenseLattice, normalized: bool = True) -> tuple[np.ndarray, Gau
     dim_k = eta.rows * lat.n_sites - rank_on_torus(eta, lat.shape)
     cols = _apply_projectors(_matter_basis_states(lat)[0], masks, lat.rows)
     exponent = len(masks) - dim_k
-    if normalized:
-        cols *= 2.0 ** (exponent / 2.0)
+    cols *= 2.0 ** (exponent / 2.0)
     return cols, GaugeMapInfo(exponent, dim_k)
 
 
@@ -277,7 +283,7 @@ class CheckReport:
 
 def check_lemma2(lat: DenseLattice) -> CheckReport:
     """Gram matrix of the gauging map versus the symmetric-subspace projector."""
-    g, info = build_G(lat)
+    g, info = lat.gauging_map
     dev = float(np.max(np.abs(g.T @ g - symmetric_projector(lat))))
     return CheckReport(
         name="gram-vs-symmetric-projector",
@@ -289,7 +295,7 @@ def check_lemma2(lat: DenseLattice) -> CheckReport:
 
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
-    g, _ = build_G(lat)
+    g, _ = lat.gauging_map
     act = gauged_operator_action(lat, op)
     lhs = act(g)
     rhs = g @ matter_operator_dense(lat, op)
@@ -370,7 +376,7 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
 def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Matrix elements of a symmetric operator between a symmetric state and an
     arbitrary state survive the gauging sandwich, on seeded random states."""
-    g, _ = build_G(lat)
+    g, _ = lat.gauging_map
     act = gauged_operator_action(lat, op)
     o_m = matter_operator_dense(lat, op)
     proj = symmetric_projector(lat)
@@ -440,7 +446,9 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     # with no local kernel they are none, so the domain size is not read off it
     mu_dag_t = instantiate(mu_map.dagger(), shape)
     ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, shape)
-    im_eta_dag = rank_on_torus(eta, shape)
+    # the flat fields are the torus kernel of eta, whose rank is the dagger's
+    flat = instantiate(eta, shape).nullspace()
+    im_eta_dag = lat.n_gauge - len(flat)
     # the windowed exactness is a property of the local maps, not of this
     # particular torus, so certify it on lengths large enough to open a window
     try:
@@ -454,7 +462,7 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
         # raw gauge coordinates follow the nm raw matter coordinates
         return lat.lift_mask(pattern << nm)
 
-    flat_masks = [(0, gauge_zmask(v)) for v in instantiate(eta, shape).nullspace()]
+    flat_masks = [(0, gauge_zmask(v)) for v in flat]
     mu_translate_masks = [(0, gauge_zmask(v)) for v in mu_dag_t.data]
 
     def group_rank(pairs: list[tuple[int, int]]) -> int:
@@ -465,7 +473,7 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     dim_flat = 1 << (n - rank_flat)
     dim_local = 1 << (n - rank_local)
 
-    g, _ = build_G(lat)
+    g, _ = lat.gauging_map
     contained = True
     for xm, zm in masks + flat_masks:
         moved = apply_pauli(g, xm, zm, lat.rows)

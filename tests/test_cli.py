@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from stabgauge import smallscale as smallscale_mod
+from stabgauge import torus as torus_mod
 from stabgauge.cli import cli_main
 from stabgauge.codebook import dumps_code, get_code, loads_code
+from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of
+from stabgauge.poly import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -220,3 +224,46 @@ def test_duality_check_on_single_sector_code_exits_2(tmp_path, capsys, sector, m
     code, out, err = run(capsys, "duality-check", _write_code(tmp_path, [gen]))
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_duality_check_on_anticommuting_css_code_exits_2(tmp_path, capsys):
+    one = LaurentPoly.one(1)
+    bad = CodeSpec(
+        name="xz-css", dim=1, q_per_site=1, css=True,
+        sigma_x=GeneratorMap(1, ((one,),)), sigma_z=GeneratorMap(1, ((one,),)),
+    )
+    path = tmp_path / "xz.json"
+    path.write_text(dumps_code(bad))
+    code, out, err = run(capsys, "duality-check", str(path))
+    assert code == 2 and out == ""
+    assert "code is not commuting" in err
+
+
+def test_logical_ranks_sigma_once(monkeypatch, capsys):
+    sigma = get_code("cubic").full_sigma()
+    rank_on_torus = torus_mod.rank_on_torus
+    ranked = []
+
+    def counting_rank(m, shape):
+        ranked.append(m)
+        return rank_on_torus(m, shape)
+
+    monkeypatch.setattr(torus_mod, "rank_on_torus", counting_rank)
+    code, out, _ = run(capsys, "logical", "cubic", "--lengths", "4,4,4", "--json")
+    assert code == 0
+    assert json.loads(out)["logical_operator_gap"] == 28
+    assert sum(m in (sigma, epsilon_of(sigma)) for m in ranked) == 1
+
+
+def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
+    build_G = smallscale_mod.build_G
+    built = []
+
+    def counting_build(lat):
+        built.append(lat)
+        return build_G(lat)
+
+    monkeypatch.setattr(smallscale_mod, "build_G", counting_build)
+    code, _, _ = run(capsys, "smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", "all")
+    assert code == 0
+    assert len(built) == 1

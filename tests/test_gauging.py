@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stabgauge import gauging as gauging_mod
 from stabgauge.codebook import get_code
 from stabgauge.gauging import (
     NotSymmetricError,
@@ -119,6 +120,34 @@ def test_double_gauge_catches_corruption():
     report = double_gauge_check(bad)
     assert not report.passed
     assert report.diff
+
+
+def anticommuting_css():
+    # X and Z on the same single site: the sectors anticommute
+    one = LaurentPoly.one(1)
+    return CodeSpec(
+        name="xz-css", dim=1, q_per_site=1, css=True,
+        sigma_x=GeneratorMap(1, ((one,),)), sigma_z=GeneratorMap(1, ((one,),)),
+    )
+
+
+def test_double_gauge_rejects_noncommuting_code():
+    with pytest.raises(ValueError, match="code is not commuting"):
+        double_gauge_check(anticommuting_css())
+
+
+def test_double_gauge_verifies_each_sector_order_once(monkeypatch):
+    # the round trips' ungauge_css check the code and its sector swap; the
+    # regauged codes commute by bounded_kernel's exact identity
+    verified = []
+
+    def counting_verify(code):
+        verified.append(code)
+        return verify_stabilizer(code)
+
+    monkeypatch.setattr(gauging_mod, "verify_stabilizer", counting_verify)
+    assert double_gauge_check(get_code("cubic")).passed
+    assert [c.name for c in verified] == ["cubic", "cubic-swapped"]
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])

@@ -105,11 +105,23 @@ def test_projectors_idempotent_and_commuting(ising_model):
 
 
 def test_raw_gauging_map_norm_pattern(ising_model):
-    # each projected basis state has norm^2 = 2^-(number of constraints)
+    # each projected basis state has norm^2 = 2^-(number of constraints),
+    # before the map is scaled by 2^(norm_exponent / 2)
     lat = DenseLattice(ising_model, SHAPE)
-    g, info = build_G(lat, normalized=False)
+    g, info = build_G(lat)
     norms = np.sum(g * g, axis=0)
-    assert np.allclose(norms, 2.0 ** (-len(lat.constraint_masks())))
+    scale = 2.0 ** (info.norm_exponent / 2.0)
+    assert np.allclose(norms, 2.0 ** (-len(lat.constraint_masks())) * scale**2)
+
+
+def test_cached_gauging_map_is_read_only(ising_model):
+    lat = DenseLattice(ising_model, SHAPE)
+    g, info = lat.gauging_map
+    assert lat.gauging_map[0] is g
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0
+    fresh, fresh_info = build_G(lat)
+    assert np.array_equal(g, fresh) and info == fresh_info
 
 
 def test_normalization_exponent_is_integer(ising_model):
@@ -336,8 +348,10 @@ def test_matter_operators_match_kronecker_products(lat):
 def test_gauging_map_matches_coset_form(lat):
     masks = lat.constraint_masks()
     assert all(zm == 0 for _, zm in masks)
-    g, _ = build_G(lat, normalized=False)
+    g, info = lat.gauging_map
+    # the oracle is unnormalized; scaling both by the same float keeps equality exact
     expected = naive_gauging_map(lat.n_matter, lat.n_total, [xm for xm, _ in masks], lat.perm)
+    expected *= 2.0 ** (info.norm_exponent / 2.0)
     off_rows = np.ones(1 << lat.n_total, dtype=bool)
     off_rows[lat.rows] = False
     assert not expected[off_rows].any()

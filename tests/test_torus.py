@@ -1,8 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import naive_logical_count, naive_torus_column, stabilizer_rows
+from naive_oracle import (
+    naive_logical_count,
+    naive_nullspace,
+    naive_torus_column,
+    stabilizer_rows,
+)
 from stabgauge.codebook import codebook_names, get_code
 from stabgauge.gf2 import Gf2Matrix
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of, verify_stabilizer
@@ -163,6 +169,8 @@ def test_rejects_noncommuting_code():
     assert not verify_stabilizer(bad).passed
     with pytest.raises(ValueError):
         count_logical(bad, shape_of((2,)))
+    with pytest.raises(ValueError, match="code is not commuting"):
+        logical_operator_gap(bad, shape_of((2,)))
 
 
 def test_instantiate_matches_oracle_rows():
@@ -272,5 +280,10 @@ def test_counts_match_oracle_on_uneven_tori(name, lengths):
     shape = shape_of(lengths)
     k = count_logical(code, shape).k_encoded
     assert k == naive_logical_count(code, lengths) == UNEVEN_K.get((name, lengths), k)
-    _, _, gap = logical_operator_gap(code, shape)
+    dim_ker, _, gap = logical_operator_gap(code, shape)
     assert gap == 2 * k
+    # ker epsilon is the commutant: the Pauli vectors whose symplectic pairing
+    # with every translate vanishes, i.e. the kernel of the swapped rows
+    rows = stabilizer_rows(code, lengths)
+    half = rows.shape[1] // 2
+    assert dim_ker == len(naive_nullspace(np.hstack([rows[:, half:], rows[:, :half]])))
