@@ -11,12 +11,24 @@ block.  Columns come from the dagger: `instantiate(m.dagger(), shape)`
 is the transpose of `instantiate(m, shape)`, so the bits of one
 translate are `instantiate(m.dagger(), shape).data[t * N + s]`, and no
 torus matrix is ever transposed.
+
+Counting does each piece of work once per process, through two caches
+keyed by value (equal codes, maps and shapes share an entry), each of a
+constant size and holding only ints or None.  `_sigma_rank(code, shape)`
+verifies the code and ranks its sigma once per torus; a CSS code ranks
+sigma_x and sigma_z apart and adds the ranks, which is exact because the
+full sigma is block-diagonal.  `_kernel_balance(s)` certifies the local
+kernels of a sector map once, whatever torus is counted.  Both
+`count_logical` and `logical_operator_gap` read `_sigma_rank`; failures
+raise and are not cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .gf2 import Gf2Matrix
@@ -30,7 +42,12 @@ class TorusShape:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(l < 2 for l in self.lengths):
+        try:
+            lengths = tuple(operator.index(l) for l in self.lengths)
+        except TypeError:
+            raise ValueError(f"torus lengths must be integers: {self.lengths!r}") from None
+        object.__setattr__(self, "lengths", lengths)
+        if any(l < 2 for l in lengths):
             raise ValueError("all torus lengths must be >= 2")
 
     @property
@@ -54,7 +71,7 @@ class TorusShape:
 
 
 def shape_of(lengths) -> TorusShape:
-    return TorusShape(tuple(int(l) for l in lengths))
+    return TorusShape(tuple(lengths))
 
 
 def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
@@ -142,8 +159,6 @@ def _per_cell(code: CodeSpec) -> int | None:
     redundancies of the generators against the local fields of their
     dagger.  Returns None when certification does not go through.
     """
-    from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
-
     if not code.css:
         return None
     if code.n_x_types > 0:
@@ -152,6 +167,17 @@ def _per_cell(code: CodeSpec) -> int | None:
         s = code.sigma_z
     else:
         return None
+    balance = _kernel_balance(s)
+    if balance is None:
+        return None
+    return code.q_per_site - s.cols + balance
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_balance(s: GeneratorMap) -> int | None:
+    """|ker s| - |ker s-dagger| from certified bounded kernels, or None."""
+    from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
+
     try:
         ker_s = bounded_kernel(s)
         ker_s_dag = bounded_kernel(s.dagger())
@@ -162,17 +188,26 @@ def _per_cell(code: CodeSpec) -> int | None:
     if not (certify_on_torus(ker_s, lengths).passed
             and certify_on_torus(ker_s_dag, lengths).passed):
         return None
-    return code.q_per_site - s.cols + len(ker_s.generators) - len(ker_s_dag.generators)
+    return len(ker_s.generators) - len(ker_s_dag.generators)
+
+
+@functools.lru_cache(maxsize=256)
+def _sigma_rank(code: CodeSpec, shape: TorusShape) -> int:
+    """Rank of the instantiated sigma of a commuting code; a CSS code ranks
+    its two sectors apart, as the full sigma is block-diagonal."""
+    report = verify_stabilizer(code)
+    if not report.passed:
+        raise ValueError(f"code is not commuting: {report}")
+    if not code.css:
+        return rank_on_torus(code.sigma, shape)
+    return sum(rank_on_torus(m, shape) for m in (code.sigma_x, code.sigma_z)
+               if m is not None and m.cols > 0)
 
 
 def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
     """Count encoded qubits as n - rank of the instantiated stabilizer translates."""
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise ValueError(f"code is not commuting: {report}")
-    sigma = code.full_sigma()
     n = code.q_per_site * shape.n_sites
-    stab_rank = rank_on_torus(sigma, shape)
+    stab_rank = _sigma_rank(code, shape)
     k = n - stab_rank
     bulk = None
     c = None
@@ -183,7 +218,7 @@ def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:
     return CountReport(
         shape=shape,
         n_qubits=n,
-        n_generator_translates=sigma.cols * shape.n_sites,
+        n_generator_translates=code.full_sigma().cols * shape.n_sites,
         stab_rank=stab_rank,
         k_encoded=k,
         bulk_term=bulk,
@@ -197,9 +232,6 @@ def logical_operator_gap(code: CodeSpec, shape: TorusShape) -> tuple[int, int, i
     The instantiated epsilon is the instantiated sigma transposed with its
     X and Z blocks swapped, so both have rank r, and the gap is 2k.
     """
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise ValueError(f"code is not commuting: {report}")
     n = code.q_per_site * shape.n_sites
-    rank = rank_on_torus(code.full_sigma(), shape)
+    rank = _sigma_rank(code, shape)
     return 2 * n - rank, rank, 2 * n - 2 * rank

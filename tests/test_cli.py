@@ -240,7 +240,12 @@ def test_duality_check_on_anticommuting_css_code_exits_2(tmp_path, capsys):
 
 
 def test_logical_ranks_sigma_once(monkeypatch, capsys):
-    sigma = get_code("cubic").full_sigma()
+    # a CSS code ranks sigma_x and sigma_z apart; neither the full sigma
+    # nor epsilon is ranked
+    torus_mod._sigma_rank.cache_clear()
+    torus_mod._kernel_balance.cache_clear()
+    code = get_code("cubic")
+    sigma = code.full_sigma()
     rank_on_torus = torus_mod.rank_on_torus
     ranked = []
 
@@ -249,10 +254,11 @@ def test_logical_ranks_sigma_once(monkeypatch, capsys):
         return rank_on_torus(m, shape)
 
     monkeypatch.setattr(torus_mod, "rank_on_torus", counting_rank)
-    code, out, _ = run(capsys, "logical", "cubic", "--lengths", "4,4,4", "--json")
-    assert code == 0
+    rc, out, _ = run(capsys, "logical", "cubic", "--lengths", "4,4,4", "--json")
+    assert rc == 0
     assert json.loads(out)["logical_operator_gap"] == 28
-    assert sum(m in (sigma, epsilon_of(sigma)) for m in ranked) == 1
+    assert ranked.count(code.sigma_x) == 1 and ranked.count(code.sigma_z) == 1
+    assert sum(m in (sigma, epsilon_of(sigma)) for m in ranked) == 0
 
 
 def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):

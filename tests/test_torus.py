@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +11,14 @@ from naive_oracle import (
     naive_torus_column,
     stabilizer_rows,
 )
-from stabgauge.codebook import codebook_names, get_code
+from stabgauge import syzygy as syzygy_mod
+from stabgauge import torus as torus_mod
+from stabgauge.codebook import codebook_names, dumps_code, get_code, loads_code
 from stabgauge.gf2 import Gf2Matrix
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of, verify_stabilizer
 from stabgauge.poly import LaurentPoly
 from stabgauge.torus import (
+    TorusShape,
     count_logical,
     instantiate,
     logical_operator_gap,
@@ -287,3 +292,96 @@ def test_counts_match_oracle_on_uneven_tori(name, lengths):
     rows = stabilizer_rows(code, lengths)
     half = rows.shape[1] // 2
     assert dim_ker == len(naive_nullspace(np.hstack([rows[:, half:], rows[:, :half]])))
+
+
+def test_torus_shape_takes_any_integer_sequence():
+    shape = TorusShape([4, 4, 4])
+    assert shape.lengths == (4, 4, 4) and shape == shape_of((4, 4, 4))
+    assert hash(shape) == hash(shape_of((4, 4, 4)))
+    assert TorusShape((np.int64(3), 2)).lengths == (3, 2)
+
+
+@pytest.mark.parametrize("make", [TorusShape, shape_of])
+@pytest.mark.parametrize("lengths", [(4.5, 4), (4.0, 4), ("4", 4)])
+def test_torus_shape_rejects_non_integer_lengths(make, lengths):
+    with pytest.raises(ValueError, match="integers"):
+        make(lengths)
+
+
+@pytest.fixture
+def cold_caches():
+    torus_mod._sigma_rank.cache_clear()
+    torus_mod._kernel_balance.cache_clear()
+
+
+def _count_calls(monkeypatch, module, attr):
+    original = getattr(module, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_count_certifies_once_per_sector_map(cold_caches, monkeypatch):
+    # the local kernels depend on the code only, so a k(L) scan certifies
+    # ker s and ker s-dagger once, not once per torus
+    certified = _count_calls(monkeypatch, syzygy_mod, "certify_on_torus")
+    code = get_code("cubic")
+    # k = 4L - 2 at L = 2^p; the L = 12 value is frozen from this code
+    for L, k in [(4, 14), (8, 30), (12, 14)]:
+        report = count_logical(code, shape_of((L, L, L)))
+        assert (report.k_encoded, report.bulk_term) == (k, 0)
+    assert len(certified) == 2
+
+
+def test_count_and_gap_rank_each_sector_once(cold_caches, monkeypatch):
+    ranked = _count_calls(monkeypatch, torus_mod, "rank_on_torus")
+    verified = _count_calls(monkeypatch, torus_mod, "verify_stabilizer")
+    code = get_code("cubic")
+    shape = shape_of((4, 4, 4))
+    report = count_logical(code, shape)
+    assert logical_operator_gap(code, shape) == (
+        2 * report.n_qubits - report.stab_rank, report.stab_rank, 2 * report.k_encoded)
+    assert ranked == [code.sigma_x, code.sigma_z]
+    assert len(verified) == 1
+
+
+def test_mixed_code_ranks_its_sigma_once(cold_caches, monkeypatch):
+    ranked = _count_calls(monkeypatch, torus_mod, "rank_on_torus")
+    code = get_code("cluster_toric")
+    shape = shape_of((3, 3))
+    count_logical(code, shape)
+    logical_operator_gap(code, shape)
+    assert ranked == [code.sigma]
+
+
+def test_renamed_code_reuses_the_certificate(cold_caches, monkeypatch):
+    certified = _count_calls(monkeypatch, syzygy_mod, "certify_on_torus")
+    code = get_code("cubic")
+    data = json.loads(dumps_code(code))
+    data["name"] = "cubic-reloaded"
+    reloaded = loads_code(json.dumps(data))
+    assert reloaded.name != code.name and reloaded.sigma_x == code.sigma_x
+    shape = shape_of((4, 4, 4))
+    assert count_logical(reloaded, shape).bulk_term == count_logical(code, shape).bulk_term
+    assert len(certified) == 2
+
+
+def test_noncommuting_code_raises_on_every_call(cold_caches):
+    # a failed verification is raised, not cached, so a repeated call raises again
+    one = LaurentPoly.one(1)
+    zero = LaurentPoly.zero(1)
+    bad = CodeSpec(
+        name="xz", dim=1, q_per_site=1, css=False,
+        sigma=GeneratorMap(1, ((one, zero), (zero, one))),
+    )
+    shape = shape_of((2,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="code is not commuting"):
+            count_logical(bad, shape)
+        with pytest.raises(ValueError, match="code is not commuting"):
+            logical_operator_gap(bad, shape)
