@@ -15,7 +15,7 @@ from . import smallscale as smallscale_mod
 from .codebook import codebook_names, dumps_code, get_code, loads_code
 from .gauging import double_gauge_check, gauge, symmetry_model_from_code, ungauge_css
 from .pauli import CodeSpec, PauliColumn, render_diagram, verify_stabilizer
-from .syzygy import bounded_kernel, certify_on_torus
+from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
 from .torus import count_logical, shape_of
 
 PASS = 0
@@ -145,7 +145,8 @@ def cmd_gauge(args) -> int:
     code = _load(args.code)
     model = _model_of(code)
     box = _parse_ints(args.box) if args.box else None
-    gauged, cert = gauge(model, box)
+    gauged, mu = gauge(model, box)
+    cert = certify_on_torus(mu, certification_lengths(mu))
     out = dumps_code(gauged)
     if not cert.passed:
         print("warning: kernel certification inconclusive; enlarge --box", file=sys.stderr)

@@ -28,12 +28,10 @@ from .pauli import (
     verify_stabilizer,
 )
 from .syzygy import (
-    CertifyReport,
+    KernelBasis,
     NotSymmetricError,  # raised by gauge_operator; callers import it from here
     bounded_kernel,
     bounded_preimage,
-    certification_lengths,
-    certify_on_torus,
 )
 
 
@@ -99,19 +97,18 @@ def ungauge_css(code: CodeSpec) -> SymmetryModel:
 
 def gauge(
     model: SymmetryModel, box: tuple[int, ...] | None = None
-) -> tuple[CodeSpec, CertifyReport]:
+) -> tuple[CodeSpec, KernelBasis]:
     """Gauge a symmetry model into a CSS code on the gauge-qubit lattice.
 
     X stabilizers are the dagger of the constraint map (one per matter
     qubit type); Z stabilizers are the box-local kernel generators of the
     constraint map, which commute by `bounded_kernel`'s exact identity.
-    The kernel basis is certified on a torus large enough to separate
-    local from wrapping kernel elements, and the certificate is returned
-    with the code; an inconclusive one flags the result but still returns it.
+    Returns the code and the kernel basis behind its Z stabilizers.
+    Nothing is certified here: a caller that reads a certificate runs
+    `certify_on_torus(mu, certification_lengths(mu))` on the returned basis.
     """
     eta = model.constraint_map
     mu = bounded_kernel(eta, box)
-    cert = certify_on_torus(mu, certification_lengths(mu))
     code = CodeSpec(
         name="gauged",
         dim=model.dim,
@@ -121,7 +118,7 @@ def gauge(
         sigma_z=mu.matrix(),
         notes=f"gauged from: {model.notes}" if model.notes else "gauged",
     )
-    return code, cert
+    return code, mu
 
 
 def _swap_sectors(code: CodeSpec) -> CodeSpec:
@@ -164,7 +161,9 @@ def double_gauge_check(code: CodeSpec) -> DualityReport:
     The comparison allows per-column monomial translation and column
     reordering; the dual order exchanges the X and Z sectors before and
     after, which is the relabeling the construction itself introduces;
-    `ungauge_css` rejects a code that does not commute.
+    `ungauge_css` rejects a code that does not commute.  The comparison is
+    the check, so no kernel is certified.  A failure lists both column sets
+    in `normalize_column` form.
     """
     if not code.css:
         raise ValueError("duality check needs a CSS code")

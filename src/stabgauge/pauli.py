@@ -282,16 +282,18 @@ def verify_stabilizer(code: CodeSpec) -> VerifyReport:
 
 
 def normalize_column(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    """Translate a polynomial column so its lexicographically least monomial sits at 0.
+    """Translate a polynomial column so the min corner of its support box sits at 0.
 
-    Columns that differ only by an overall monomial factor normalize to the
-    same value, which is the equality-up-to-translation used throughout.
+    Every exponent of the result is nonnegative, so a normalized column
+    stays inside any box its extent fits.  Columns that differ only by an
+    overall monomial factor normalize to the same value, which is the
+    equality-up-to-translation used throughout; a zero column is returned
+    unchanged.
     """
-    monos = sorted(t for p in entries for t in p.terms)
-    if not monos:
+    box = support_box(entries)
+    if box is None:
         return entries
-    least = monos[0]
-    shift = tuple(-e for e in least)
+    shift = tuple(-e for e in box[0])
     return tuple(p.shift(shift) for p in entries)
 
 

@@ -87,12 +87,6 @@ class LaurentPoly:
             frozenset(tuple(a + b for a, b in zip(t, exponents)) for t in self.terms),
         )
 
-    def support_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Componentwise (min, max) of the exponent vectors. Errors on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no support box")
-        return support_box([self])
-
     def constant_term(self) -> int:
         return 1 if (0,) * self.dim in self.terms else 0
 

@@ -439,7 +439,7 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     eta_dag = eta.dagger()
     eta_cols_basis = KernelBasis(
         parent=mu_map.dagger(),
-        box=tuple(max(e, 1) for e in eta_dag.support_extent()),
+        box=eta_dag.support_extent(),
         generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
     )
     # rows of the dagger's instantiation are the translates' gauge patterns;

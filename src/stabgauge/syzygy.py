@@ -3,8 +3,12 @@
 Kernel search is bounded-box linear algebra: every coefficient of a
 candidate column supported inside the box is an unknown, every
 coefficient of the composed map is an equation, and the GF(2) nullspace
-gives the candidates.  The basis is then thinned to translation-
-inequivalent generators.
+gives the candidates.  Where a column sits follows one rule throughout,
+`pauli.normalize_column`: the min corner of its support box goes to the
+origin.  Candidates are put in that form, which keeps them and their
+in-box shifts inside the box and collapses translates of one another, and
+the basis is then thinned to translation-inequivalent generators.  The
+same rule recognises a preimage target that is a translate of one column.
 
 Certification on a torus deliberately distinguishes local from global
 kernel elements.  Translates of box-local generators can never reach
@@ -24,10 +28,12 @@ the kernel basis and the torus: it returns a report and changes nothing.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .gf2 import Gf2Basis, Gf2Matrix
-from .pauli import GeneratorMap
+from .pauli import GeneratorMap, columns_equal_up_to_translation, normalize_column
 from .poly import LaurentPoly, Monomial, support_box
 from .torus import instantiate, rank_on_torus, shape_of
 
@@ -95,22 +101,6 @@ def _unpack(v: int, points: list[Monomial], ncols: int, dim: int) -> tuple[Laure
     )
 
 
-def _extent(col: tuple[LaurentPoly, ...]) -> tuple[int, ...]:
-    lo, hi = support_box(col)
-    return tuple(h - l for l, h in zip(lo, hi))
-
-
-def _box_normalize(col: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    """Shift a nonzero column so the min corner of its combined support sits at 0.
-
-    Unlike the lexicographic column normalization this keeps every exponent
-    nonnegative, so normalized candidates stay inside the search box.
-    """
-    lo, _ = support_box(col)
-    shift = tuple(-e for e in lo)
-    return tuple(p.shift(shift) for p in col)
-
-
 def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> KernelBasis:
     """Find translation-inequivalent kernel generators supported in a box.
 
@@ -125,7 +115,10 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
     """
     if box is None:
         box = m.support_extent()
-    box = tuple(int(b) for b in box)
+    try:
+        box = tuple(operator.index(b) for b in box)
+    except TypeError:
+        raise ValueError(f"box extents must be integers: {box!r}") from None
     if len(box) != m.dim:
         raise ValueError("box dimension does not match map dimension")
     if any(b < 0 for b in box):
@@ -134,49 +127,36 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
     dim = m.dim
     points = _box_points((0,) * dim, box)
     system, _ = _box_system(m, points)
-    candidates: list[tuple[LaurentPoly, ...]] = []
-    seen: set[tuple] = set()
-    for v in system.nullspace():
-        norm = _box_normalize(_unpack(v, points, m.cols, dim))
-        key = tuple(p.terms for p in norm)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(norm)
+    # normalized candidates have their min corner at 0, so the high corner
+    # of their support box is their extent, and they and their in-box
+    # shifts stay inside the box
+    candidates = list(dict.fromkeys(
+        normalize_column(_unpack(v, points, m.cols, dim)) for v in system.nullspace()
+    ))
 
     def sort_key(col):
         n_terms = sum(len(p.terms) for p in col)
-        volume = 1
-        for e in _extent(col):
-            volume *= e + 1
+        volume = math.prod(e + 1 for e in support_box(col)[1])
         return (n_terms, volume, tuple(p.sorted_terms() for p in col))
 
     candidates.sort(key=sort_key)
 
     point_index = {e: k for k, e in enumerate(points)}
 
-    def column_to_vec(col) -> int | None:
-        acc = 0
-        for j, p in enumerate(col):
-            for t in p.terms:
-                k = point_index.get(t)
-                if k is None:
-                    return None
-                acc |= 1 << (j * len(points) + k)
-        return acc
+    def column_to_vec(col) -> int:
+        return sum(
+            1 << (j * len(points) + point_index[t]) for j, p in enumerate(col) for t in p.terms
+        )
 
     kept: list[tuple[LaurentPoly, ...]] = []
     span = Gf2Basis()  # box translates of the kept generators
     for cand in candidates:
-        vec = column_to_vec(cand)
-        assert vec is not None  # box-normalized candidates stay inside the box
-        if span.contains(vec):
+        if span.contains(column_to_vec(cand)):
             continue
         kept.append(cand)
-        shifts = itertools.product(*(range(b - e + 1) for b, e in zip(box, _extent(cand))))
-        for sh in shifts:
-            tv = column_to_vec(tuple(p.shift(sh) for p in cand))
-            if tv is not None:
-                span.add(tv)
+        extent = support_box(cand)[1]
+        for sh in itertools.product(*(range(b - e + 1) for b, e in zip(box, extent))):
+            span.add(column_to_vec(tuple(p.shift(sh) for p in cand)))
 
     for g in kept:
         if not all(p.is_zero() for p in m.apply(g)):
@@ -197,14 +177,10 @@ def bounded_preimage(m: GeneratorMap, target) -> tuple[LaurentPoly, ...]:
     tbox = support_box(target)
     if tbox is None:
         return (LaurentPoly.zero(dim),) * m.cols
-    cand = next(p for p in target if not p.is_zero())
     for t in range(m.cols):
         col = m.column(t)
-        ref = next((p for p in col if not p.is_zero()), None)
-        if ref is None or len(cand.terms) != len(ref.terms):
-            continue
-        shift = tuple(a - b for a, b in zip(min(cand.terms), min(ref.terms)))
-        if all(zp == cp.shift(shift) for zp, cp in zip(target, col)):
+        if columns_equal_up_to_translation(target, col):
+            shift = tuple(a - b for a, b in zip(tbox[0], support_box(col)[0]))
             out = [LaurentPoly.zero(dim)] * m.cols
             out[t] = LaurentPoly.monomial(shift)
             return tuple(out)
@@ -265,12 +241,13 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     The window is a mask on the torus matrix's columns; `kb` is not
     modified.
     """
-    lengths = tuple(int(l) for l in lengths)
+    lengths = tuple(lengths)
     if len(lengths) != kb.dim:
         raise ValueError("torus dimension mismatch")
     if any(l <= 2 * b for l, b in zip(lengths, kb.box)):
         raise ValueError("torus lengths must exceed twice the box extent")
-    shape = shape_of(lengths)
+    shape = shape_of(lengths)  # rejects non-integer lengths
+    lengths = shape.lengths
     n = shape.n_sites
     parent_t = instantiate(kb.parent, shape)
     kernel_dim = parent_t.cols - rank_on_torus(kb.parent, shape)

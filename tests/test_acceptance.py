@@ -35,7 +35,7 @@ from stabgauge.smallscale import (
     check_lemma3,
     check_matrix_elements,
 )
-from stabgauge.syzygy import bounded_kernel, certify_on_torus
+from stabgauge.syzygy import bounded_kernel, certification_lengths, certify_on_torus
 from stabgauge.torus import count_logical, logical_operator_gap, shape_of
 
 
@@ -93,7 +93,8 @@ def test_criterion_3_gauging_fidelity():
         ("fractal_ising", cubic, (1, 1, 1)),
     ]:
         model = symmetry_model_from_code(get_code(model_name))
-        code, cert = gauge(model)
+        code, mu = gauge(model)
+        cert = certify_on_torus(mu, certification_lengths(mu))
         ok &= maps_equal_up_to_translation(code.sigma_x, target.sigma_x)
         ok &= maps_equal_up_to_translation(code.sigma_z, target.sigma_z)
         ok &= cert.passed

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from stabgauge.pauli import (
     verify_stabilizer,
 )
 from stabgauge.poly import LaurentPoly, parse_poly
+from stabgauge.syzygy import certification_lengths, certify_on_torus
 
 
 def p(text, dim=2):
@@ -68,7 +70,8 @@ def test_ungauge_rejects_non_css():
 
 def test_gauge_ising_is_toric():
     model = symmetry_model_from_code(get_code("ising2d"))
-    code, cert = gauge(model)
+    code, mu = gauge(model)
+    cert = certify_on_torus(mu, certification_lengths(mu))
     toric = get_code("toric2d")
     assert maps_equal_up_to_translation(code.sigma_x, toric.sigma_x)
     assert maps_equal_up_to_translation(code.sigma_z, toric.sigma_z)
@@ -78,7 +81,8 @@ def test_gauge_ising_is_toric():
 
 def test_gauge_fractal_ising_is_cubic():
     model = symmetry_model_from_code(get_code("fractal_ising"))
-    code, cert = gauge(model)
+    code, mu = gauge(model)
+    cert = certify_on_torus(mu, certification_lengths(mu))
     cubic = get_code("cubic")
     assert maps_equal_up_to_translation(code.sigma_x, cubic.sigma_x)
     assert maps_equal_up_to_translation(code.sigma_z, cubic.sigma_z)
@@ -122,6 +126,26 @@ def test_double_gauge_catches_corruption():
     assert report.diff
 
 
+def test_duality_diff_lists_columns_in_box_form():
+    # (x + y) times the toric Z generator still commutes; its least monomial
+    # y is not its min corner, so the box form keeps it where it is
+    toric = get_code("toric2d")
+    fat = p("x + y")
+    bad = CodeSpec(
+        name="bad-toric", dim=2, q_per_site=2, css=True,
+        sigma_x=toric.sigma_x,
+        sigma_z=GeneratorMap.from_rows(2, [[q * fat for q in row] for row in toric.sigma_z.entries]),
+    )
+    report = double_gauge_check(bad)
+    assert (report.forward_match, report.dual_match) == (False, True)
+    assert report.diff == (
+        "expected Z:\n"
+        "  (x2 + x1 + x1*x2 + x1^2, x2 + x2^2 + x1 + x1*x2)\n"
+        "regauged Z:\n"
+        "  (1 + x1, 1 + x2)"
+    )
+
+
 def anticommuting_css():
     # X and Z on the same single site: the sectors anticommute
     one = LaurentPoly.one(1)
@@ -148,6 +172,21 @@ def test_double_gauge_verifies_each_sector_order_once(monkeypatch):
     monkeypatch.setattr(gauging_mod, "verify_stabilizer", counting_verify)
     assert double_gauge_check(get_code("cubic")).passed
     assert [c.name for c in verified] == ["cubic", "cubic-swapped"]
+
+
+def test_double_gauge_certifies_nothing(monkeypatch):
+    # the comparison with the input is the check, so no kernel is certified
+    certified = []
+
+    def counting_certify(kb, lengths):
+        certified.append(kb)
+        return certify_on_torus(kb, lengths)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stabgauge") and hasattr(module, "certify_on_torus"):
+            monkeypatch.setattr(module, "certify_on_torus", counting_certify)
+    assert double_gauge_check(get_code("cubic")).passed
+    assert certified == []
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabgauge.codebook import get_code
 from stabgauge.pauli import (
@@ -9,11 +12,12 @@ from stabgauge.pauli import (
     PauliColumn,
     columns_equal_up_to_translation,
     epsilon_of,
+    normalize_column,
     render_diagram,
     symplectic_pair,
     verify_stabilizer,
 )
-from stabgauge.poly import LaurentPoly, parse_poly
+from stabgauge.poly import LaurentPoly, parse_poly, support_box
 
 
 def p(text, dim=2):
@@ -166,6 +170,56 @@ def test_column_translation_normalization():
     b = (p("x*y + x^2*y"), p("x*y + x*y^2"))
     assert columns_equal_up_to_translation(a, b)
     assert not columns_equal_up_to_translation(a, (p("1 + x"), p("1 + x")))
+
+
+def test_normalize_column_puts_min_corner_at_origin():
+    # the least monomial y is not the min corner: the column is already normal
+    col = (p("x + y"), p("x*y"))
+    assert normalize_column(col) == col
+    assert normalize_column(tuple(q.shift((-3, 2)) for q in col)) == col
+    zero = (p("0"), p("0"))
+    assert normalize_column(zero) is zero
+
+
+@st.composite
+def columns(draw, dim, rows):
+    monos = st.tuples(*[st.integers(-2, 2)] * dim)
+    return tuple(
+        LaurentPoly.from_terms(dim, draw(st.lists(monos, max_size=3))) for _ in range(rows)
+    )
+
+
+def shifted(col, s):
+    return tuple(q.shift(s) for q in col)
+
+
+def equal_by_some_shift(a, b):
+    """Brute force: some shift maps a to b (exponents of both lie in [-4, 4])."""
+    dim = a[0].dim
+    return any(shifted(a, s) == b for s in itertools.product(range(-8, 9), repeat=dim))
+
+
+@given(st.data(), st.integers(1, 2), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_normalize_column_is_the_translation_normal_form(data, rows, dim):
+    a = data.draw(columns(dim, rows))
+    s = data.draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    norm = normalize_column(a)
+    assert normalize_column(norm) == norm
+    assert normalize_column(shifted(a, s)) == norm
+    box = support_box(norm)
+    if box is None:
+        assert norm == a
+    else:
+        assert box[0] == (0,) * dim
+        assert all(e >= 0 for q in norm for t in q.terms for e in t)
+    # b is a translate of a, a random column, or a translate of a edited in one term
+    b = data.draw(st.one_of(
+        st.just(shifted(a, s)),
+        columns(dim, rows),
+        st.just(shifted(a, s)[:-1] + (shifted(a, s)[-1] + LaurentPoly.one(dim),)),
+    ))
+    assert columns_equal_up_to_translation(a, b) == equal_by_some_shift(a, b)
 
 
 def test_render_two_qubit_example():

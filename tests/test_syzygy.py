@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from naive_oracle import naive_nullspace, naive_rank, naive_torus_column
-from stabgauge.codebook import get_code
+from stabgauge.codebook import codebook_names, get_code
 from stabgauge.gauging import symmetry_model_from_code
 from stabgauge.pauli import GeneratorMap, columns_equal_up_to_translation
-from stabgauge.poly import parse_poly
-from stabgauge.syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
+from stabgauge.poly import LaurentPoly, parse_poly
+from stabgauge.syzygy import (
+    KernelBasis,
+    bounded_kernel,
+    bounded_preimage,
+    certification_lengths,
+    certify_on_torus,
+)
 from stabgauge.torus import shape_of
 
 
@@ -185,3 +191,43 @@ def test_window_local_kernel_dim_matches_oracle_fractal():
     mat = _dense_translates(cols, parent.rows, (6, 6, 6)).T
     rep = certify_on_torus(kb, (6, 6, 6))
     assert rep.local_kernel_dim == len(naive_nullspace(mat[:, _window_columns(rep, parent.cols)]))
+
+
+def test_box_must_be_integers():
+    sigma_z = get_code("ising2d").sigma_z
+    with pytest.raises(ValueError, match="integers"):
+        bounded_kernel(sigma_z, (1.5, 1.9))
+
+
+def test_certify_lengths_must_be_integers():
+    kb = bounded_kernel(get_code("cubic").sigma_x)
+    with pytest.raises(ValueError, match="integers"):
+        certify_on_torus(kb, (6.7, 6.2, 6.9))
+
+
+def with_zero_column(m):
+    zero = LaurentPoly.zero(m.dim)
+    return GeneratorMap.from_rows(m.dim, [(zero,) + row for row in m.entries])
+
+
+CONSTRAINT_MAPS = {
+    n: symmetry_model_from_code(get_code(n)).constraint_map
+    for n in [n for n in codebook_names() if "(" not in n]
+    + ["generalized_toric(2,1)", "generalized_toric(3,1)", "generalized_toric(3,2)"]
+    if get_code(n).css
+}
+CONSTRAINT_MAPS["ising2d-zero-column"] = with_zero_column(CONSTRAINT_MAPS["ising2d"])
+
+
+@pytest.mark.parametrize("name", list(CONSTRAINT_MAPS))
+def test_preimage_of_column_translate_is_unit_monomial(name):
+    m = CONSTRAINT_MAPS[name]
+    zero = LaurentPoly.zero(m.dim)
+    for t in range(m.cols):
+        col = m.column(t)
+        if all(p.is_zero() for p in col):
+            continue
+        for s in itertools.product(range(-2, 3), repeat=m.dim):
+            target = tuple(p.shift(s) for p in col)
+            want = tuple(LaurentPoly.monomial(s) if j == t else zero for j in range(m.cols))
+            assert bounded_preimage(m, target) == want
