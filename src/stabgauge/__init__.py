@@ -41,7 +41,6 @@ from .gauging import (
     ungauge_css,
 )
 from .cluster import (
-    ClusterSpec,
     build_cluster,
     cluster_self_dual,
     cz_conjugate,

@@ -14,7 +14,7 @@ from . import cluster as cluster_mod
 from . import smallscale as smallscale_mod
 from .codebook import codebook_names, dumps_code, get_code, loads_code
 from .gauging import double_gauge_check, gauge, symmetry_model_from_code, ungauge_css
-from .pauli import CodeSpec, PauliColumn, render_diagram, verify_stabilizer
+from .pauli import CodeSpec, GeneratorMap, PauliColumn, render_diagram, verify_stabilizer
 from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
 from .torus import count_logical, shape_of
 
@@ -160,12 +160,12 @@ def cmd_ungauge(args) -> int:
         model = ungauge_css(code)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    eta = model.constraint_map
     matter = CodeSpec(
         name=f"{code.name}-ungauged",
-        dim=model.dim,
-        q_per_site=model.matter_q,
         css=True,
-        sigma_z=model.constraint_map,
+        sigma_x=GeneratorMap.zero(eta.dim, eta.rows, 0),
+        sigma_z=eta,
         notes=model.notes,
     )
     print(dumps_code(matter), end="")
@@ -191,12 +191,10 @@ def cmd_duality_check(args) -> int:
 def cmd_cluster(args) -> int:
     code = _load(args.code)
     model = _model_of(code)
-    spec = cluster_mod.build_cluster(model)
+    cluster = cluster_mod.build_cluster(model, f"cluster_{code.name}")
     if args.gauge_sublattice:
-        res = cluster_mod.gauge_sublattice(spec, args.gauge_sublattice)
-        print(dumps_code(res.code), end="")
-        return PASS
-    print(dumps_code(spec.to_code(f"cluster_{code.name}")), end="")
+        cluster = cluster_mod.gauge_sublattice(model, args.gauge_sublattice).code
+    print(dumps_code(cluster), end="")
     return PASS
 
 

@@ -23,69 +23,42 @@ from .syzygy import bounded_kernel
 from .torus import TorusShape, instantiate, rank_on_torus
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Cluster model on matter (first Q types) and gauge (next T types) sublattices.
+def _stabilizers(model: SymmetryModel) -> list[PauliColumn]:
+    """One cluster stabilizer per qubit type, matter types first.
 
-    One stabilizer type per qubit type: a matter type carries X on itself
-    and Z on its adjacent gauge qubits; a gauge type carries X on itself
-    and Z on its adjacent matter qubits.
+    A matter type carries X on itself and Z on its adjacent gauge qubits; a
+    gauge type carries X on itself and Z on its adjacent matter qubits.  The
+    CZ layer is an involution, so it sends single-site X to the stabilizer
+    of that type.
     """
-
-    eta: GeneratorMap
-
-    @property
-    def dim(self) -> int:
-        return self.eta.dim
-
-    @property
-    def matter_q(self) -> int:
-        return self.eta.rows
-
-    @property
-    def gauge_q(self) -> int:
-        return self.eta.cols
-
-    @property
-    def q_per_site(self) -> int:
-        return self.matter_q + self.gauge_q
-
-    @property
-    def stabilizers(self) -> tuple[PauliColumn, ...]:
-        # the CZ layer is an involution, so it sends single-site X to the
-        # stabilizer of that type
-        q = self.q_per_site
-        return tuple(cz_conjugate(self, PauliColumn.single_x(self.dim, q, i)) for i in range(q))
-
-    def to_code(self, name: str = "cluster") -> CodeSpec:
-        q = self.q_per_site
-        sigma = GeneratorMap.from_columns(
-            self.dim, 2 * q, [s.entries() for s in self.stabilizers]
-        )
-        return CodeSpec(
-            name=name, dim=self.dim, q_per_site=q, css=False, sigma=sigma
-        )
+    q = model.matter_q + model.n_constraints
+    return [cz_conjugate(model, PauliColumn.single_x(model.dim, q, i)) for i in range(q)]
 
 
-def build_cluster(model: SymmetryModel) -> ClusterSpec:
-    """Build the cluster model of a symmetry model's bipartite constraint graph."""
-    spec = ClusterSpec(model.constraint_map)
-    rep = verify_stabilizer(spec.to_code())
+def build_cluster(model: SymmetryModel, name: str = "cluster") -> CodeSpec:
+    """The verified cluster code on a symmetry model's bipartite constraint graph."""
+    q = model.matter_q + model.n_constraints
+    sigma = GeneratorMap.from_columns(
+        model.dim, 2 * q, [s.entries() for s in _stabilizers(model)]
+    )
+    code = CodeSpec(name=name, css=False, sigma=sigma)
+    rep = verify_stabilizer(code)
     if not rep.passed:
         raise AssertionError(f"cluster stabilizers fail to commute: {rep}")
-    return spec
+    return code
 
 
-def cz_conjugate(c: ClusterSpec, op: PauliColumn) -> PauliColumn:
+def cz_conjugate(model: SymmetryModel, op: PauliColumn) -> PauliColumn:
     """Conjugate by the CZ layer along the cluster's adjacency.
 
     Matter X picks up Z on adjacent gauge qubits and gauge X picks up Z on
     adjacent matter qubits; Z factors are untouched.  Applying this to the
     cluster stabilizers strips all Z parts, leaving single-site X types.
     """
-    qm = c.matter_q
-    z_gauge = c.eta.dagger().apply(op.x_block[:qm])
-    z_matter = c.eta.apply(op.x_block[qm:])
+    eta = model.constraint_map
+    qm = model.matter_q
+    z_gauge = eta.dagger().apply(op.x_block[:qm])
+    z_matter = eta.apply(op.x_block[qm:])
     z = tuple(a + b for a, b in zip(op.z_block, z_matter + z_gauge))
     return PauliColumn(op.dim, op.q, op.x_block, z)
 
@@ -108,30 +81,31 @@ class SymmetryReport:
         )
 
 
-def inherited_symmetries(c: ClusterSpec, shape: TorusShape) -> SymmetryReport:
+def inherited_symmetries(model: SymmetryModel, shape: TorusShape) -> SymmetryReport:
     """Count pure-X operators on each sublattice commuting with all stabilizers.
 
     Computed directly from the instantiated stabilizers, then matched
     against the torus kernels of the constraint map and its dagger.
     """
     n = shape.n_sites
-    sigma = c.to_code().full_sigma()
-    q = c.q_per_site
+    code = build_cluster(model)
+    sigma, q = code.sigma, code.q_per_site
 
     def sublattice_dim(first_type: int, n_types: int) -> int:
         # an X pattern on the chosen types anticommutes with a stabilizer
         # translate exactly when it overlaps its Z part oddly, so the
         # symmetries are the left kernel of those types' Z-block rows
         z_rows = sigma.entries[q + first_type : q + first_type + n_types]
-        return n_types * n - rank_on_torus(GeneratorMap(c.dim, z_rows), shape)
+        return n_types * n - rank_on_torus(GeneratorMap(model.dim, z_rows), shape)
 
-    matter_dim = sublattice_dim(0, c.matter_q)
-    gauge_dim = sublattice_dim(c.matter_q, c.gauge_q)
+    matter_dim = sublattice_dim(0, model.matter_q)
+    gauge_dim = sublattice_dim(model.matter_q, model.n_constraints)
 
     # eta and its dagger instantiate to transposes, so they share one rank
-    eta_rank = rank_on_torus(c.eta, shape)
-    ker_eta = c.eta.cols * n - eta_rank
-    ker_eta_dag = c.eta.rows * n - eta_rank
+    eta = model.constraint_map
+    eta_rank = rank_on_torus(eta, shape)
+    ker_eta = eta.cols * n - eta_rank
+    ker_eta_dag = eta.rows * n - eta_rank
     return SymmetryReport(
         shape=shape,
         matter_dim=matter_dim,
@@ -171,7 +145,7 @@ class SublatticeGauging:
     extra_z_types: tuple[tuple[LaurentPoly, ...], ...]
 
 
-def gauge_sublattice(c: ClusterSpec, which: str) -> SublatticeGauging:
+def gauge_sublattice(model: SymmetryModel, which: str) -> SublatticeGauging:
     """Gauge the matter sublattice, the gauge sublattice, or both.
 
     Gauging one sublattice doubles the remaining one: each X or Z field
@@ -183,8 +157,8 @@ def gauge_sublattice(c: ClusterSpec, which: str) -> SublatticeGauging:
     """
     if which not in ("matter", "gauge", "both"):
         raise ValueError("which must be matter, gauge or both")
-    dim = c.dim
-    qm, t = c.matter_q, c.gauge_q
+    dim, eta = model.dim, model.constraint_map
+    qm, t = model.matter_q, model.n_constraints
     zero = LaurentPoly.zero(dim)
 
     def kernel_fields(adjacency: GeneratorMap, before: int, after: int):
@@ -194,31 +168,29 @@ def gauge_sublattice(c: ClusterSpec, which: str) -> SublatticeGauging:
 
     if which == "matter":
         # constraints on matter are the eta columns (from the gauge stabilizers)
-        new_stabs = _substitute_sublattice(list(c.stabilizers), (0, qm), c.eta)
-        extra = kernel_fields(c.eta, t, 0)
+        new_stabs = _substitute_sublattice(_stabilizers(model), (0, qm), eta)
+        extra = kernel_fields(eta, t, 0)
         q_new = t + t
     elif which == "gauge":
-        new_stabs = _substitute_sublattice(list(c.stabilizers), (qm, qm + t), c.eta.dagger())
-        extra = kernel_fields(c.eta.dagger(), qm, 0)
+        new_stabs = _substitute_sublattice(_stabilizers(model), (qm, qm + t), eta.dagger())
+        extra = kernel_fields(eta.dagger(), qm, 0)
         q_new = qm + qm
     else:
-        once = gauge_sublattice(c, "matter")
+        once = gauge_sublattice(model, "matter")
         # the matter gauging left the old gauge types in slots [0, t) and the
         # new partners in [t, 2t); now gauge the old gauge sublattice, whose
         # Z patterns are generated by the dagger adjacency.  Only the main
         # qm + t types go through; the kernel fields are re-added afterwards.
         mid_stabs = once.code.generator_columns()[: qm + t]
-        new_stabs = _substitute_sublattice(mid_stabs, (0, t), c.eta.dagger())
+        new_stabs = _substitute_sublattice(mid_stabs, (0, t), eta.dagger())
         # the matter gauging's kernel fields sit after the t old gauge types;
         # move them to the front of the t + qm new types
         extra = [e[t:] + (zero,) * qm for e in once.extra_z_types]
-        extra += kernel_fields(c.eta.dagger(), t, 0)
+        extra += kernel_fields(eta.dagger(), t, 0)
         q_new = t + qm
     columns = [s.entries() for s in new_stabs] + [(zero,) * q_new + g for g in extra]
     code = CodeSpec(
         name=f"cluster-{which}-gauged",
-        dim=dim,
-        q_per_site=q_new,
         css=False,
         sigma=GeneratorMap.from_columns(dim, 2 * q_new, columns),
     )
@@ -228,30 +200,30 @@ def gauge_sublattice(c: ClusterSpec, which: str) -> SublatticeGauging:
     return SublatticeGauging(code=code, extra_z_types=tuple(extra))
 
 
-def cluster_self_dual(c: ClusterSpec) -> bool:
+def cluster_self_dual(model: SymmetryModel) -> bool:
     """Gauging both sublattices returns the model up to sublattice swap and X<->Z."""
-    both = gauge_sublattice(c, "both")
+    both = gauge_sublattice(model, "both")
     # output layout: [new matter partners: t types][new gauge partners: qm types]
-    t, qm = c.gauge_q, c.matter_q
+    t, qm = model.n_constraints, model.matter_q
 
     def swap(block):
         # partner blocks back to the original slots
         return block[t:] + block[:t]
 
     transformed = GeneratorMap.from_columns(
-        c.dim,
+        model.dim,
         2 * (t + qm),
         [swap(s.z_block) + swap(s.x_block) for s in both.code.generator_columns()[: qm + t]],
     )
-    return maps_equal_up_to_translation(transformed, c.to_code().sigma)
+    return maps_equal_up_to_translation(transformed, build_cluster(model).sigma)
 
 
-def extra_fields_redundant(c: ClusterSpec, shape: TorusShape) -> bool:
+def extra_fields_redundant(model: SymmetryModel, shape: TorusShape) -> bool:
     """On a torus, the kernel fields added by double gauging lie in the span
     of the main stabilizer types' translates."""
-    both = gauge_sublattice(c, "both")
+    both = gauge_sublattice(model, "both")
     # the main types' translates come first, the extra fields' after them
     cols = instantiate(both.code.sigma.dagger(), shape).data
-    n_main = (c.matter_q + c.gauge_q) * shape.n_sites
+    n_main = (model.matter_q + model.n_constraints) * shape.n_sites
     span = Gf2Basis(cols[:n_main])
     return all(span.contains(v) for v in cols[n_main:])

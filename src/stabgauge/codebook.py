@@ -6,7 +6,6 @@ import itertools
 import json
 import re
 from dataclasses import replace
-from math import comb
 
 from .cluster import build_cluster
 from .gauging import symmetry_model_from_code
@@ -25,8 +24,6 @@ def _toric2d() -> CodeSpec:
     sigma_z = GeneratorMap.from_rows(2, [[_p("1 + x", 2)], [_p("1 + y", 2)]])
     return CodeSpec(
         name="toric2d",
-        dim=2,
-        q_per_site=2,
         css=True,
         sigma_x=sigma_x,
         sigma_z=sigma_z,
@@ -43,8 +40,6 @@ def _cubic() -> CodeSpec:
     )
     return CodeSpec(
         name="cubic",
-        dim=3,
-        q_per_site=2,
         css=True,
         sigma_x=sigma_x,
         sigma_z=sigma_z,
@@ -56,10 +51,8 @@ def _ising2d() -> CodeSpec:
     sigma_z = GeneratorMap.from_rows(2, [[_p("1 + y", 2), _p("1 + x", 2)]])
     return CodeSpec(
         name="ising2d",
-        dim=2,
-        q_per_site=1,
         css=True,
-        sigma_x=None,
+        sigma_x=GeneratorMap.zero(2, 1, 0),
         sigma_z=sigma_z,
         notes="2D nearest-neighbour ZZ bond model; global X symmetry",
     )
@@ -71,10 +64,8 @@ def _fractal_ising() -> CodeSpec:
     )
     return CodeSpec(
         name="fractal_ising",
-        dim=3,
-        q_per_site=1,
         css=True,
-        sigma_x=None,
+        sigma_x=GeneratorMap.zero(3, 1, 0),
         sigma_z=sigma_z,
         notes="four-body ZZZZ corner model with fractal X symmetries",
     )
@@ -119,8 +110,6 @@ def generalized_toric(d: int, k: int) -> CodeSpec:
         z_rows.append(tuple(zrow))
     return CodeSpec(
         name=f"generalized_toric({d},{k})",
-        dim=d,
-        q_per_site=comb(d, k),
         css=True,
         sigma_x=GeneratorMap(d, tuple(x_rows)),
         sigma_z=GeneratorMap(d, tuple(z_rows)),
@@ -131,7 +120,7 @@ def generalized_toric(d: int, k: int) -> CodeSpec:
 def _cluster_from(code_name: str, out_name: str) -> CodeSpec:
     model = symmetry_model_from_code(get_code(code_name))
     return replace(
-        build_cluster(model).to_code(out_name),
+        build_cluster(model, out_name),
         notes=f"cluster model on the bipartite constraint graph of {code_name}",
     )
 
@@ -245,19 +234,16 @@ def code_from_dict(data: dict) -> CodeSpec:
         cols.append(tuple(x + z))
     if not css:
         return CodeSpec(
-            name=name, dim=dim, q_per_site=q, css=False,
-            sigma=GeneratorMap.from_columns(dim, 2 * q, cols), notes=notes,
+            name=name, css=False, sigma=GeneratorMap.from_columns(dim, 2 * q, cols), notes=notes,
         )
     x_cols = [c for c in cols if any(not p.is_zero() for p in c[:q])]
     z_cols = [c[q:] for c in cols if c not in x_cols]
     for c in x_cols:
         if any(not p.is_zero() for p in c[q:]):
             raise ValueError("CSS file contains a mixed generator")
-    sigma_x = GeneratorMap.from_columns(dim, q, x_cols) if x_cols else None
-    sigma_z = GeneratorMap.from_columns(dim, q, z_cols) if z_cols else None
     return CodeSpec(
-        name=name, dim=dim, q_per_site=q, css=True,
-        sigma_x=sigma_x, sigma_z=sigma_z, notes=notes,
+        name=name, css=True, sigma_x=GeneratorMap.from_columns(dim, q, x_cols),
+        sigma_z=GeneratorMap.from_columns(dim, q, z_cols), notes=notes,
     )
 
 

@@ -73,7 +73,7 @@ def symmetry_model_from_code(code: CodeSpec) -> SymmetryModel:
     if code.n_x_types > 0 and code.n_z_types > 0:
         return ungauge_css(code)
     sector = code.sigma_z if code.n_z_types > 0 else code.sigma_x
-    if sector is None:
+    if sector.cols == 0:
         raise ValueError("code has no generators")
     return SymmetryModel(sector, notes=f"from {code.name}")
 
@@ -111,8 +111,6 @@ def gauge(
     mu = bounded_kernel(eta, box)
     code = CodeSpec(
         name="gauged",
-        dim=model.dim,
-        q_per_site=model.n_constraints,
         css=True,
         sigma_x=eta.dagger(),
         sigma_z=mu.matrix(),
@@ -125,8 +123,6 @@ def _swap_sectors(code: CodeSpec) -> CodeSpec:
     """Exchange the X and Z sectors of a CSS code (sitewise Hadamard)."""
     return CodeSpec(
         name=f"{code.name}-swapped",
-        dim=code.dim,
-        q_per_site=code.q_per_site,
         css=True,
         sigma_x=code.sigma_z,
         sigma_z=code.sigma_x,

@@ -105,52 +105,6 @@ class Gf2Matrix:
             mask = (1 << cols) - 1
             self.data = [r & mask for r in data]
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> Gf2Matrix:
-        """Build from a list of 0/1 lists."""
-        n = len(rows[0]) if rows else 0
-        data = []
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    acc |= 1 << j
-            data.append(acc)
-        return cls(len(rows), n, data)
-
-    @classmethod
-    def identity(cls, n: int) -> Gf2Matrix:
-        return cls(n, n, [1 << i for i in range(n)])
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))
-            for r in self.data
-        )
-
-    def transpose(self) -> Gf2Matrix:
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                low = r & -r
-                j = low.bit_length() - 1
-                out[j] |= 1 << i
-                r ^= low
-        return Gf2Matrix(self.cols, self.rows, out)
-
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector (bit i of result = parity of row i AND v)."""
         out = 0
@@ -158,21 +112,6 @@ class Gf2Matrix:
             if (r & v).bit_count() & 1:
                 out |= 1 << i
         return out
-
-    def mul(self, other: Gf2Matrix) -> Gf2Matrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for r in self.data:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                k = low.bit_length() - 1
-                acc ^= other.data[k]
-                rr ^= low
-            out.append(acc)
-        return Gf2Matrix(self.rows, other.cols, out)
 
     def row_reduce(self) -> tuple[list[int], list[int]]:
         """Reduced row echelon form with first-column pivots.

@@ -64,9 +64,6 @@ class GeneratorMap:
     def column(self, j: int) -> tuple[LaurentPoly, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
     def dagger(self) -> GeneratorMap:
         """Transpose with every entry sent through the antipode."""
         return GeneratorMap(
@@ -130,11 +127,6 @@ class PauliColumn:
                 raise ValueError("entry dimension mismatch")
 
     @classmethod
-    def identity(cls, dim: int, q: int) -> PauliColumn:
-        z = LaurentPoly.zero(dim)
-        return cls(dim, q, (z,) * q, (z,) * q)
-
-    @classmethod
     def single_x(cls, dim: int, q: int, i: int) -> PauliColumn:
         """X on qubit type i of the site at the origin, of q types per site."""
         z = LaurentPoly.zero(dim)
@@ -154,14 +146,6 @@ class PauliColumn:
 
     def is_identity(self) -> bool:
         return all(p.is_zero() for p in self.entries())
-
-    def shift(self, exponents: tuple[int, ...]) -> PauliColumn:
-        return PauliColumn(
-            self.dim,
-            self.q,
-            tuple(p.shift(exponents) for p in self.x_block),
-            tuple(p.shift(exponents) for p in self.z_block),
-        )
 
 
 def symplectic_pair(a: PauliColumn, b: PauliColumn) -> LaurentPoly:
@@ -204,12 +188,12 @@ class CodeSpec:
     """A translation-invariant stabilizer Hamiltonian.
 
     CSS codes carry sigma_x and sigma_z (Q x T_x and Q x T_z, each in its
-    own sector); mixed codes carry the full 2Q x T map in `sigma`.
+    own sector; a sector without generators is a Q x 0 map); mixed codes
+    carry the full 2Q x T map in `sigma`.  The lattice dimension and Q are
+    read off the maps.
     """
 
     name: str
-    dim: int
-    q_per_site: int
     css: bool
     sigma_x: GeneratorMap | None = None
     sigma_z: GeneratorMap | None = None
@@ -218,37 +202,39 @@ class CodeSpec:
 
     def __post_init__(self) -> None:
         if self.css:
-            for m in (self.sigma_x, self.sigma_z):
-                if m is not None and m.rows != self.q_per_site:
-                    raise ValueError("CSS sector map must have Q rows")
-        else:
-            if self.sigma is None or self.sigma.rows != 2 * self.q_per_site:
-                raise ValueError("mixed code needs a 2Q-row sigma")
+            x, z = self.sigma_x, self.sigma_z
+            if x is None or z is None:
+                raise ValueError("CSS code needs both sector maps")
+            if x.rows != z.rows or x.dim != z.dim:
+                raise ValueError("CSS sector maps must share rows and dimension")
+        elif self.sigma is None or self.sigma.rows % 2:
+            raise ValueError("mixed code needs a 2Q-row sigma")
+
+    @property
+    def dim(self) -> int:
+        return (self.sigma_x if self.css else self.sigma).dim
+
+    @property
+    def q_per_site(self) -> int:
+        return self.sigma_x.rows if self.css else self.sigma.rows // 2
 
     @property
     def n_x_types(self) -> int:
-        return self.sigma_x.cols if (self.css and self.sigma_x is not None) else 0
+        return self.sigma_x.cols if self.css else 0
 
     @property
     def n_z_types(self) -> int:
-        return self.sigma_z.cols if (self.css and self.sigma_z is not None) else 0
+        return self.sigma_z.cols if self.css else 0
 
     def full_sigma(self) -> GeneratorMap:
         """The stabilizer map on the full 2Q-row Pauli module."""
         if not self.css:
-            assert self.sigma is not None
             return self.sigma
-        q = self.q_per_site
-        tx = self.n_x_types
-        tz = self.n_z_types
         z = LaurentPoly.zero(self.dim)
-        rows = []
-        for i in range(q):
-            xrow = tuple(self.sigma_x.entries[i]) if tx else ()
-            rows.append(xrow + (z,) * tz)
-        for i in range(q):
-            zrow = tuple(self.sigma_z.entries[i]) if tz else ()
-            rows.append((z,) * tx + zrow)
+        xpad = (z,) * self.n_z_types
+        zpad = (z,) * self.n_x_types
+        rows = [row + xpad for row in self.sigma_x.entries]
+        rows += [zpad + row for row in self.sigma_z.entries]
         return GeneratorMap(self.dim, tuple(rows))
 
     def generator_columns(self) -> list[PauliColumn]:

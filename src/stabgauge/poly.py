@@ -87,9 +87,6 @@ class LaurentPoly:
             frozenset(tuple(a + b for a, b in zip(t, exponents)) for t in self.terms),
         )
 
-    def constant_term(self) -> int:
-        return 1 if (0,) * self.dim in self.terms else 0
-
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms)
 

@@ -200,8 +200,7 @@ def _sigma_rank(code: CodeSpec, shape: TorusShape) -> int:
         raise ValueError(f"code is not commuting: {report}")
     if not code.css:
         return rank_on_torus(code.sigma, shape)
-    return sum(rank_on_torus(m, shape) for m in (code.sigma_x, code.sigma_z)
-               if m is not None and m.cols > 0)
+    return rank_on_torus(code.sigma_x, shape) + rank_on_torus(code.sigma_z, shape)
 
 
 def count_logical(code: CodeSpec, shape: TorusShape) -> CountReport:

@@ -195,22 +195,29 @@ def test_missing_field_exits_2_naming_it(tmp_path, capsys, path, message):
     assert err == f"error: cannot parse code file {file}: {message}\n"
 
 
-def _write_code(tmp_path, generators, dim=1):
+def _write_code(tmp_path, generators, dim=1, q=1):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(
-        {"name": "c", "dim": dim, "q_per_site": 1, "css": True, "generators": generators}
+        {"name": "c", "dim": dim, "q_per_site": q, "css": True, "generators": generators}
     ))
     return str(path)
 
 
-def test_logical_on_code_without_generators(tmp_path, capsys):
+@pytest.mark.parametrize("dim, q, lengths, k", [(1, 1, "4", 4), (2, 2, "3,3", 18)])
+def test_logical_on_code_without_generators(tmp_path, capsys, dim, q, lengths, k):
     # every qubit is logical: k = Q * N and the gap is 2k
-    path = _write_code(tmp_path, [])
-    code, out, err = run(capsys, "logical", path, "--lengths", "4", "--json")
+    path = _write_code(tmp_path, [], dim=dim, q=q)
+    code, out, err = run(capsys, "logical", path, "--lengths", lengths, "--json")
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["k_encoded"] == 4
-    assert payload["logical_operator_gap"] == 8
+    assert payload["k_encoded"] == k
+    assert payload["logical_operator_gap"] == 2 * k
+
+
+def test_kernel_on_code_without_generators_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "kernel", _write_code(tmp_path, []))
+    assert code == 2 and out == ""
+    assert err == "error: code has no generators\n"
 
 
 @pytest.mark.parametrize("sector, message", [
@@ -229,7 +236,7 @@ def test_duality_check_on_single_sector_code_exits_2(tmp_path, capsys, sector, m
 def test_duality_check_on_anticommuting_css_code_exits_2(tmp_path, capsys):
     one = LaurentPoly.one(1)
     bad = CodeSpec(
-        name="xz-css", dim=1, q_per_site=1, css=True,
+        name="xz-css", css=True,
         sigma_x=GeneratorMap(1, ((one,),)), sigma_z=GeneratorMap(1, ((one,),)),
     )
     path = tmp_path / "xz.json"

@@ -25,62 +25,66 @@ from stabgauge.syzygy import bounded_kernel
 from stabgauge.torus import shape_of
 
 
-def toric_cluster():
-    return build_cluster(symmetry_model_from_code(get_code("ising2d")))
+def toric_model():
+    return symmetry_model_from_code(get_code("ising2d"))
 
 
-def cubic_cluster():
-    return build_cluster(symmetry_model_from_code(get_code("fractal_ising")))
+def cubic_model():
+    return symmetry_model_from_code(get_code("fractal_ising"))
 
 
-def identity_cluster():
-    model = SymmetryModel(GeneratorMap.identity(1, 1))
-    return build_cluster(model)
+def identity_model():
+    return SymmetryModel(GeneratorMap.identity(1, 1))
+
+
+def stabilizers(model):
+    return build_cluster(model).generator_columns()
 
 
 def test_toric_cluster_structure():
-    c = toric_cluster()
-    assert (c.matter_q, c.gauge_q) == (1, 2)
-    matter_stab = c.stabilizers[0]
+    model = toric_model()
+    code = build_cluster(model)
+    assert (model.matter_q, model.n_constraints) == (1, 2)
+    assert (code.name, code.dim, code.q_per_site) == ("cluster", 2, 3)
+    matter_stab, gauge_stab = stabilizers(model)[:2]
     assert matter_stab.x_block[0] == LaurentPoly.one(2)
     # Z support on the two gauge types follows the dagger of the constraints
-    eta_dag = c.eta.dagger()
+    eta_dag = model.constraint_map.dagger()
     assert matter_stab.z_block[1] == eta_dag.entries[0][0]
     assert matter_stab.z_block[2] == eta_dag.entries[1][0]
-    gauge_stab = c.stabilizers[1]
     assert gauge_stab.x_block[1] == LaurentPoly.one(2)
-    assert gauge_stab.z_block[0] == c.eta.entries[0][0]
+    assert gauge_stab.z_block[0] == model.constraint_map.entries[0][0]
 
 
-@pytest.mark.parametrize("make", [toric_cluster, cubic_cluster, identity_cluster])
+@pytest.mark.parametrize("make", [toric_model, cubic_model, identity_model])
 def test_all_translate_pairs_commute(make):
-    c = make()
-    for a in c.stabilizers:
-        for b in c.stabilizers:
+    code = build_cluster(make())
+    stabs = code.generator_columns()
+    for a in stabs:
+        for b in stabs:
             assert symplectic_pair(a, b).is_zero()
-    assert verify_stabilizer(c.to_code()).passed
+    assert verify_stabilizer(code).passed
 
 
 def test_identity_cluster_is_xz_pair():
-    c = identity_cluster()
     got = [
         tuple(str(p) for p in s.x_block) + tuple(str(p) for p in s.z_block)
-        for s in c.stabilizers
+        for s in stabilizers(identity_model())
     ]
     assert got == [("1", "0", "0", "1"), ("0", "1", "1", "0")]
 
 
-@pytest.mark.parametrize("make", [toric_cluster, cubic_cluster, identity_cluster])
+@pytest.mark.parametrize("make", [toric_model, cubic_model, identity_model])
 def test_cz_layer_disentangles_to_single_x(make):
-    c = make()
-    for s in c.stabilizers:
-        out = cz_conjugate(c, s)
+    model = make()
+    for s in stabilizers(model):
+        out = cz_conjugate(model, s)
         assert all(p.is_zero() for p in out.z_block)
         assert sum(len(p.terms) for p in out.x_block) == 1
 
 
 def test_inherited_symmetries_toric():
-    rep = inherited_symmetries(toric_cluster(), shape_of((4, 4)))
+    rep = inherited_symmetries(toric_model(), shape_of((4, 4)))
     # one global X symmetry on the matter sublattice; line symmetries on the
     # gauge sublattice, one per kernel element of the constraint map
     assert rep.matter_dim == 1
@@ -90,7 +94,7 @@ def test_inherited_symmetries_toric():
 
 
 def test_inherited_symmetries_cubic():
-    rep = inherited_symmetries(cubic_cluster(), shape_of((4, 4, 4)))
+    rep = inherited_symmetries(cubic_model(), shape_of((4, 4, 4)))
     assert rep.matter_matches_constraint_cokernel
     assert rep.gauge_matches_constraint_kernel
     # fractal symmetry counts on the (4,4,4) torus, frozen from the kernel oracle
@@ -99,21 +103,20 @@ def test_inherited_symmetries_cubic():
 
 
 def test_inherited_symmetries_identity_cluster():
-    rep = inherited_symmetries(identity_cluster(), shape_of((4,)))
+    rep = inherited_symmetries(identity_model(), shape_of((4,)))
     assert rep.matter_dim == 0
     assert rep.gauge_dim == 0
 
 
 def test_gauge_matter_sublattice_is_toric_after_cz():
-    c = toric_cluster()
-    res = gauge_sublattice(c, "matter")
+    model = toric_model()
+    res = gauge_sublattice(model, "matter")
     code = res.code
     assert code.q_per_site == 4
     assert verify_stabilizer(code).passed
     # CZ layer between each old gauge qubit and its same-type partner turns
     # the result into single-site X types plus the toric code on the partners
-    t = c.gauge_q
-    pair_adj = GeneratorMap.identity(c.dim, t)
+    t = model.n_constraints
     cols = code.generator_columns()
     stripped = []
     for s in cols:
@@ -122,7 +125,7 @@ def test_gauge_matter_sublattice_is_toric_after_cz():
         for j in range(t):
             z_new[j] = z_new[j] + x_old[j]
             z_old[j] = z_old[j] + x_new[j]
-        stripped.append(PauliColumn(c.dim, 2 * t, tuple(x_old + x_new), tuple(z_old + z_new)))
+        stripped.append(PauliColumn(model.dim, 2 * t, tuple(x_old + x_new), tuple(z_old + z_new)))
     # expected generator content: one star-of-X on the partners, two bare X
     # on the old gauge qubits, one plaquette-Z on the partners
     toric = get_code("toric2d")
@@ -143,7 +146,7 @@ def test_gauge_matter_sublattice_is_toric_after_cz():
     assert {tuple(c_) for c_ in got_new_cols} == want
 
 
-@pytest.mark.parametrize("make", [toric_cluster, cubic_cluster, identity_cluster])
+@pytest.mark.parametrize("make", [toric_model, cubic_model, identity_model])
 def test_double_sublattice_gauging_self_dual(make):
     assert cluster_self_dual(make())
 
@@ -156,14 +159,15 @@ def test_double_gauging_searches_each_kernel_once(monkeypatch):
         return bounded_kernel(m, box)
 
     monkeypatch.setattr(cluster_mod, "bounded_kernel", counting_kernel)
-    c = cubic_cluster()
-    gauge_sublattice(c, "both")
-    assert searched == [c.eta, c.eta.dagger()]
+    model = cubic_model()
+    gauge_sublattice(model, "both")
+    eta = model.constraint_map
+    assert searched == [eta, eta.dagger()]
 
 
 def test_extra_fields_redundant_on_torus():
-    assert extra_fields_redundant(toric_cluster(), shape_of((4, 4)))
-    assert extra_fields_redundant(cubic_cluster(), shape_of((3, 3, 3)))
+    assert extra_fields_redundant(toric_model(), shape_of((4, 4)))
+    assert extra_fields_redundant(cubic_model(), shape_of((3, 3, 3)))
 
 
 def test_extra_fields_redundant_when_terms_fold():
@@ -172,7 +176,7 @@ def test_extra_fields_redundant_when_terms_fold():
     model = SymmetryModel(
         GeneratorMap.from_rows(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]])
     )
-    assert extra_fields_redundant(build_cluster(model), shape_of((2,)))
+    assert extra_fields_redundant(model, shape_of((2,)))
 
 
 def test_cluster_codebook_entries_commute():

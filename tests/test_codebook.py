@@ -36,6 +36,21 @@ def test_json_round_trip_bit_exact(name):
     assert dumps_code(again) == text
 
 
+def test_css_file_without_generators_round_trips():
+    data = {"css": True, "dim": 2, "generators": [], "name": "empty", "notes": "", "q_per_site": 2}
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    code = loads_code(text)
+    assert (code.dim, code.q_per_site, code.n_x_types, code.n_z_types) == (2, 2, 0, 0)
+    assert dumps_code(code) == text
+
+
+def test_css_generator_with_empty_blocks_is_a_z_generator():
+    data = {"css": True, "dim": 1, "q_per_site": 1,
+            "generators": [{"x_block": [[]], "z_block": [[]]}]}
+    code = code_from_dict(data)
+    assert (code.n_x_types, code.n_z_types) == (0, 1)
+
+
 def test_unknown_name_raises():
     with pytest.raises(KeyError):
         get_code("nope")

@@ -21,8 +21,26 @@ def random_matrix(rng, rows, cols, density=0.4):
     return Gf2Matrix(rows, cols, data)
 
 
+def identity(n: int) -> Gf2Matrix:
+    return Gf2Matrix(n, n, [1 << i for i in range(n)])
+
+
+def to_array(m: Gf2Matrix) -> np.ndarray:
+    bits = [[(r >> j) & 1 for j in range(m.cols)] for r in m.data]
+    return np.array(bits, dtype=np.uint8).reshape(m.rows, m.cols)
+
+
+def from_array(arr) -> Gf2Matrix:
+    arr = np.asarray(arr, dtype=np.uint8)
+    return Gf2Matrix(arr.shape[0], arr.shape[1], [pack(r) for r in arr])
+
+
+def pack(bits) -> int:
+    return sum(1 << j for j, v in enumerate(bits) if v)
+
+
 def test_rank_identity():
-    assert Gf2Matrix.identity(17).rank() == 17
+    assert identity(17).rank() == 17
 
 
 def test_rank_zero():
@@ -34,12 +52,12 @@ def test_rank_toric_2x2_vs_oracle():
     code = get_code("toric2d")
     rows = stabilizer_rows(code, (2, 2))
     assert naive_rank(rows) == 6
-    packed = Gf2Matrix.from_rows(rows.tolist())
+    packed = from_array(rows)
     assert packed.rank() == 6
 
 
 def test_nullspace_identity_empty():
-    assert Gf2Matrix.identity(6).nullspace() == []
+    assert identity(6).nullspace() == []
 
 
 def test_nullspace_parity_row():
@@ -60,17 +78,17 @@ def test_nullspace_consistency(seed):
 
 
 def test_solve_identity():
-    m = Gf2Matrix.identity(8)
+    m = identity(8)
     assert m.solve(0b10110101) == 0b10110101
 
 
 def test_solve_inconsistent():
-    m = Gf2Matrix.from_rows([[1, 1], [0, 0]])
+    m = Gf2Matrix(2, 2, [0b11, 0])
     assert m.solve(0b10) is None
 
 
 def test_solve_free_variables_zero():
-    m = Gf2Matrix.from_rows([[1, 1]])
+    m = Gf2Matrix(1, 2, [0b11])
     assert m.solve(0b1) == 0b01
 
 
@@ -90,13 +108,13 @@ def test_solve_random_consistent(seed):
 def test_rank_equals_transpose_rank(bits, rows, cols):
     data = [(bits >> (i * cols)) & ((1 << cols) - 1) for i in range(rows)]
     m = Gf2Matrix(rows, cols, data)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == from_array(to_array(m).T).rank()
 
 
 def test_rank_transpose_large():
     rng = random.Random(42)
     m = random_matrix(rng, 512, 512, density=0.3)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == from_array(to_array(m).T).rank()
 
 
 def test_elimination_deterministic():
@@ -105,21 +123,6 @@ def test_elimination_deterministic():
     first = (m.row_reduce(), m.nullspace(), m.rank())
     second = (m.row_reduce(), m.nullspace(), m.rank())
     assert first == second
-
-
-def test_mul_matches_numpy():
-    rng = random.Random(3)
-    a = random_matrix(rng, 9, 7)
-    b = random_matrix(rng, 7, 11)
-    prod = a.mul(b)
-    na = np.array(a.to_lists(), dtype=np.uint8)
-    nb = np.array(b.to_lists(), dtype=np.uint8)
-    assert prod.to_lists() == ((na @ nb) % 2).tolist()
-
-
-def test_debug_dump_grid():
-    m = Gf2Matrix.from_rows([[1, 0], [0, 1]])
-    assert str(m) == "10\n01"
 
 
 @st.composite
@@ -134,14 +137,6 @@ def gf2_matrices(draw, max_rows=9, max_cols=11):
         for target, a, b in draw(st.lists(st.tuples(index, index, index), max_size=rows)):
             data[target] = data[a] ^ data[b] if a != b else data[a]
     return Gf2Matrix(rows, cols, data)
-
-
-def to_array(m: Gf2Matrix) -> np.ndarray:
-    return np.array(m.to_lists(), dtype=np.uint8).reshape(m.rows, m.cols)
-
-
-def pack(bits) -> int:
-    return sum(1 << j for j, v in enumerate(bits) if v)
 
 
 @given(gf2_matrices())

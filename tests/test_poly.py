@@ -64,12 +64,6 @@ def test_support_box_zero_errors():
     assert support_box([LaurentPoly.zero(2)]) is None
 
 
-def test_constant_term():
-    assert p2("1 + x").constant_term() == 1
-    assert p2("x + y").constant_term() == 0
-    assert LaurentPoly.zero(2).constant_term() == 0
-
-
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly("1 + q", 2)
