@@ -96,7 +96,7 @@ def inherited_symmetries(model: SymmetryModel, shape: TorusShape) -> SymmetryRep
         # translate exactly when it overlaps its Z part oddly, so the
         # symmetries are the left kernel of those types' Z-block rows
         z_rows = sigma.entries[q + first_type : q + first_type + n_types]
-        return n_types * n - rank_on_torus(GeneratorMap(model.dim, z_rows), shape)
+        return n_types * n - rank_on_torus(GeneratorMap(model.dim, z_rows, sigma.cols), shape)
 
     matter_dim = sublattice_dim(0, model.matter_q)
     gauge_dim = sublattice_dim(model.matter_q, model.n_constraints)

@@ -17,6 +17,9 @@ results are reproducible bit-exactly.
 from __future__ import annotations
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 class Gf2Basis:
     """Incremental echelon basis of a subspace of GF(2)^n.
 
@@ -122,12 +125,16 @@ class Gf2Matrix:
             pivot row.
         """
         n = self.cols
+        width, pad = (n + 7) // 8, -n % 8
 
         def flip(v: int) -> int:
-            # bit j <-> bit n-1-j, so the highest-bit pivot is the first column
-            return int(format(v, f"0{n}b")[::-1], 2)
+            # bit j <-> bit n-1-j, so the highest-bit pivot is the first column:
+            # reverse the bytes and the bits in each byte, then drop the padding
+            reversed_bytes = v.to_bytes(width, "big").translate(_REVERSED_BYTES)
+            return int.from_bytes(reversed_bytes, "little") >> pad
 
-        echelon = Gf2Basis(flip(r) for r in self.data).rref()
+        # zero rows span nothing
+        echelon = Gf2Basis(flip(r) for r in self.data if r).rref()
         reduced = [flip(r) for r in reversed(echelon)]
         pivots = [(r & -r).bit_length() - 1 for r in reduced]
         return reduced + [0] * (self.rows - len(reduced)), pivots

@@ -16,17 +16,20 @@ from .poly import LaurentPoly, support_box
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """Matrix of Laurent polynomials, stored as a tuple of rows."""
+    """Matrix of Laurent polynomials: a tuple of rows, and the column count,
+    which a map without rows cannot read off them (0 when omitted)."""
 
     dim: int
     entries: tuple[tuple[LaurentPoly, ...], ...]
+    cols: int | None = None
 
     def __post_init__(self) -> None:
-        width = None
+        width = len(self.entries[0]) if self.entries else (self.cols or 0)
+        if self.cols not in (None, width):
+            raise ValueError("column count does not match the rows")
+        object.__setattr__(self, "cols", width)
         for row in self.entries:
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if len(row) != width:
                 raise ValueError("ragged generator map")
             for p in row:
                 if p.dim != self.dim:
@@ -40,12 +43,12 @@ class GeneratorMap:
     def from_columns(cls, dim: int, rows: int, columns) -> GeneratorMap:
         """Build a map with `rows` rows whose columns are the given sequences."""
         columns = list(columns)
-        return cls(dim, tuple(tuple(col[i] for col in columns) for i in range(rows)))
+        return cls(dim, tuple(tuple(col[i] for col in columns) for i in range(rows)), len(columns))
 
     @classmethod
     def zero(cls, dim: int, rows: int, cols: int) -> GeneratorMap:
         z = LaurentPoly.zero(dim)
-        return cls(dim, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(dim, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), cols)
 
     @classmethod
     def identity(cls, dim: int, n: int) -> GeneratorMap:
@@ -56,10 +59,6 @@ class GeneratorMap:
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def column(self, j: int) -> tuple[LaurentPoly, ...]:
         return tuple(row[j] for row in self.entries)
@@ -72,6 +71,7 @@ class GeneratorMap:
                 tuple(self.entries[i][j].antipode() for i in range(self.rows))
                 for j in range(self.cols)
             ),
+            self.rows,
         )
 
     def compose(self, other: GeneratorMap) -> GeneratorMap:
@@ -90,7 +90,7 @@ class GeneratorMap:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(tuple(row))
-        return GeneratorMap(self.dim, tuple(out))
+        return GeneratorMap(self.dim, tuple(out), other.cols)
 
     def apply(self, col) -> tuple[LaurentPoly, ...]:
         """The map times one column of polynomials (one entry per map column)."""
@@ -180,7 +180,7 @@ def epsilon_of(sigma: GeneratorMap) -> GeneratorMap:
         row = [sigma.entries[q + i][t].antipode() for i in range(q)]
         row += [sigma.entries[i][t].antipode() for i in range(q)]
         out.append(tuple(row))
-    return GeneratorMap(sigma.dim, tuple(out))
+    return GeneratorMap(sigma.dim, tuple(out), sigma.rows)
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ class CodeSpec:
         zpad = (z,) * self.n_x_types
         rows = [row + xpad for row in self.sigma_x.entries]
         rows += [zpad + row for row in self.sigma_z.entries]
-        return GeneratorMap(self.dim, tuple(rows))
+        return GeneratorMap(self.dim, tuple(rows), self.n_x_types + self.n_z_types)
 
     def generator_columns(self) -> list[PauliColumn]:
         full = self.full_sigma()

@@ -41,7 +41,7 @@ from .gauging import (
     gauge_operator,
     pi_generators,
 )
-from .gf2 import Gf2Basis, Gf2Matrix
+from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
@@ -239,10 +239,7 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     (1 + X_b)/2 over a basis of it is the group average.
     """
     dim = 1 << lat.n_matter
-    # the dagger of a map with no columns has no rows to carry the matter
-    # count, so the column count comes from the lattice
-    fields = instantiate(lat.model.constraint_map.dagger(), lat.shape).data
-    eta_dag_t = Gf2Matrix(len(fields), lat.n_matter, fields)
+    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     return _apply_projectors(np.eye(dim), [(b, 0) for b in eta_dag_t.nullspace()], np.arange(dim))
 
 

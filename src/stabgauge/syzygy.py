@@ -1,14 +1,18 @@
-"""Hypercube-local kernel generators for polynomial maps.
+"""Hypercube-local kernel generators and preimages of polynomial maps.
 
-Kernel search is bounded-box linear algebra: every coefficient of a
-candidate column supported inside the box is an unknown, every
-coefficient of the composed map is an equation, and the GF(2) nullspace
-gives the candidates.  Where a column sits follows one rule throughout,
-`pauli.normalize_column`: the min corner of its support box goes to the
-origin.  Candidates are put in that form, which keeps them and their
-in-box shifts inside the box and collapses translates of one another, and
-the basis is then thinned to translation-inequivalent generators.  The
-same rule recognises a preimage target that is a translate of one column.
+Every GF(2) system here is `torus.instantiate` of the map with the
+columns outside a box [0, box] cleared by one helper, `_box_columns`.
+Column t * N + s is the coefficient of x^s in entry t of the unknown
+column, so on a torus where no product wraps the masked matrix is the
+system of the map on columns supported in the box.  Kernel search solves
+it on the smallest such torus, a preimage after moving the low corner of
+its search box to the origin, and `torus.read_column` reads solutions
+back.  Where a column sits follows one rule, `pauli.normalize_column`:
+the min corner of its support box goes to the origin.  Candidates are
+put in that form, which keeps them and their in-box shifts inside the box
+and collapses translates of one another, and the basis is then thinned
+to translation-inequivalent generators.  The same rule recognises a
+preimage target that is a translate of one column.
 
 Certification on a torus deliberately distinguishes local from global
 kernel elements.  Translates of box-local generators can never reach
@@ -17,12 +21,12 @@ wrapping classes are exactly the interesting degeneracy of the models
 this library targets), so the certificate checks two things instead of
 bare span equality: every translate lies in the kernel, and every kernel
 element supported in a window too small to wrap is spanned by the
-translates.  The window is a column mask: the window-local kernel is the
-nullspace of the torus matrix with every column outside the window
-cleared, less the unit vectors of those cleared columns.  An undersized
-search box fails the second check with a dimension deficit; the wrapping
-classes are reported, not hidden.  Certification is a pure function of
-the kernel basis and the torus: it returns a report and changes nothing.
+translates.  The window comes from the same helper: the window-local
+kernel is the nullspace of the masked torus matrix, less the unit
+vectors of the cleared columns.  An undersized search box fails the
+second check with a dimension deficit; the wrapping classes are
+reported, not hidden.  Certification is a pure function of the kernel
+basis and the torus: it returns a report and changes nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 
 from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap, columns_equal_up_to_translation, normalize_column
-from .poly import LaurentPoly, Monomial, support_box
-from .torus import instantiate, rank_on_torus, shape_of
+from .poly import LaurentPoly, support_box
+from .torus import TorusShape, instantiate, rank_on_torus, read_column, shape_of
 
 
 class NotSymmetricError(ValueError):
@@ -59,46 +63,17 @@ class KernelBasis:
         return GeneratorMap.from_columns(self.parent.dim, self.parent.cols, self.generators)
 
 
-def _box_points(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[Monomial]:
-    return list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
-
-
-def _box_system(m: GeneratorMap, points: list[Monomial], rhs=None) -> tuple[Gf2Matrix, int]:
-    """GF(2) equations for m . p (= rhs), each entry of p supported on `points`.
-
-    Unknown j * len(points) + k is the coefficient of x^points[k] in entry
-    j of p.  Each map row gives one equation per monomial its products can
-    reach, plus one per monomial of the matching rhs entry, so that rows
-    with a zero left-hand side still carry the right-hand side.  Returns
-    the system and the right-hand side as a bitmask over its rows.
-    """
-    n = len(points)
-    eq_rows: list[int] = []
-    rhs_bits = 0
-    for i, row in enumerate(m.entries):
-        eqs: dict[Monomial, int] = {}
-        for j, p in enumerate(row):
-            for t in p.terms:
-                for k, e in enumerate(points):
-                    u = tuple(a + b for a, b in zip(t, e))
-                    eqs[u] = eqs.get(u, 0) ^ (1 << (j * n + k))
-        target = rhs[i].terms if rhs is not None else frozenset()
-        for u in target:
-            eqs.setdefault(u, 0)
-        for u in sorted(eqs):
-            if u in target:
-                rhs_bits |= 1 << len(eq_rows)
-            eq_rows.append(eqs[u])
-    return Gf2Matrix(len(eq_rows), m.cols * n, eq_rows), rhs_bits
-
-
-def _unpack(v: int, points: list[Monomial], ncols: int, dim: int) -> tuple[LaurentPoly, ...]:
-    """The column of polynomials whose coefficients are the bits of v."""
-    n = len(points)
-    return tuple(
-        LaurentPoly.from_terms(dim, [points[k] for k in range(n) if (v >> (j * n + k)) & 1])
-        for j in range(ncols)
-    )
+def _box_columns(m: GeneratorMap, shape: TorusShape, box: tuple[int, ...]):
+    """`instantiate(m, shape)` with every column outside the box [0, box]
+    cleared, and the mask of the kept columns.  Where nothing wraps, column
+    t * N + s is the coefficient of x^s in entry t of a column p supported
+    in the box, so this is the system of m . p; callers drop the unit
+    vectors of the cleared columns by the mask."""
+    n = shape.n_sites
+    sites = sum(1 << shape.site_index(c) for c in itertools.product(*(range(b + 1) for b in box)))
+    mask = sites * sum(1 << (t * n) for t in range(m.cols))
+    mat = instantiate(m, shape)
+    return Gf2Matrix(mat.rows, mat.cols, [r & mask for r in mat.data]), mask
 
 
 def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> KernelBasis:
@@ -124,14 +99,14 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
     if any(b < 0 for b in box):
         raise ValueError("box extents must be nonnegative")
 
-    dim = m.dim
-    points = _box_points((0,) * dim, box)
-    system, _ = _box_system(m, points)
+    # the smallest torus on which m times a column in the box does not wrap
+    shape = shape_of(max(2, b + e + 1) for b, e in zip(box, m.support_extent()))
+    system, mask = _box_columns(m, shape, box)
     # normalized candidates have their min corner at 0, so the high corner
     # of their support box is their extent, and they and their in-box
     # shifts stay inside the box
     candidates = list(dict.fromkeys(
-        normalize_column(_unpack(v, points, m.cols, dim)) for v in system.nullspace()
+        normalize_column(read_column(v, shape, m.cols)) for v in system.nullspace() if v & mask
     ))
 
     def sort_key(col):
@@ -141,22 +116,19 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
 
     candidates.sort(key=sort_key)
 
-    point_index = {e: k for k, e in enumerate(points)}
-
-    def column_to_vec(col) -> int:
-        return sum(
-            1 << (j * len(points) + point_index[t]) for j, p in enumerate(col) for t in p.terms
-        )
-
+    # row c * N + s is candidate c translated by s; candidates sit at site 0
+    n = shape.n_sites
+    cand_map = GeneratorMap.from_columns(m.dim, m.cols, candidates)
+    translates = instantiate(cand_map.dagger(), shape).data
     kept: list[tuple[LaurentPoly, ...]] = []
     span = Gf2Basis()  # box translates of the kept generators
-    for cand in candidates:
-        if span.contains(column_to_vec(cand)):
+    for c, cand in enumerate(candidates):
+        if span.contains(translates[c * n]):
             continue
         kept.append(cand)
         extent = support_box(cand)[1]
         for sh in itertools.product(*(range(b - e + 1) for b, e in zip(box, extent))):
-            span.add(column_to_vec(tuple(p.shift(sh) for p in cand)))
+            span.add(translates[c * n + shape.site_index(sh)])
 
     for g in kept:
         if not all(p.is_zero() for p in m.apply(g)):
@@ -170,9 +142,12 @@ def bounded_preimage(m: GeneratorMap, target) -> tuple[LaurentPoly, ...]:
     A target that is a single translate of one column of m maps to that
     translate exactly, so those images stay canonical rather than
     kernel-shifted.  Otherwise the GF(2) solve zeroes all free variables,
-    which keeps the result deterministic.  Raises NotSymmetricError when no
+    which keeps the result deterministic.  Raises ValueError when target
+    does not have one entry per row of m, and NotSymmetricError when no
     box-local preimage exists.
     """
+    if len(target) != m.rows:
+        raise ValueError(f"target has {len(target)} entries for a map with {m.rows} rows")
     dim = m.dim
     tbox = support_box(target)
     if tbox is None:
@@ -187,13 +162,17 @@ def bounded_preimage(m: GeneratorMap, target) -> tuple[LaurentPoly, ...]:
     # the box of m is taken to contain the origin even when m's support does not
     mlo, mhi = support_box([LaurentPoly.one(dim)] + [p for row in m.entries for p in row])
     lo = tuple(a - b for a, b in zip(tbox[0], mhi))
-    hi = tuple(a - b for a, b in zip(tbox[1], mlo))
-    points = _box_points(lo, hi)
-    system, rhs = _box_system(m, points, target)
+    box = tuple(h - l - a for h, l, a in zip(tbox[1], mlo, lo))
+    # solve for x^-lo p in [0, box] against x^-lo target, neither of which
+    # wraps on this torus; row s of the target's translates is its shift by s
+    shape = shape_of(max(2, b + h - l + 1) for b, l, h in zip(box, mlo, mhi))
+    system, _ = _box_columns(m, shape, box)
+    rhs_map = GeneratorMap.from_columns(dim, m.rows, [target]).dagger()
+    rhs = instantiate(rhs_map, shape).data[shape.site_index(tuple(-a for a in lo))]
     x = system.solve(rhs)
     if x is None:
         raise NotSymmetricError("operator not symmetric: Z part has no local preimage")
-    return _unpack(x, points, m.cols, dim)
+    return tuple(p.shift(lo) for p in read_column(x, shape, m.cols))
 
 
 def certification_lengths(kb: KernelBasis) -> tuple[int, ...]:
@@ -238,8 +217,7 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     Passes when all generator translates lie in the kernel and every kernel
     element supported in a non-wrapping window is in their span.  Kernel
     elements that wrap the torus are reported via `wrapping_deficit`.
-    The window is a mask on the torus matrix's columns; `kb` is not
-    modified.
+    The window is masked by `_box_columns`; `kb` is not modified.
     """
     lengths = tuple(lengths)
     if len(lengths) != kb.dim:
@@ -248,29 +226,18 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
         raise ValueError("torus lengths must exceed twice the box extent")
     shape = shape_of(lengths)  # rejects non-integer lengths
     lengths = shape.lengths
-    n = shape.n_sites
-    parent_t = instantiate(kb.parent, shape)
-    kernel_dim = parent_t.cols - rank_on_torus(kb.parent, shape)
+    kernel_dim = kb.parent.cols * shape.n_sites - rank_on_torus(kb.parent, shape)
 
     gen_map = kb.matrix()
     # rows of the dagger's instantiation are all torus translates of all generators
     span = Gf2Basis(instantiate(gen_map.dagger(), shape).data)
-    # instantiation is a ring homomorphism, so this is parent_t times the translates
+    # instantiation is a ring homomorphism, so this is the parent times the translates
     containment = not any(instantiate(kb.parent.compose(gen_map), shape).data)
 
-    pext = kb.parent.support_extent()
-    window = tuple(max(l - 1 - e, 0) for l, e in zip(lengths, pext))
-    # window sites of every column type; each cleared column is free with
-    # its own unit vector, which the filter drops
-    sites = sum(
-        1 << shape.site_index(c) for c in itertools.product(*(range(w + 1) for w in window))
-    )
-    allowed = sum(sites << (j * n) for j in range(kb.parent.cols))
-    masked = Gf2Matrix(parent_t.rows, parent_t.cols, [r & allowed for r in parent_t.data])
+    window = tuple(max(l - 1 - e, 0) for l, e in zip(lengths, kb.parent.support_extent()))
+    masked, allowed = _box_columns(kb.parent, shape, window)
     local_kernel = [v for v in masked.nullspace() if v & allowed]
     missing = sum(not span.contains(v) for v in local_kernel)
-    local_spanned = missing == 0
-    passed = containment and local_spanned
     return CertifyReport(
         lengths=lengths,
         kernel_dim=kernel_dim,
@@ -278,7 +245,7 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
         containment=containment,
         window=window,
         local_kernel_dim=len(local_kernel),
-        local_spanned=local_spanned,
+        local_spanned=missing == 0,
         missing_local=missing,
-        passed=passed,
+        passed=containment and missing == 0,
     )

@@ -1,9 +1,11 @@
 """Finite-torus instantiation of polynomial maps and encoded-qubit counting.
 
 Bit layout on a torus of N sites, used by every module: `instantiate` is
-the only code that sends polynomial terms to torus bits.  Row r of a map
-at site s is bit `r * N + s`, and the translate of column t to site s is
-column `t * N + s`, with sites in row-major order (`TorusShape.sites`).
+the only code that sends polynomial terms to torus bits, and
+`read_column` the only one that reads them back.  Row r of a map at site
+s is bit `r * N + s`, and the translate of column t to site s is column
+`t * N + s`, with sites in row-major order (`TorusShape.sites`;
+`TorusShape.site` inverts `site_index`).
 Exponents are reduced mod the lengths, so terms that land on the same
 site cancel mod 2, as in R/(x^L - 1).  Rows are built as block shifts:
 row (r, s) is row (r, 0) translated by s inside every N-bit column
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 from .gf2 import Gf2Matrix
 from .pauli import CodeSpec, GeneratorMap, verify_stabilizer
+from .poly import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,15 @@ class TorusShape:
         for c, l in zip(coords, self.lengths):
             idx = idx * l + (c % l)
         return idx
+
+    def site(self, index: int) -> tuple[int, ...]:
+        """Coordinates in [0, L) of the site with a row-major index; the
+        inverse of `site_index` on reduced coordinates."""
+        coords = []
+        for l in reversed(self.lengths):
+            index, c = divmod(index, l)
+            coords.append(c)
+        return tuple(reversed(coords))
 
     def sites(self):
         """All sites in row-major order."""
@@ -115,6 +127,20 @@ def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
             translates = steps
         data += translates
     return Gf2Matrix(m.rows * n, m.cols * n, data)
+
+
+def read_column(bits: int, shape: TorusShape, n_entries: int) -> tuple[LaurentPoly, ...]:
+    """The polynomial column whose torus bits are `bits`, the inverse of
+    placing one translate: bit t * N + s is the term x^s in entry t, with
+    the site read as coordinates in [0, L).  Only the set bits are walked."""
+    n = shape.n_sites
+    terms = [[] for _ in range(n_entries)]
+    while bits:
+        b = bits.bit_length() - 1
+        bits ^= 1 << b
+        t, s = divmod(b, n)
+        terms[t].append(shape.site(s))
+    return tuple(LaurentPoly(shape.dim, frozenset(ts)) for ts in terms)
 
 
 def rank_on_torus(m: GeneratorMap, shape: TorusShape) -> int:

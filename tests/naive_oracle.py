@@ -88,6 +88,37 @@ def naive_solve(mat: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def naive_box_system(m, lo, hi, rhs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense equations of m . p = rhs for p supported in the box [lo, hi].
+
+    Unknown j * n + k is the coefficient in entry j of p of the k-th box
+    monomial, numbered row-major by numpy from lo.  Each (map row,
+    monomial) pair that a product term or the rhs reaches is one equation,
+    in sorted order; products are summed term by term.  Returns the 0/1
+    matrix and right-hand side (all zero when rhs is None).
+    """
+    lo = np.asarray(lo)
+    points = [tuple(lo + np.array(k)) for k in np.ndindex(*(np.asarray(hi) - lo + 1))]
+    n = len(points)
+    cells = {}
+    for i in range(m.rows):
+        for j in range(m.cols):
+            for t in m.entries[i][j].terms:
+                for k, e in enumerate(points):
+                    u = (i, tuple(int(a) for a in np.add(t, e)))
+                    cells[u, j * n + k] = cells.get((u, j * n + k), 0) ^ 1
+    targets = set()
+    if rhs is not None:
+        targets = {(i, tuple(u)) for i, p in enumerate(rhs) for u in p.terms}
+    eqs = sorted({u for u, _ in cells} | targets)
+    index = {u: r for r, u in enumerate(eqs)}
+    a = np.zeros((len(eqs), m.cols * n), dtype=np.uint8)
+    for (u, c), bit in cells.items():
+        a[index[u], c] = bit
+    b = np.array([u in targets for u in eqs], dtype=np.uint8)
+    return a, b
+
+
 def stabilizer_rows(code, lengths) -> np.ndarray:
     """All generator translates as dense symplectic 0/1 rows.
 

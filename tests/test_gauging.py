@@ -215,8 +215,6 @@ def test_local_x_fields_commute_with_every_constraint(name, n_fields):
     model = symmetry_model_from_code(get_code(name))
     phi, eta = model.local_x_map, model.constraint_map
     assert phi.cols == n_fields
-    # eta-dagger phi = (phi-dagger eta)-dagger; this side keeps its shape
-    # when phi has no columns, whose dagger has no rows to carry a count
     assert all(e.is_zero() for row in eta.dagger().compose(phi).entries for e in row)
 
 
@@ -327,6 +325,13 @@ def test_pi_generators_fractal_matches_cubic_star():
     cubic = get_code("cubic")
     got = tuple(gens[0].x_block[1:])
     assert columns_equal_up_to_translation(got, tuple(cubic.sigma_x.column(0)))
+
+
+def test_model_without_constraints_has_one_x_field_per_matter_type():
+    # nothing constrains single-site X, so each matter type has its own field
+    phi = SymmetryModel(GeneratorMap.zero(1, 2, 0)).local_x_map
+    assert (phi.rows, phi.cols) == (2, 2)
+    assert maps_equal_up_to_translation(phi, GeneratorMap.identity(1, 2))
 
 
 def test_pi_generators_no_constraints():

@@ -65,6 +65,20 @@ def test_dagger_zero():
     assert z.dagger() == GeneratorMap.zero(3, 2, 2)
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 0), (0, 3), (0, 0)])
+def test_empty_maps_keep_their_shape(rows, cols):
+    m = GeneratorMap.zero(1, rows, cols)
+    assert (m.dagger().rows, m.dagger().cols) == (cols, rows)
+    assert m.dagger().dagger() == m
+    product = m.compose(GeneratorMap.zero(1, cols, 4))
+    assert (product.rows, product.cols) == (rows, 4)
+
+
+def test_map_rejects_a_column_count_its_rows_contradict():
+    with pytest.raises(ValueError, match="column count"):
+        GeneratorMap(1, ((LaurentPoly.one(1),),), 2)
+
+
 def test_single_qubit_x_z_anticommute():
     zero = LaurentPoly.zero(2)
     one = LaurentPoly.one(2)

@@ -3,9 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from naive_oracle import naive_nullspace, naive_rank, naive_torus_column
+from naive_oracle import (
+    naive_box_system,
+    naive_nullspace,
+    naive_rank,
+    naive_solve,
+    naive_torus_column,
+)
 from stabgauge.codebook import codebook_names, get_code
-from stabgauge.gauging import symmetry_model_from_code
+from stabgauge.gauging import NotSymmetricError, symmetry_model_from_code
 from stabgauge.pauli import GeneratorMap, columns_equal_up_to_translation
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.syzygy import (
@@ -231,3 +237,78 @@ def test_preimage_of_column_translate_is_unit_monomial(name):
             target = tuple(p.shift(s) for p in col)
             want = tuple(LaurentPoly.monomial(s) if j == t else zero for j in range(m.cols))
             assert bounded_preimage(m, target) == want
+
+
+@pytest.mark.parametrize("target_len", [0, 2])
+def test_preimage_rejects_target_of_wrong_length(target_len):
+    sigma_z = get_code("ising2d").sigma_z
+    target = (parse_poly("1 + x", 2),) * target_len
+    with pytest.raises(ValueError, match="entries"):
+        bounded_preimage(sigma_z, target)
+
+
+def _maps_and_daggers():
+    for name, m in CONSTRAINT_MAPS.items():
+        yield pytest.param(m, id=name)
+        yield pytest.param(m.dagger(), id=f"{name}-dagger")
+
+
+def _points_in_box(lo, hi):
+    return [tuple(int(a) for a in np.add(lo, k)) for k in np.ndindex(*(np.subtract(hi, lo) + 1))]
+
+
+@pytest.mark.parametrize("m", _maps_and_daggers())
+def test_kernel_translates_span_the_naive_box_nullspace(m):
+    kb = bounded_kernel(m)
+    lo, hi = (0,) * m.dim, kb.box
+    a, _ = naive_box_system(m, lo, hi)
+    points = {e: k for k, e in enumerate(_points_in_box(lo, hi))}
+    translates = []
+    for g in kb.generators:
+        top = [max(t[i] for p in g for t in p.terms) for i in range(m.dim)]
+        for sh in itertools.product(*(range(b - e + 1) for b, e in zip(hi, top))):
+            v = np.zeros(a.shape[1], dtype=np.uint8)
+            for j, p in enumerate(g):
+                for t in p.terms:
+                    v[j * len(points) + points[tuple(np.add(t, sh))]] = 1
+            translates.append(v)
+    span = np.array(translates, dtype=np.uint8).reshape(len(translates), a.shape[1])
+    null = naive_nullspace(a)
+    assert naive_rank(span) == len(null)
+    assert naive_rank(np.vstack([span, *null])) == len(null)
+
+
+@pytest.mark.parametrize("m", _maps_and_daggers())
+def test_preimage_of_column_sums_matches_naive_solve(m):
+    cols = [m.column(t) for t in range(m.cols)]
+    # the box of m is taken to contain the origin
+    terms = np.array([(0,) * m.dim] + [t for row in m.entries for p in row for t in p.terms])
+    mlo, mhi = terms.min(axis=0), terms.max(axis=0)
+    shifts = [(1,) + (0,) * (m.dim - 1), (0,) * (m.dim - 1) + (2,), (1,) * m.dim]
+    targets = [
+        tuple(p + q.shift(s) for p, q in zip(cols[i], cols[j]))
+        for i, j in itertools.combinations_with_replacement(range(m.cols), 2)
+        for s in shifts
+    ]
+    targets.append((LaurentPoly.one(m.dim),) + (LaurentPoly.zero(m.dim),) * (m.rows - 1))
+    solved = 0
+    for target in targets:
+        if not any(target) or any(columns_equal_up_to_translation(target, c) for c in cols):
+            continue
+        tterms = np.array([t for p in target for t in p.terms])
+        lo, hi = tterms.min(axis=0) - mhi, tterms.max(axis=0) - mlo
+        a, b = naive_box_system(m, lo, hi, target)
+        x = naive_solve(a, b)
+        if x is None:
+            with pytest.raises(NotSymmetricError):
+                bounded_preimage(m, target)
+            continue
+        points = _points_in_box(lo, hi)
+        n = len(points)
+        want = tuple(
+            LaurentPoly.from_terms(m.dim, [e for k, e in enumerate(points) if x[j * n + k]])
+            for j in range(m.cols)
+        )
+        assert bounded_preimage(m, target) == want
+        solved += 1
+    assert solved > 0

@@ -254,8 +254,8 @@ def test_map_without_columns_instantiates_to_no_columns():
     mat = instantiate(m, shape)
     assert (mat.rows, mat.cols) == (18, 0)
     assert mat.data == [0] * 18
-    # the dagger has no rows, so there are no translates to read off
-    assert instantiate(m.dagger(), shape).data == []
+    dagger = instantiate(m.dagger(), shape)
+    assert (dagger.rows, dagger.cols, dagger.data) == (0, 18, [])
     assert rank_on_torus(m, shape) == 0
 
 
