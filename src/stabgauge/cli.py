@@ -191,10 +191,11 @@ def cmd_duality_check(args) -> int:
 def cmd_cluster(args) -> int:
     code = _load(args.code)
     model = _model_of(code)
-    cluster = cluster_mod.build_cluster(model, f"cluster_{code.name}")
     if args.gauge_sublattice:
-        cluster = cluster_mod.gauge_sublattice(model, args.gauge_sublattice).code
-    print(dumps_code(cluster), end="")
+        out = cluster_mod.gauge_sublattice(model, args.gauge_sublattice)
+    else:
+        out = cluster_mod.build_cluster(model, f"cluster_{code.name}")
+    print(dumps_code(out), end="")
     return PASS
 
 

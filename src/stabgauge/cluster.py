@@ -23,25 +23,17 @@ from .syzygy import bounded_kernel
 from .torus import TorusShape, instantiate, rank_on_torus
 
 
-def _stabilizers(model: SymmetryModel) -> list[PauliColumn]:
-    """One cluster stabilizer per qubit type, matter types first.
+def build_cluster(model: SymmetryModel, name: str = "cluster") -> CodeSpec:
+    """The verified cluster code on a symmetry model's bipartite constraint graph.
 
-    A matter type carries X on itself and Z on its adjacent gauge qubits; a
-    gauge type carries X on itself and Z on its adjacent matter qubits.  The
-    CZ layer is an involution, so it sends single-site X to the stabilizer
-    of that type.
+    One stabilizer per qubit type, matter types first: a matter type carries
+    X on itself and Z on its adjacent gauge qubits, a gauge type X on itself
+    and Z on its adjacent matter qubits.  The CZ layer is an involution, so
+    it sends single-site X to the stabilizer of that type.
     """
     q = model.matter_q + model.n_constraints
-    return [cz_conjugate(model, PauliColumn.single_x(model.dim, q, i)) for i in range(q)]
-
-
-def build_cluster(model: SymmetryModel, name: str = "cluster") -> CodeSpec:
-    """The verified cluster code on a symmetry model's bipartite constraint graph."""
-    q = model.matter_q + model.n_constraints
-    sigma = GeneratorMap.from_columns(
-        model.dim, 2 * q, [s.entries() for s in _stabilizers(model)]
-    )
-    code = CodeSpec(name=name, css=False, sigma=sigma)
+    stabs = [cz_conjugate(model, PauliColumn.single_x(model.dim, q, i)).entries() for i in range(q)]
+    code = CodeSpec(name=name, css=False, sigma=GeneratorMap.from_columns(model.dim, 2 * q, stabs))
     rep = verify_stabilizer(code)
     if not rep.passed:
         raise AssertionError(f"cluster stabilizers fail to commute: {rep}")
@@ -115,93 +107,73 @@ def inherited_symmetries(model: SymmetryModel, shape: TorusShape) -> SymmetryRep
     )
 
 
-def _substitute_sublattice(
-    stabs: list[PauliColumn], old_range: tuple[int, int], adjacency: GeneratorMap
-) -> list[PauliColumn]:
-    """Gauge away one sublattice: each stabilizer's part on types [lo, hi)
-    goes through `gauge_operator`, with the adjacency as the constraint map
-    (its columns are the constraints being gauged).
+def _gauge_types(code: CodeSpec, lo: int, hi: int, adjacency: GeneratorMap, name: str) -> CodeSpec:
+    """Gauge away qubit types [lo, hi) of a code, with the adjacency as the
+    constraint map (its columns are the constraints being gauged).
 
-    Qubit layout of the output: the untouched types keep their slots, the
-    gauged sublattice's slots are dropped, and one new type per adjacency
-    column is appended at the end.
+    Each stabilizer's part on the gauged types goes through `gauge_operator`;
+    the other types keep their slots, and one new type per adjacency column
+    is appended.  The box-local kernel fields of the adjacency follow as
+    extra Z generators on the new types.
     """
-    lo, hi = old_range
     model = SymmetryModel(adjacency)
-    out = []
-    for s in stabs:
+    kept = code.q_per_site - (hi - lo)
+    zero = LaurentPoly.zero(code.dim)
+    columns = []
+    for s in code.generator_columns():
         part = PauliColumn(s.dim, hi - lo, s.x_block[lo:hi], s.z_block[lo:hi])
         image = gauge_operator(model, part)
-        keep_x = s.x_block[:lo] + s.x_block[hi:]
-        keep_z = s.z_block[:lo] + s.z_block[hi:]
-        q = len(keep_x) + image.q
-        out.append(PauliColumn(s.dim, q, keep_x + image.x_block, keep_z + image.z_block))
-    return out
+        x = s.x_block[:lo] + s.x_block[hi:] + image.x_block
+        z = s.z_block[:lo] + s.z_block[hi:] + image.z_block
+        columns.append(x + z)
+    for g in bounded_kernel(adjacency).generators:
+        columns.append((zero,) * (2 * kept + adjacency.cols) + tuple(g))
+    q = kept + adjacency.cols
+    sigma = GeneratorMap.from_columns(code.dim, 2 * q, columns)
+    gauged = CodeSpec(name=name, css=False, sigma=sigma)
+    rep = verify_stabilizer(gauged)
+    if not rep.passed:
+        raise AssertionError(f"gauged cluster fails to commute: {rep}")
+    return gauged
 
 
-@dataclass(frozen=True)
-class SublatticeGauging:
-    code: CodeSpec
-    extra_z_types: tuple[tuple[LaurentPoly, ...], ...]
-
-
-def gauge_sublattice(model: SymmetryModel, which: str) -> SublatticeGauging:
+def gauge_sublattice(model: SymmetryModel, which: str) -> CodeSpec:
     """Gauge the matter sublattice, the gauge sublattice, or both.
 
     Gauging one sublattice doubles the remaining one: each X or Z field
     there acquires a partner Z or X on the new qubits, and the box-local
     kernel fields of the gauged adjacency are added as extra Z types on
-    the new qubits.  Gauging both returns the cluster itself up to
-    sublattice swap and X<->Z exchange; the extra kernel fields are then
-    redundant and reported separately.
+    the new qubits.  Gauging both gauges the matter-gauged code's old gauge
+    types in turn; that returns the cluster itself up to sublattice swap and
+    X<->Z exchange, and the extra kernel fields of both steps, which come
+    after the qm + t main types, are redundant on a torus.
     """
     if which not in ("matter", "gauge", "both"):
         raise ValueError("which must be matter, gauge or both")
-    dim, eta = model.dim, model.constraint_map
+    eta = model.constraint_map
     qm, t = model.matter_q, model.n_constraints
-    zero = LaurentPoly.zero(dim)
-
-    def kernel_fields(adjacency: GeneratorMap, before: int, after: int):
-        """Kernel generators of the adjacency as Z blocks, zero-padded around."""
-        gens = bounded_kernel(adjacency).generators
-        return [(zero,) * before + tuple(g) + (zero,) * after for g in gens]
-
+    cluster = build_cluster(model)
+    name = f"cluster-{which}-gauged"
+    if which == "gauge":
+        return _gauge_types(cluster, qm, qm + t, eta.dagger(), name)
+    # constraints on matter are the eta columns (from the gauge stabilizers)
+    matter = _gauge_types(cluster, 0, qm, eta, name)
     if which == "matter":
-        # constraints on matter are the eta columns (from the gauge stabilizers)
-        new_stabs = _substitute_sublattice(_stabilizers(model), (0, qm), eta)
-        extra = kernel_fields(eta, t, 0)
-        q_new = t + t
-    elif which == "gauge":
-        new_stabs = _substitute_sublattice(_stabilizers(model), (qm, qm + t), eta.dagger())
-        extra = kernel_fields(eta.dagger(), qm, 0)
-        q_new = qm + qm
-    else:
-        once = gauge_sublattice(model, "matter")
-        # the matter gauging left the old gauge types in slots [0, t) and the
-        # new partners in [t, 2t); now gauge the old gauge sublattice, whose
-        # Z patterns are generated by the dagger adjacency.  Only the main
-        # qm + t types go through; the kernel fields are re-added afterwards.
-        mid_stabs = once.code.generator_columns()[: qm + t]
-        new_stabs = _substitute_sublattice(mid_stabs, (0, t), eta.dagger())
-        # the matter gauging's kernel fields sit after the t old gauge types;
-        # move them to the front of the t + qm new types
-        extra = [e[t:] + (zero,) * qm for e in once.extra_z_types]
-        extra += kernel_fields(eta.dagger(), t, 0)
-        q_new = t + qm
-    columns = [s.entries() for s in new_stabs] + [(zero,) * q_new + g for g in extra]
-    code = CodeSpec(
-        name=f"cluster-{which}-gauged",
-        css=False,
-        sigma=GeneratorMap.from_columns(dim, 2 * q_new, columns),
-    )
-    rep = verify_stabilizer(code)
-    if not rep.passed:
-        raise AssertionError(f"gauged cluster fails to commute: {rep}")
-    return SublatticeGauging(code=code, extra_z_types=tuple(extra))
+        return matter
+    # the old gauge types now sit in slots [0, t); the first step's kernel
+    # fields have no support there, so they pass through onto the new types
+    return _gauge_types(matter, 0, t, eta.dagger(), name)
 
 
 def cluster_self_dual(model: SymmetryModel) -> bool:
-    """Gauging both sublattices returns the model up to sublattice swap and X<->Z."""
+    """Gauging both sublattices returns the model up to sublattice swap and X<->Z.
+
+    This compares the main generator sets up to per-column translation, not
+    the stabilizer groups.  It returns False when eta or its dagger has
+    box-local kernel fields that enter the main generators, even though the
+    swapped doubly gauged code, extra kernel fields included, can span the
+    same translates as the cluster; eta = (1; 1) in 1D is an example.
+    """
     both = gauge_sublattice(model, "both")
     # output layout: [new matter partners: t types][new gauge partners: qm types]
     t, qm = model.n_constraints, model.matter_q
@@ -213,7 +185,7 @@ def cluster_self_dual(model: SymmetryModel) -> bool:
     transformed = GeneratorMap.from_columns(
         model.dim,
         2 * (t + qm),
-        [swap(s.z_block) + swap(s.x_block) for s in both.code.generator_columns()[: qm + t]],
+        [swap(s.z_block) + swap(s.x_block) for s in both.generator_columns()[: qm + t]],
     )
     return maps_equal_up_to_translation(transformed, build_cluster(model).sigma)
 
@@ -223,7 +195,7 @@ def extra_fields_redundant(model: SymmetryModel, shape: TorusShape) -> bool:
     of the main stabilizer types' translates."""
     both = gauge_sublattice(model, "both")
     # the main types' translates come first, the extra fields' after them
-    cols = instantiate(both.code.sigma.dagger(), shape).data
+    cols = instantiate(both.sigma.dagger(), shape).data
     n_main = (model.matter_q + model.n_constraints) * shape.n_sites
     span = Gf2Basis(cols[:n_main])
     return all(span.contains(v) for v in cols[n_main:])

@@ -160,6 +160,12 @@ def _require_list(value, what: str) -> list:
     return value
 
 
+def _require_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _require_int(value, what: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -221,8 +227,8 @@ def code_from_dict(data: dict) -> CodeSpec:
     css = _require_field(data, "css")
     if not isinstance(css, bool):
         raise ValueError(f"css must be true or false, got {css!r}")
-    name = data.get("name", "unnamed")
-    notes = data.get("notes", "")
+    name = _require_str(data.get("name", "unnamed"), "name")
+    notes = _require_str(data.get("notes", ""), "notes")
     cols = []
     for g, gen in enumerate(_require_list(_require_field(data, "generators"), "generators")):
         if not isinstance(gen, dict):

@@ -153,6 +153,8 @@ MALFORMED = [
     (["dim"], 0, "dim must be at least 1, got 0"),
     (["dim"], "2", "dim must be an integer, got '2'"),
     (["q_per_site"], 0, "q_per_site must be at least 1, got 0"),
+    (["name"], [1], "name must be a string, got list"),
+    (["notes"], {"a": 1}, "notes must be a string, got dict"),
 ]
 
 

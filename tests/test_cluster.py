@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import stabgauge.cluster as cluster_mod
@@ -12,17 +14,17 @@ from stabgauge.cluster import (
     inherited_symmetries,
 )
 from stabgauge.codebook import get_code
+from stabgauge.gf2 import Gf2Basis
 from stabgauge.gauging import SymmetryModel, symmetry_model_from_code
 from stabgauge.pauli import (
     GeneratorMap,
-    PauliColumn,
     normalize_column,
     symplectic_pair,
     verify_stabilizer,
 )
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.syzygy import bounded_kernel
-from stabgauge.torus import shape_of
+from stabgauge.torus import count_logical, instantiate, shape_of
 
 
 def toric_model():
@@ -108,42 +110,34 @@ def test_inherited_symmetries_identity_cluster():
     assert rep.gauge_dim == 0
 
 
-def test_gauge_matter_sublattice_is_toric_after_cz():
-    model = toric_model()
-    res = gauge_sublattice(model, "matter")
-    code = res.code
-    assert code.q_per_site == 4
+@pytest.mark.parametrize(
+    "matter_name, target_name, ks",
+    [("ising2d", "toric2d", (2, 2, 2)), ("fractal_ising", "cubic", (6, 14, 30))],
+    ids=["toric2d", "cubic"],
+)
+def test_gauge_matter_sublattice_is_target_after_cz(matter_name, target_name, ks):
+    model = symmetry_model_from_code(get_code(matter_name))
+    code = gauge_sublattice(model, "matter")
+    dim, t = model.dim, model.n_constraints
+    assert code.q_per_site == 2 * t
     assert verify_stabilizer(code).passed
-    # CZ layer between each old gauge qubit and its same-type partner turns
-    # the result into single-site X types plus the toric code on the partners
-    t = model.n_constraints
-    cols = code.generator_columns()
-    stripped = []
-    for s in cols:
-        x_old, x_new = list(s.x_block[:t]), list(s.x_block[t:])
-        z_old, z_new = list(s.z_block[:t]), list(s.z_block[t:])
-        for j in range(t):
-            z_new[j] = z_new[j] + x_old[j]
-            z_old[j] = z_old[j] + x_new[j]
-        stripped.append(PauliColumn(model.dim, 2 * t, tuple(x_old + x_new), tuple(z_old + z_new)))
-    # expected generator content: one star-of-X on the partners, two bare X
-    # on the old gauge qubits, one plaquette-Z on the partners
-    toric = get_code("toric2d")
-    summaries = set()
-    for s in stripped:
-        on_old = sum(len(p.terms) for p in (s.x_block[:t] + s.z_block[:t]))
-        on_new = tuple(p for p in (s.x_block[t:] + s.z_block[t:]))
-        summaries.add((on_old, sum(len(p.terms) for p in on_new)))
-    assert (1, 0) in summaries  # bare single-site X types
-    got_new_cols = []
-    for s in stripped:
-        if sum(len(p.terms) for p in (s.x_block[:t] + s.z_block[:t])) == 0:
-            got_new_cols.append(normalize_column(s.x_block[t:] + s.z_block[t:]))
-    want = {
-        tuple(normalize_column(tuple(toric.sigma_x.column(0)) + (LaurentPoly.zero(2),) * 2)),
-        tuple(normalize_column((LaurentPoly.zero(2),) * 2 + tuple(toric.sigma_z.column(0)))),
-    }
-    assert {tuple(c_) for c_ in got_new_cols} == want
+    # the CZ layer between each old gauge qubit and its same-type partner
+    # turns the result into t bare single-site X types on the old gauge
+    # qubits plus the target code on the partners
+    pairing = SymmetryModel(GeneratorMap.identity(dim, t))
+    stripped = [cz_conjugate(pairing, s) for s in code.generator_columns()]
+    bare = [s for s in stripped if any(not p.is_zero() for p in s.x_block[:t] + s.z_block[:t])]
+    assert len(bare) == t
+    for s in bare:
+        assert sum(len(p.terms) for p in s.x_block[:t]) == 1
+        assert all(p.is_zero() for p in s.x_block[t:] + s.z_block)
+    target = get_code(target_name)
+    want = [normalize_column(g.entries()) for g in target.generator_columns()]
+    got = [normalize_column(s.x_block[t:] + s.z_block[t:]) for s in stripped if s not in bare]
+    assert Counter(got) == Counter(want)
+    for L, k in zip((2, 4, 8), ks):
+        shape = shape_of((L,) * dim)
+        assert count_logical(code, shape).k_encoded == count_logical(target, shape).k_encoded == k
 
 
 @pytest.mark.parametrize("make", [toric_model, cubic_model, identity_model])
@@ -151,7 +145,12 @@ def test_double_sublattice_gauging_self_dual(make):
     assert cluster_self_dual(make())
 
 
-def test_double_gauging_searches_each_kernel_once(monkeypatch):
+@pytest.mark.parametrize(
+    "which, daggers",
+    [("matter", [False]), ("gauge", [True]), ("both", [False, True])],
+    ids=["matter", "gauge", "both"],
+)
+def test_double_gauging_searches_each_kernel_once(monkeypatch, which, daggers):
     searched = []
 
     def counting_kernel(m, box=None):
@@ -160,9 +159,33 @@ def test_double_gauging_searches_each_kernel_once(monkeypatch):
 
     monkeypatch.setattr(cluster_mod, "bounded_kernel", counting_kernel)
     model = cubic_model()
-    gauge_sublattice(model, "both")
+    gauge_sublattice(model, which)
     eta = model.constraint_map
-    assert searched == [eta, eta.dagger()]
+    assert searched == [eta.dagger() if d else eta for d in daggers]
+
+
+def test_self_dual_is_a_generator_set_check():
+    # eta = (1; 1): the dagger (1, 1) has the box-local kernel field (1, 1),
+    # so the swapped doubly gauged code has other generators than the
+    # cluster, yet with its extra kernel fields it spans the same translates
+    model = SymmetryModel(GeneratorMap.from_rows(1, [[LaurentPoly.one(1)], [LaurentPoly.one(1)]]))
+    assert not cluster_self_dual(model)
+    t = model.n_constraints
+
+    def swap(block):
+        return block[t:] + block[:t]
+
+    both = gauge_sublattice(model, "both")
+    swapped = GeneratorMap.from_columns(
+        1, both.sigma.rows, [swap(s.z_block) + swap(s.x_block) for s in both.generator_columns()]
+    )
+    cluster = build_cluster(model).sigma
+    for L in (3, 4, 5):
+        shape = shape_of((L,))
+        a = Gf2Basis(instantiate(swapped.dagger(), shape).data)
+        b = Gf2Basis(instantiate(cluster.dagger(), shape).data)
+        assert len(a) == len(b)
+        assert all(a.contains(v) for v in b.rref())
 
 
 def test_extra_fields_redundant_on_torus():
@@ -190,6 +213,4 @@ def test_cluster_counts_match_oracle():
     code = get_code("cluster_toric")
     rows = stabilizer_rows(code, (3, 3))
     n = code.q_per_site * 9
-    from stabgauge.torus import count_logical
-
     assert count_logical(code, shape_of((3, 3))).k_encoded == n - naive_rank(rows)
