@@ -2,11 +2,18 @@
 
 Exit codes: 0 = success / check passed, 1 = a check failed,
 2 = usage or I/O error.
+
+The argparse parser is built once per process, on the first `cli_main`
+call, and reused.  Commands are dispatched by name: `cli_main` looks up
+`cmd_<command>` (with `-` read as `_`) in this module at call time, so
+the parser holds no function objects and a rebinding of `cmd_*` takes
+effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -191,10 +198,11 @@ def cmd_duality_check(args) -> int:
 def cmd_cluster(args) -> int:
     code = _load(args.code)
     model = _model_of(code)
+    name = f"cluster_{code.name}"
     if args.gauge_sublattice:
-        out = cluster_mod.gauge_sublattice(model, args.gauge_sublattice)
+        out = cluster_mod.gauge_sublattice(model, args.gauge_sublattice, name)
     else:
-        out = cluster_mod.build_cluster(model, f"cluster_{code.name}")
+        out = cluster_mod.build_cluster(model, name)
     print(dumps_code(out), end="")
     return PASS
 
@@ -233,6 +241,7 @@ def cmd_smallscale(args) -> int:
     return PASS if ok else FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabgauge",
@@ -240,46 +249,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, help_):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("verify", cmd_verify, "check that all stabilizer translates commute")
+    p = add("verify", "check that all stabilizer translates commute")
     p.add_argument("code", help="code file or codebook name")
 
-    p = add("render", cmd_render, "per-site letter diagram of the generators")
+    p = add("render", "per-site letter diagram of the generators")
     p.add_argument("code")
 
-    p = add("codebook", cmd_codebook, "list or dump built-in codes")
+    p = add("codebook", "list or dump built-in codes")
     p.add_argument("action", choices=["list", "dump"])
     p.add_argument("name", nargs="?")
 
-    p = add("logical", cmd_logical, "count encoded qubits on a torus")
+    p = add("logical", "count encoded qubits on a torus")
     p.add_argument("code")
     p.add_argument("--lengths", required=True, help="comma-separated torus lengths")
 
-    p = add("kernel", cmd_kernel, "box-local kernel generators of the constraint map")
+    p = add("kernel", "box-local kernel generators of the constraint map")
     p.add_argument("code")
     p.add_argument("--box", help="comma-separated box extents")
     p.add_argument("--certify", help="torus lengths for certification")
 
-    p = add("gauge", cmd_gauge, "gauge a matter model into a CSS code")
+    p = add("gauge", "gauge a matter model into a CSS code")
     p.add_argument("code")
     p.add_argument("--box", help="comma-separated box extents for the kernel search")
 
-    p = add("ungauge", cmd_ungauge, "read the matter model off a CSS code")
+    p = add("ungauge", "read the matter model off a CSS code")
     p.add_argument("code")
 
-    p = add("duality-check", cmd_duality_check, "ungauge then regauge, both orders")
+    p = add("duality-check", "ungauge then regauge, both orders")
     p.add_argument("code")
 
-    p = add("cluster", cmd_cluster, "build the cluster model of a matter model")
+    p = add("cluster", "build the cluster model of a matter model")
     p.add_argument("code")
     p.add_argument("--gauge-sublattice", choices=["matter", "gauge", "both"])
 
-    p = add("smallscale", cmd_smallscale, "dense state-vector checks on a tiny torus")
+    p = add("smallscale", "dense state-vector checks on a tiny torus")
     p.add_argument("--model", required=True, help="code file or codebook name")
     p.add_argument("--lengths", required=True)
     p.add_argument(
@@ -292,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except SystemExit as exc:
         if exc.code not in (0, None) and isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -137,8 +137,9 @@ def _gauge_types(code: CodeSpec, lo: int, hi: int, adjacency: GeneratorMap, name
     return gauged
 
 
-def gauge_sublattice(model: SymmetryModel, which: str) -> CodeSpec:
-    """Gauge the matter sublattice, the gauge sublattice, or both.
+def gauge_sublattice(model: SymmetryModel, which: str, name: str = "cluster") -> CodeSpec:
+    """Gauge the matter sublattice, the gauge sublattice, or both, of the
+    cluster model; the result is named `<name>-<which>-gauged`.
 
     Gauging one sublattice doubles the remaining one: each X or Z field
     there acquires a partner Z or X on the new qubits, and the box-local
@@ -153,7 +154,7 @@ def gauge_sublattice(model: SymmetryModel, which: str) -> CodeSpec:
     eta = model.constraint_map
     qm, t = model.matter_q, model.n_constraints
     cluster = build_cluster(model)
-    name = f"cluster-{which}-gauged"
+    name = f"{name}-{which}-gauged"
     if which == "gauge":
         return _gauge_types(cluster, qm, qm + t, eta.dagger(), name)
     # constraints on matter are the eta columns (from the gauge stabilizers)

@@ -47,20 +47,33 @@ def _library_bindings(spans) -> dict:
     return out
 
 
+def _run(argv) -> None:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli_main(argv) == 0, argv
+
+
 def test_traced_commands_reach_the_timed_functions():
     spans = _load_spans()
     before = _library_bindings(spans)
+    # the CLI parser is built once per process: build it before the tracer
+    # rebinds `cli.cmd_*`, so a parser that kept the command functions it saw
+    # then would bypass the traced ones
+    _run(COMMANDS[0])
     tracer = spans.Tracer()
     tracer.install()
     try:
         for argv in COMMANDS:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert cli_main(argv) == 0, argv
+            _run(argv)
     finally:
         tracer.uninstall()
     metrics = spans.aggregate(tracer.spans)
     for name in ("gauging.gauge_operator", "syzygy.bounded_kernel", "smallscale.build_G"):
         assert metrics[f"{name}.calls"] > 0, name
+    for argv in COMMANDS:
+        assert metrics[f"cli.{argv[0]}.calls"] > 0, argv[0]
+    traced = len(tracer.spans)
+    _run(COMMANDS[0])
+    assert len(tracer.spans) == traced
     after = _library_bindings(spans)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

@@ -4,7 +4,7 @@ import pytest
 
 from stabgauge import smallscale as smallscale_mod
 from stabgauge import torus as torus_mod
-from stabgauge.cli import cli_main
+from stabgauge.cli import build_parser, cli_main
 from stabgauge.codebook import dumps_code, get_code, loads_code
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of
 from stabgauge.poly import LaurentPoly
@@ -48,6 +48,34 @@ def test_missing_file_is_usage_error(capsys):
 def test_bad_arguments_exit_2(capsys):
     assert cli_main(["logical", "toric2d"]) == 2
     assert cli_main(["nonsense"]) == 2
+
+
+# help, usage errors, valid commands and a refused cap, with repeats
+MIXED = [
+    ["--help"],
+    ["nonsense"],
+    ["logical", "toric2d"],
+    ["verify", "toric2d", "--json"],
+    ["logical", "toric2d", "--lengths", "3,3", "--json"],
+    ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--cap", "5"],
+    ["--help"],
+    ["logical", "toric2d"],
+]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    reused = [run(capsys, *argv) for argv in MIXED]
+    alone = []
+    for argv in MIXED:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert reused == alone
+    assert [code for code, _, _ in reused] == [0, 2, 2, 0, 0, 2, 0, 2]
+    assert reused[0][1].startswith("usage: stabgauge")
 
 
 def test_duality_check_toric(capsys):
@@ -103,6 +131,7 @@ def test_cluster_gauge_sublattice(capsys):
     assert code == 0
     spec = loads_code(out)
     assert spec.q_per_site == 3
+    assert spec.name == "cluster_ising2d-both-gauged"
 
 
 def test_render_command(capsys):

@@ -7,7 +7,9 @@ its cap refusal and the `duality-check` and `logical` cases before every
 dense check took one shared lattice; the `kernel --certify` cases before
 the certificate restricted its window by a column mask and stopped
 recording certified tori on the kernel basis), so any change to what the CLI
-prints shows up here.  Cases that take longer than about half a second
+prints shows up here.  The exit-0 `cluster --gauge-sublattice` cases were
+re-recorded once, when their output `name` changed from
+`cluster-<which>-gauged` to `cluster_<code>-<which>-gauged`.  Cases that take longer than about half a second
 (such as `gauge` on the 3D codes) are left out to keep the suite fast.  The floating-point `max deviation`
 figures of `smallscale` are masked before hashing.
 
