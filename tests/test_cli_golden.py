@@ -6,7 +6,9 @@ restricted to the reachable basis rows; the per-check `smallscale` cases,
 its cap refusal and the `duality-check` and `logical` cases before every
 dense check took one shared lattice; the `kernel --certify` cases before
 the certificate restricted its window by a column mask and stopped
-recording certified tori on the kernel basis), so any change to what the CLI
+recording certified tori on the kernel basis; the `kernel` and `gauge` cases
+with boxes wider than the default before kernel search placed each candidate
+once instead of instantiating all its translates), so any change to what the CLI
 prints shows up here.  The exit-0 `cluster --gauge-sublattice` cases were
 re-recorded once, when their output `name` changed from
 `cluster-<which>-gauged` to `cluster_<code>-<which>-gauged`.  Cases that take longer than about half a second
@@ -69,6 +71,14 @@ CASES = [
     for fmt in ([], ["--json"])
 ] + [
     ["kernel", "ising2d", "--box", "0,0", "--certify", "6,6", "--json"],
+] + [
+    # boxes wider than each map's support: more candidates and in-box shifts
+    ["kernel", code, "--box", box, "--json"]
+    for code, box in (("fractal_ising", "2,2,2"), ("cubic", "2,2,2"),
+                      ("generalized_toric(3,1)", "2,2,2"), ("ising2d", "3,3"))
+] + [
+    ["kernel", "toric2d", "--box", "2,2", "--certify", "8,8", "--json"],
+    ["gauge", "fractal_ising", "--box", "2,2,2"],
 ]
 
 _DEVIATION = re.compile(r"max deviation [^;]*;")
