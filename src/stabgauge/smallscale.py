@@ -24,8 +24,9 @@ its gauging map once.  The qubit cap and the qubit permutation are set on
 the lattice only; no check takes either.
 
 Raw qubit coordinates are the torus bit layout of the `torus` module,
-matter types first and gauge types after them; every Pauli mask is read
-off `instantiate` and split into its X and Z blocks.
+matter types first and gauge types after them; one operator's Pauli masks
+are placed by `place_column` and all Gauss-law translates are read off
+`instantiate`, each split into its X and Z blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
-from .torus import TorusShape, instantiate, rank_on_torus
+from .torus import TorusShape, instantiate, place_column, rank_on_torus
 
 DEFAULT_QUBIT_CAP = 20
 CONSTRUCTION_TOL = 1e-12
@@ -118,15 +119,9 @@ class DenseLattice:
         """
         if op.q not in (self.model.matter_q, self.model.matter_q + self.model.n_constraints):
             raise ValueError("operator lives on neither the matter nor the enlarged lattice")
-        return self._raw_translates([op])[0]
-
-    def _raw_translates(self, ops: list[PauliColumn]) -> list[tuple[int, int]]:
-        """Raw (xmask, zmask) of every torus translate of the columns; the
-        translate of column k to site s is entry k * N + s."""
-        split = ops[0].q * self.n_sites
-        m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
-        cols = instantiate(m.dagger(), self.shape).data
-        return [(v & ((1 << split) - 1), v >> split) for v in cols]
+        split = op.q * self.n_sites
+        bits = place_column(op.entries(), self.shape)
+        return bits & ((1 << split) - 1), bits >> split
 
     def masks(self, op: PauliColumn) -> tuple[int, int]:
         """(xmask, zmask) of a Pauli column over lattice bits."""
@@ -137,7 +132,11 @@ class DenseLattice:
     def _raw_gauss_masks(self) -> list[tuple[int, int]]:
         """Raw masks of the Gauss-law generator translates, indexed by the
         raw matter bit q * N + s that each one flips."""
-        return self._raw_translates(pi_generators(self.model))
+        ops = pi_generators(self.model)
+        m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
+        split = ops[0].q * self.n_sites
+        cols = instantiate(m.dagger(), self.shape).data
+        return [(v & ((1 << split) - 1), v >> split) for v in cols]
 
     def constraint_masks(self) -> list[tuple[int, int]]:
         """All Gauss-law generator translates as (xmask, zmask) pairs."""

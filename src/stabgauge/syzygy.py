@@ -6,13 +6,14 @@ Column t * N + s is the coefficient of x^s in entry t of the unknown
 column, so on a torus where no product wraps the masked matrix is the
 system of the map on columns supported in the box.  Kernel search solves
 it on the smallest such torus, a preimage after moving the low corner of
-its search box to the origin, and `torus.read_column` reads solutions
-back.  Where a column sits follows one rule, `pauli.normalize_column`:
-the min corner of its support box goes to the origin.  Candidates are
-put in that form, which keeps them and their in-box shifts inside the box
-and collapses translates of one another, and the basis is then thinned
-to translation-inequivalent generators.  The same rule recognises a
-preimage target that is a translate of one column.
+its search box to the origin; `torus.place_column` places one column and
+`torus.read_column` reads solutions back.  Where a column sits follows
+one rule, `pauli.normalize_column`: the min corner of its support box
+goes to the origin.  Candidates are put in that form, which keeps them
+and their in-box shifts inside the box, where a shift moves every bit by
+its site index, and collapses translates of one another; the basis is
+then thinned to translation-inequivalent generators.  The same rule
+recognises a preimage target that is a translate of one column.
 
 Certification on a torus deliberately distinguishes local from global
 kernel elements.  Translates of box-local generators can never reach
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap, columns_equal_up_to_translation, normalize_column
 from .poly import LaurentPoly, support_box
-from .torus import TorusShape, instantiate, rank_on_torus, read_column, shape_of
+from .torus import TorusShape, instantiate, place_column, rank_on_torus, read_column, shape_of
 
 
 class NotSymmetricError(ValueError):
@@ -69,9 +70,8 @@ def _box_columns(m: GeneratorMap, shape: TorusShape, box: tuple[int, ...]):
     t * N + s is the coefficient of x^s in entry t of a column p supported
     in the box, so this is the system of m . p; callers drop the unit
     vectors of the cleared columns by the mask."""
-    n = shape.n_sites
-    sites = sum(1 << shape.site_index(c) for c in itertools.product(*(range(b + 1) for b in box)))
-    mask = sites * sum(1 << (t * n) for t in range(m.cols))
+    sites = LaurentPoly(m.dim, frozenset(itertools.product(*(range(b + 1) for b in box))))
+    mask = place_column((sites,) * m.cols, shape)
     mat = instantiate(m, shape)
     return Gf2Matrix(mat.rows, mat.cols, [r & mask for r in mat.data]), mask
 
@@ -116,19 +116,16 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
 
     candidates.sort(key=sort_key)
 
-    # row c * N + s is candidate c translated by s; candidates sit at site 0
-    n = shape.n_sites
-    cand_map = GeneratorMap.from_columns(m.dim, m.cols, candidates)
-    translates = instantiate(cand_map.dagger(), shape).data
     kept: list[tuple[LaurentPoly, ...]] = []
     span = Gf2Basis()  # box translates of the kept generators
-    for c, cand in enumerate(candidates):
-        if span.contains(translates[c * n]):
+    for cand in candidates:
+        bits = place_column(cand, shape)
+        if span.contains(bits):
             continue
         kept.append(cand)
         extent = support_box(cand)[1]
         for sh in itertools.product(*(range(b - e + 1) for b, e in zip(box, extent))):
-            span.add(translates[c * n + shape.site_index(sh)])
+            span.add(bits << shape.site_index(sh))
 
     for g in kept:
         if not all(p.is_zero() for p in m.apply(g)):
@@ -164,12 +161,10 @@ def bounded_preimage(m: GeneratorMap, target) -> tuple[LaurentPoly, ...]:
     lo = tuple(a - b for a, b in zip(tbox[0], mhi))
     box = tuple(h - l - a for h, l, a in zip(tbox[1], mlo, lo))
     # solve for x^-lo p in [0, box] against x^-lo target, neither of which
-    # wraps on this torus; row s of the target's translates is its shift by s
+    # wraps on this torus
     shape = shape_of(max(2, b + h - l + 1) for b, l, h in zip(box, mlo, mhi))
     system, _ = _box_columns(m, shape, box)
-    rhs_map = GeneratorMap.from_columns(dim, m.rows, [target]).dagger()
-    rhs = instantiate(rhs_map, shape).data[shape.site_index(tuple(-a for a in lo))]
-    x = system.solve(rhs)
+    x = system.solve(place_column([p.shift(tuple(-a for a in lo)) for p in target], shape))
     if x is None:
         raise NotSymmetricError("operator not symmetric: Z part has no local preimage")
     return tuple(p.shift(lo) for p in read_column(x, shape, m.cols))

@@ -1,18 +1,17 @@
 """Finite-torus instantiation of polynomial maps and encoded-qubit counting.
 
-Bit layout on a torus of N sites, used by every module: `instantiate` is
-the only code that sends polynomial terms to torus bits, and
-`read_column` the only one that reads them back.  Row r of a map at site
-s is bit `r * N + s`, and the translate of column t to site s is column
-`t * N + s`, with sites in row-major order (`TorusShape.sites`;
-`TorusShape.site` inverts `site_index`).
-Exponents are reduced mod the lengths, so terms that land on the same
-site cancel mod 2, as in R/(x^L - 1).  Rows are built as block shifts:
-row (r, s) is row (r, 0) translated by s inside every N-bit column
-block.  Columns come from the dagger: `instantiate(m.dagger(), shape)`
-is the transpose of `instantiate(m, shape)`, so the bits of one
-translate are `instantiate(m.dagger(), shape).data[t * N + s]`, and no
-torus matrix is ever transposed.
+Bit layout on a torus of N sites, used by every module: `place_column`
+is the only code that sends polynomial terms to torus bits, and its
+inverse `read_column` the only one that reads them back.  The term x^e
+in entry t of a column is bit `t * N + site_index(e)`, sites in
+row-major order (`TorusShape.sites`; `TorusShape.site` inverts
+`site_index`), and terms that fold onto one site cancel mod 2, as in
+R/(x^L - 1).  Row r of a map at site s is row `r * N + s` of
+`instantiate`, which places each row at site 0 through the antipode and
+translates it by s inside every N-bit column block.  Row t * N + s of
+`instantiate(m.dagger(), shape)`, the transpose, is column t placed
+after a shift by s, so no torus matrix is ever transposed.  To get one
+translate, place it; to get all of them, instantiate the dagger.
 
 Counting does each piece of work once per process, through two caches
 keyed by value (equal codes, maps and shapes share an entry), each of a
@@ -109,12 +108,8 @@ def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
         axes.append((length, stride, (length - 1) * stride, low, full ^ low))
     data = []
     for row in m.entries:
-        base = 0
-        for t, p in enumerate(row):
-            for e in p.terms:
-                # terms that fold onto one site cancel here
-                base ^= 1 << (t * n + shape.site_index(tuple(-c for c in e)))
-        translates = [base]
+        # bit t * N + j of row (r, 0) is the coefficient of x^-j in m[r][t]
+        translates = [place_column([p.antipode() for p in row], shape)]
         # translating by one step along an axis carries coordinate L - 1 to 0;
         # taking the axes slowest first keeps the sites in row-major order
         for length, stride, wrap, low, high in axes:
@@ -129,10 +124,21 @@ def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
     return Gf2Matrix(m.rows * n, m.cols * n, data)
 
 
+def place_column(col, shape: TorusShape) -> int:
+    """Torus bits of a polynomial column at site 0: the term x^e in entry t
+    is bit t * N + site_index(e).  Terms that fold onto one site cancel."""
+    n = shape.n_sites
+    bits = 0
+    for t, p in enumerate(col):
+        for e in p.terms:
+            bits ^= 1 << (t * n + shape.site_index(e))
+    return bits
+
+
 def read_column(bits: int, shape: TorusShape, n_entries: int) -> tuple[LaurentPoly, ...]:
     """The polynomial column whose torus bits are `bits`, the inverse of
-    placing one translate: bit t * N + s is the term x^s in entry t, with
-    the site read as coordinates in [0, L).  Only the set bits are walked."""
+    `place_column`: bit t * N + s is the term x^s in entry t, with the site
+    read as coordinates in [0, L).  Only the set bits are walked."""
     n = shape.n_sites
     terms = [[] for _ in range(n_entries)]
     while bits:

@@ -22,7 +22,9 @@ from stabgauge.torus import (
     count_logical,
     instantiate,
     logical_operator_gap,
+    place_column,
     rank_on_torus,
+    read_column,
     shape_of,
 )
 
@@ -231,6 +233,51 @@ def test_instantiate_columns_match_term_placement(case):
             shifted = [p.shift(site) for p in m.column(t)]
             assert cols[t * n + s] == naive_torus_column(shifted, shape)
 
+
+
+@st.composite
+def columns_in_torus(draw):
+    """A column of 1-3 entries with exponents in [0, L) on a torus of 1-3
+    axes of lengths 2-5, so no two terms fold onto one site."""
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim)))
+    exps = st.tuples(*[st.integers(0, l - 1) for l in lengths])
+    col = tuple(LaurentPoly(dim, frozenset(draw(st.lists(exps, max_size=4))))
+                for _ in range(draw(st.integers(1, 3))))
+    return col, shape_of(lengths)
+
+
+@given(columns_in_torus())
+@settings(max_examples=200, deadline=None)
+def test_read_column_inverts_place_column(case):
+    col, shape = case
+    assert read_column(place_column(col, shape), shape, len(col)) == col
+
+
+# x^3 and x land on one site of a length-2 circle and cancel
+@given(maps_on_tori())
+@example((GeneratorMap.from_rows(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
+@settings(max_examples=200, deadline=None)
+def test_placed_translate_is_row_of_instantiated_dagger(case):
+    m, shape = case
+    n = shape.n_sites
+    cols = [m.column(t) for t in range(m.cols)]
+    rows = instantiate(GeneratorMap.from_columns(m.dim, m.rows, cols).dagger(), shape).data
+    for t, col in enumerate(cols):
+        for s, site in enumerate(shape.sites()):
+            assert place_column([p.shift(site) for p in col], shape) == rows[t * n + s]
+
+
+@given(columns_in_torus())
+@settings(max_examples=200, deadline=None)
+def test_unwrapped_translate_is_placed_bits_shifted_by_site_index(case):
+    col, shape = case
+    top = [max((e[a] for p in col for e in p.terms), default=0) for a in range(shape.dim)]
+    rows = instantiate(GeneratorMap.from_columns(shape.dim, len(col), [col]).dagger(), shape).data
+    bits = place_column(col, shape)
+    for s, site in enumerate(shape.sites()):
+        if all(c + e < l for c, e, l in zip(site, top, shape.lengths)):
+            assert rows[s] == bits << shape.site_index(site)
 
 
 @given(maps_on_tori())
