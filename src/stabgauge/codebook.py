@@ -242,11 +242,17 @@ def code_from_dict(data: dict) -> CodeSpec:
         return CodeSpec(
             name=name, css=False, sigma=GeneratorMap.from_columns(dim, 2 * q, cols), notes=notes,
         )
-    x_cols = [c for c in cols if any(not p.is_zero() for p in c[:q])]
-    z_cols = [c[q:] for c in cols if c not in x_cols]
-    for c in x_cols:
-        if any(not p.is_zero() for p in c[q:]):
-            raise ValueError("CSS file contains a mixed generator")
+    # X generators are written first, so in a file with any X generator an
+    # all-zero generator that no Z generator precedes is an X generator
+    has_x = any(any(c[:q]) for c in cols)
+    x_cols, z_cols = [], []
+    for c in cols:
+        if any(c[:q]) or (has_x and not z_cols and not any(c[q:])):
+            if any(c[q:]):
+                raise ValueError("CSS file contains a mixed generator")
+            x_cols.append(c[:q])
+        else:
+            z_cols.append(c[q:])
     return CodeSpec(
         name=name, css=True, sigma_x=GeneratorMap.from_columns(dim, q, x_cols),
         sigma_z=GeneratorMap.from_columns(dim, q, z_cols), notes=notes,

@@ -13,6 +13,7 @@ from stabgauge.codebook import (
     get_code,
     loads_code,
 )
+from stabgauge.gauging import gauge, symmetry_model_from_code, ungauge_css
 from stabgauge.pauli import canonical_column_set, verify_stabilizer
 from stabgauge.torus import count_logical, shape_of
 
@@ -34,6 +35,33 @@ def test_json_round_trip_bit_exact(name):
         code.name, code.dim, code.q_per_site, code.css,
     )
     assert dumps_code(again) == text
+
+
+def _gauged_with_zero_x_generator():
+    """Gauged from Z constraints 1 + x and 1 + y on the first of two matter
+    types: the free second type gives an all-zero X generator."""
+    data = {"css": True, "dim": 2, "name": "half-free", "q_per_site": 2, "generators": [
+        {"x_block": [[], []], "z_block": [[[0, 0], [1, 0]], []]},
+        {"x_block": [[], []], "z_block": [[[0, 0], [0, 1]], []]},
+    ]}
+    code, _ = gauge(symmetry_model_from_code(code_from_dict(data)))
+    assert (code.n_x_types, code.n_z_types) == (2, 1)
+    assert not any(code.sigma_x.column(1))
+    return code
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(_gauged_with_zero_x_generator(), id="zero-x-generator"),
+    *(pytest.param(get_code(n), id=n) for n in ALL_NAMES + [
+        "generalized_toric(2,1)", "generalized_toric(3,1)", "generalized_toric(3,2)"]),
+])
+def test_loads_inverts_dumps(code):
+    assert loads_code(dumps_code(code)) == code
+
+
+def test_zero_x_generator_keeps_its_matter_type_after_a_round_trip():
+    code = loads_code(dumps_code(_gauged_with_zero_x_generator()))
+    assert ungauge_css(code).matter_q == 2
 
 
 def test_css_file_without_generators_round_trips():
