@@ -249,12 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
+    def add(name, help_, json_output=False):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("verify", "check that all stabilizer translates commute")
+    p = add("verify", "check that all stabilizer translates commute", json_output=True)
     p.add_argument("code", help="code file or codebook name")
 
     p = add("render", "per-site letter diagram of the generators")
@@ -264,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "dump"])
     p.add_argument("name", nargs="?")
 
-    p = add("logical", "count encoded qubits on a torus")
+    p = add("logical", "count encoded qubits on a torus", json_output=True)
     p.add_argument("code")
     p.add_argument("--lengths", required=True, help="comma-separated torus lengths")
 
-    p = add("kernel", "box-local kernel generators of the constraint map")
+    p = add("kernel", "box-local kernel generators of the constraint map", json_output=True)
     p.add_argument("code")
     p.add_argument("--box", help="comma-separated box extents")
     p.add_argument("--certify", help="torus lengths for certification")
@@ -280,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ungauge", "read the matter model off a CSS code")
     p.add_argument("code")
 
-    p = add("duality-check", "ungauge then regauge, both orders")
+    p = add("duality-check", "ungauge then regauge, both orders", json_output=True)
     p.add_argument("code")
 
     p = add("cluster", "build the cluster model of a matter model")
     p.add_argument("code")
     p.add_argument("--gauge-sublattice", choices=["matter", "gauge", "both"])
 
-    p = add("smallscale", "dense state-vector checks on a tiny torus")
+    p = add("smallscale", "dense state-vector checks on a tiny torus", json_output=True)
     p.add_argument("--model", required=True, help="code file or codebook name")
     p.add_argument("--lengths", required=True)
     p.add_argument(

@@ -50,6 +50,16 @@ def test_bad_arguments_exit_2(capsys):
     assert cli_main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["render", "cubic"], ["codebook", "list"], ["gauge", "ising2d"], ["ungauge", "toric2d"],
+    ["cluster", "ising2d"],
+])
+def test_commands_without_json_output_reject_the_flag(capsys, command):
+    code, out, err = run(capsys, *command, "--json")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --json" in err
+
+
 # help, usage errors, valid commands and a refused cap, with repeats
 MIXED = [
     ["--help"],
