@@ -13,7 +13,7 @@ from stabgauge.codebook import (
     get_code,
     loads_code,
 )
-from stabgauge.gauging import gauge, symmetry_model_from_code, ungauge_css
+from stabgauge.gauging import gauge, symmetry_model_from_code
 from stabgauge.pauli import canonical_column_set, verify_stabilizer
 from stabgauge.torus import count_logical, shape_of
 
@@ -57,11 +57,6 @@ def _gauged_with_zero_x_generator():
 ])
 def test_loads_inverts_dumps(code):
     assert loads_code(dumps_code(code)) == code
-
-
-def test_zero_x_generator_keeps_its_matter_type_after_a_round_trip():
-    code = loads_code(dumps_code(_gauged_with_zero_x_generator()))
-    assert ungauge_css(code).matter_q == 2
 
 
 def test_css_file_without_generators_round_trips():
