@@ -20,7 +20,10 @@ basis states.  The qubit cap still counts all matter and gauge qubits.
 
 Every check takes one `DenseLattice` (and the operator it checks, where it
 has one), so a run builds the lattice, its rows, its Gauss-law masks and
-its gauging map once.  The qubit cap and the qubit permutation are set on
+its gauging map once.  The lattice also resolves each Gauss-law mask once
+to a row gather on `rows` (`pauli_gather`, the one rule for a mask's signs
+and gather), which `build_G` and every gauged operator read; projector
+steps work in place on the gathered copy.  The qubit cap and the qubit permutation are set on
 the lattice only; no check takes either.
 
 Raw qubit coordinates are the torus bit layout of the `torus` module,
@@ -154,11 +157,46 @@ class DenseLattice:
         return np.sort(rows)
 
     @cached_property
+    def gauss_gathers(self) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+        """`pauli_gather` on `rows` of each Gauss-law generator, in
+        `constraint_masks` order: the masks that `build_G` and every gauged
+        operator apply, resolved once."""
+        return [pauli_gather(xm, zm, self.rows) for xm, zm in self.constraint_masks()]
+
+    @cached_property
     def gauging_map(self) -> tuple[np.ndarray, GaugeMapInfo]:
         """`build_G` of this lattice, built once and read-only."""
         g, info = build_G(self)
         g.flags.writeable = False
         return g, info
+
+
+def pauli_gather(xmask: int, zmask: int,
+                 rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(signs, gather) of X(xmask) Z(zmask) on a sorted row set: the operator
+    sends entry i to entry gather[i], times signs[i].
+
+    Either is None when its mask is 0; xmask must map the row set onto
+    itself (ValueError otherwise).
+    """
+    moved, gather = rows, None
+    if xmask:
+        moved = rows ^ xmask
+        gather = np.searchsorted(rows, moved)
+        if not np.array_equal(rows.take(gather, mode="clip"), moved):
+            raise ValueError(f"X mask {xmask:#x} leaves the row set")
+    signs = 1.0 - 2.0 * (np.bitwise_count(moved & zmask) & 1) if zmask else None
+    return signs, gather
+
+
+def _act(vec: np.ndarray, signs: np.ndarray | None, gather: np.ndarray | None) -> np.ndarray:
+    """A `pauli_gather` pair applied to one state or a block of states; the
+    input itself when both are None, a fresh array otherwise."""
+    out = vec if gather is None else vec[gather]
+    if signs is not None:
+        signs = signs.reshape((len(signs),) + (1,) * (vec.ndim - 1))
+        out = out * signs if out is vec else np.multiply(out, signs, out=out)
+    return out
 
 
 def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np.ndarray:
@@ -168,23 +206,19 @@ def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np
     column; entry i is the amplitude of basis state rows[i], for a sorted
     row set that xmask must map onto itself (ValueError otherwise).
     """
-    out = vec
-    if zmask:
-        signs = 1.0 - 2.0 * (np.bitwise_count(rows & zmask) & 1)
-        out = out * signs.reshape((len(rows),) + (1,) * (vec.ndim - 1))
-    if xmask:
-        moved = rows ^ xmask
-        src = np.searchsorted(rows, moved)
-        if not np.array_equal(rows.take(src, mode="clip"), moved):
-            raise ValueError(f"X mask {xmask:#x} leaves the row set")
-        out = out[src]
-    return out
+    return _act(vec, *pauli_gather(xmask, zmask, rows))
 
 
-def _apply_projectors(vec: np.ndarray, masks: list[tuple[int, int]],
-                      rows: np.ndarray) -> np.ndarray:
-    for xm, zm in masks:
-        vec = 0.5 * (vec + apply_pauli(vec, xm, zm, rows))
+def _apply_projectors(vec: np.ndarray,
+                      gathers: list[tuple[np.ndarray | None, np.ndarray | None]]) -> np.ndarray:
+    """Product of the projectors (1 + P)/2 over `pauli_gather` pairs P; each
+    step is 0.5 * (vec + P vec), computed in place on the fresh P vec."""
+    for signs, gather in gathers:
+        moved = _act(vec, signs, gather)
+        if moved is not vec:
+            moved += vec
+            moved *= 0.5
+            vec = moved
     return vec
 
 
@@ -212,12 +246,11 @@ def build_G(lat: DenseLattice) -> tuple[np.ndarray, GaugeMapInfo]:
     symmetric-subspace projector; K is the symmetry group of the model on
     this torus.  Checks read it from `DenseLattice.gauging_map`.
     """
-    masks = lat.constraint_masks()
     eta = lat.model.constraint_map
     # K is the torus kernel of the dagger of eta, whose rank is eta's
     dim_k = eta.rows * lat.n_sites - rank_on_torus(eta, lat.shape)
-    cols = _apply_projectors(_matter_basis_states(lat)[0], masks, lat.rows)
-    exponent = len(masks) - dim_k
+    cols = _apply_projectors(_matter_basis_states(lat)[0], lat.gauss_gathers)
+    exponent = len(lat.gauss_gathers) - dim_k
     cols *= 2.0 ** (exponent / 2.0)
     return cols, GaugeMapInfo(exponent, dim_k)
 
@@ -239,7 +272,8 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     """
     dim = 1 << lat.n_matter
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    return _apply_projectors(np.eye(dim), [(b, 0) for b in eta_dag_t.nullspace()], np.arange(dim))
+    full = np.arange(dim)
+    return _apply_projectors(np.eye(dim), [pauli_gather(b, 0, full) for b in eta_dag_t.nullspace()])
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -255,11 +289,10 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     operator on lat.rows, to one state or a block of states: the
     disentangler-conjugated image followed by the Gauss-law projector."""
     conj = conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
-    xm, zm = lat.masks(conj)
-    masks = lat.constraint_masks()
+    image = pauli_gather(*lat.masks(conj), lat.rows)
 
     def act(vec: np.ndarray) -> np.ndarray:
-        return _apply_projectors(apply_pauli(vec, xm, zm, lat.rows), masks, lat.rows)
+        return _apply_projectors(_act(vec, *image), lat.gauss_gathers)
 
     return act
 
@@ -292,10 +325,9 @@ def check_lemma2(lat: DenseLattice) -> CheckReport:
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
     g, _ = lat.gauging_map
-    act = gauged_operator_action(lat, op)
-    lhs = act(g)
-    rhs = g @ matter_operator_dense(lat, op)
-    dev = float(np.max(np.abs(lhs - rhs)))
+    diff = g @ matter_operator_dense(lat, op)
+    diff -= gauged_operator_action(lat, op)(g)
+    dev = float(np.max(np.abs(diff, out=diff)))
     return CheckReport(
         name="intertwining",
         passed=dev <= DERIVED_TOL,
@@ -471,9 +503,12 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
 
     g, _ = lat.gauging_map
     contained = True
-    for xm, zm in masks + flat_masks:
-        moved = apply_pauli(g, xm, zm, lat.rows)
-        if np.max(np.abs(moved - g)) > DERIVED_TOL:
+    for signs, gather in lat.gauss_gathers + [pauli_gather(0, zm, lat.rows) for _, zm in flat_masks]:
+        moved = _act(g, signs, gather)
+        if moved is g:
+            continue
+        moved -= g
+        if np.max(np.abs(moved, out=moved)) > DERIVED_TOL:
             contained = False
             break
     svals = np.linalg.svd(g, compute_uv=False)

@@ -31,6 +31,7 @@ from stabgauge.smallscale import (
     check_lemma3,
     check_matrix_elements,
     matter_operator_dense,
+    pauli_gather,
     symmetric_projector,
 )
 from stabgauge.torus import shape_of
@@ -321,6 +322,26 @@ def test_apply_pauli_rejects_x_mask_outside_rows(ising_model):
     lone_gauge_x = lat.lift_mask(1 << lat.n_matter)
     with pytest.raises(ValueError):
         apply_pauli(np.ones(len(lat.rows)), lone_gauge_x, 0, lat.rows)
+    with pytest.raises(ValueError):
+        pauli_gather(lone_gauge_x, 1, lat.rows)
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["unpermuted", "permuted"])
+def test_cached_gauss_gathers_match_apply_pauli(ising_model, seed):
+    # entry i of the image is entry gather[i] of the input, times signs[i]
+    base = DenseLattice(ising_model, SHAPE)
+    perm = None if seed is None else tuple(
+        int(i) for i in np.random.default_rng(seed).permutation(base.n_total))
+    lat = DenseLattice(ising_model, SHAPE, perm=perm)
+    block = np.random.default_rng(5).standard_normal((len(lat.rows), 3))
+    masks = lat.constraint_masks()
+    assert lat.gauss_gathers is lat.gauss_gathers
+    assert len(lat.gauss_gathers) == len(masks)
+    for (signs, gather), (xm, zm) in zip(lat.gauss_gathers, masks, strict=True):
+        moved = block[gather]
+        if signs is not None:
+            moved = moved * signs[:, None]
+        assert np.array_equal(moved, apply_pauli(block, xm, zm, lat.rows))
 
 
 def _oracle_lattices():
