@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabgauge
 from stabgauge import smallscale as smallscale_mod
 from stabgauge import torus as torus_mod
 from stabgauge.cli import build_parser, cli_main
@@ -321,3 +326,21 @@ def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
     code, _, _ = run(capsys, "smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", "all")
     assert code == 0
     assert len(built) == 1
+
+
+def test_smallscale_all_never_imports_numpy_random():
+    # numpy.random costs a fresh process 14-20 ms to import; no dense check
+    # draws random states, so a CLI run must not load it
+    script = (
+        "import contextlib, io, sys\n"
+        "from stabgauge.cli import cli_main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli_main(['smallscale', '--model', 'ising2d', '--lengths', '2,2',"
+        " '--check', 'all', '--json'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(stabgauge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -7,6 +7,7 @@ from naive_oracle import (
     naive_torus_column,
 )
 
+from stabgauge import smallscale
 from stabgauge.codebook import get_code
 from stabgauge.gauging import (
     NotSymmetricError,
@@ -216,12 +217,23 @@ def test_claim1_recovers_operators(ising_model):
         assert rep.details["region_injective"]
 
 
-def test_matrix_elements_randomized(ising_model):
+def test_matrix_elements_exhaustive(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     for op in ops(ising_model):
         rep = check_matrix_elements(lat, op)
         assert rep.passed and rep.max_deviation <= 1e-10
-        assert rep.details == {"trials": 20}
+        assert rep.details == {"states": 16}
+
+
+def test_matrix_elements_fail_for_a_wrong_gauged_operator(ising_model, monkeypatch):
+    # single X sandwiched with the gauged bond in its place must not pass
+    lat = DenseLattice(ising_model, SHAPE)
+    single_x, bond = ops(ising_model)
+    action = smallscale.gauged_operator_action
+    monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
+    rep = check_matrix_elements(lat, single_x)
+    assert not rep.passed
+    assert rep.max_deviation > DERIVED_TOL
 
 
 def test_groundspace_span_ising(ising_model):
