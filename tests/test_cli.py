@@ -249,6 +249,19 @@ def _write_code(tmp_path, generators, dim=1, q=1):
     return str(path)
 
 
+def test_duality_check_passes_on_gauged_code_with_a_free_matter_type(tmp_path, capsys):
+    # ising2d bonds on matter type 0 only: the gauged code has an all-zero X generator
+    bonds = [{"x_block": [[], []], "z_block": [[[0, 0], [1, 0]], []]},
+             {"x_block": [[], []], "z_block": [[[0, 0], [0, 1]], []]}]
+    code, gauged, _ = run(capsys, "gauge", _write_code(tmp_path, bonds, dim=2, q=2))
+    assert code == 0
+    path = tmp_path / "gauged.json"
+    path.write_text(gauged)
+    code, out, _ = run(capsys, "duality-check", str(path))
+    assert code == 0, out
+    assert "pass" in out
+
+
 @pytest.mark.parametrize("dim, q, lengths, k", [(1, 1, "4", 4), (2, 2, "3,3", 18)])
 def test_logical_on_code_without_generators(tmp_path, capsys, dim, q, lengths, k):
     # every qubit is logical: k = Q * N and the gap is 2k

@@ -102,6 +102,22 @@ def test_double_gauge_round_trip(name):
     assert double_gauge_check(get_code(name)).passed
 
 
+def free_matter_model():
+    # ising2d bonds on matter type 0; matter type 1 is under no constraint
+    zero = LaurentPoly.zero(2)
+    return SymmetryModel(GeneratorMap.from_rows(2, [[p("1 + x"), p("1 + y")], [zero, zero]]))
+
+
+def test_double_gauge_round_trip_with_an_all_zero_generator():
+    # the free matter type gauges to an all-zero X generator, which the sector-
+    # swapped round trip expects as an all-zero Z generator; regauging never
+    # yields one, and a generator with no support stabilizes nothing
+    code, _ = gauge(free_matter_model())
+    assert not any(code.sigma_x.column(1))
+    report = double_gauge_check(code)
+    assert report.forward_match and report.dual_match and report.passed
+
+
 def test_double_gauge_catches_corruption():
     # thicken the Z generator by a non-monomial factor: the code still
     # commutes but the regauged kernel generator no longer matches it
