@@ -23,8 +23,12 @@ has one), so a run builds the lattice, its rows, its Gauss-law masks and
 its gauging map once.  The lattice also resolves each Gauss-law mask once
 to a row gather on `rows` (`pauli_gather`, the one rule for a mask's signs
 and gather), which `build_G` and every gauged operator read; projector
-steps work in place on the gathered copy.  The qubit cap and the qubit permutation are set on
-the lattice only; no check takes either.
+steps work in place on the gathered copy.  The qubit cap and the qubit
+permutation are set on the lattice only; no check takes either.
+
+`check_matrix_elements` compares every matrix element between a symmetric
+basis state and a basis state, which covers every pair of states, so no
+check draws random states.
 
 Raw qubit coordinates are the torus bit layout of the `torus` module,
 matter types first and gauge types after them; one operator's Pauli masks
@@ -171,8 +175,8 @@ class DenseLattice:
 
 def pauli_gather(xmask: int, zmask: int,
                  rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(signs, gather) of X(xmask) Z(zmask) on a sorted row set: the operator
-    sends entry i to entry gather[i], times signs[i].
+    """(signs, gather) of X(xmask) Z(zmask) on a sorted row set: entry i of
+    the image is entry gather[i] of the input, times signs[i].
 
     Either is None when its mask is 0; xmask must map the row set onto
     itself (ValueError otherwise).
@@ -210,7 +214,8 @@ def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np
 def _apply_projectors(vec: np.ndarray,
                       gathers: list[tuple[np.ndarray | None, np.ndarray | None]]) -> np.ndarray:
     """Product of the projectors (1 + P)/2 over `pauli_gather` pairs P; each
-    step is 0.5 * (vec + P vec), computed in place on the fresh P vec."""
+    step is 0.5 * (vec + P vec), computed in place on the fresh P vec, and
+    the identity P leaves vec as it is."""
     for signs, gather in gathers:
         moved = _act(vec, signs, gather)
         if moved is not vec:
@@ -271,7 +276,8 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     dim = 1 << lat.n_matter
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
     full = np.arange(dim)
-    return _apply_projectors(np.eye(dim), [pauli_gather(b, 0, full) for b in eta_dag_t.nullspace()])
+    gathers = [pauli_gather(b, 0, full) for b in eta_dag_t.nullspace()]
+    return _apply_projectors(np.eye(dim), gathers)
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -495,7 +501,8 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
 
     g, _ = lat.gauging_map
     contained = True
-    for signs, gather in lat.gauss_gathers + [pauli_gather(0, zm, lat.rows) for _, zm in flat_masks]:
+    field_gathers = [pauli_gather(0, zm, lat.rows) for _, zm in flat_masks]
+    for signs, gather in lat.gauss_gathers + field_gathers:
         moved = _act(g, signs, gather)
         if moved is g:
             continue
