@@ -12,19 +12,22 @@ gauged basis states is compared against the ground space of the
 constraint projectors together with the full torus kernel of the
 constraint map; the holonomy sector count is reported alongside.
 
-Every Gauss-law generator is pure X, so every state the checks touch lies
-in `DenseLattice.rows`, the XOR span of the matter bits and the Gauss-law
-X masks, and blocks hold those rows only.  Amplitudes off them are exact
-zeros; each one on them gets the same float operations as over all 2^n
-basis states.  The qubit cap still counts all matter and gauge qubits.
+Every Gauss-law generator is the disentangler image of one single-site
+matter X: a pure X mask W_i holding matter bit i and gauge bits only.  So
+a state of the enlarged lattice is held as a `Block`, one Gauss-law coset
+per column: column j has amplitude vals[j, u] on basis state
+reps[j] ^ W(u), for a gauge-only rep and W(u) the product of the W_i over
+the matter bits of u (`DenseLattice.coset_rows`).  Paulis, projectors and
+products act on that form without a row lookup, and each amplitude gets
+the same float operations as over all 2^n basis states.  The qubit cap
+counts all matter and gauge qubits; masks are int64, so no lattice
+exceeds 63 qubits.
 
 Every check takes one `DenseLattice` (and the operator it checks, where it
-has one), so a run builds the lattice, its rows, its Gauss-law masks and
-its gauging map once.  The lattice also resolves each Gauss-law mask once
-to a row gather on `rows` (`pauli_gather`, the one rule for a mask's signs
-and gather), which `build_G` and every gauged operator read; projector
-steps work in place on the gathered copy.  The qubit cap and the qubit
-permutation are set on the lattice only; no check takes either.
+has one), so a run builds the lattice, its coset coordinates and its
+gauging map once; the qubit cap and the qubit permutation are set on the
+lattice only.  Matrices on the matter space alone are acted on by
+`apply_pauli`.
 
 `check_matrix_elements` compares every matrix element between a symmetric
 basis state and a basis state, which covers every pair of states, so no
@@ -56,6 +59,7 @@ from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_
 from .torus import TorusShape, instantiate, place_column, rank_on_torus
 
 DEFAULT_QUBIT_CAP = 20
+MASK_QUBIT_LIMIT = 63
 CONSTRUCTION_TOL = 1e-12
 DERIVED_TOL = 1e-10
 
@@ -85,6 +89,10 @@ class DenseLattice:
         if n > self.cap:
             raise QubitCapExceeded(
                 f"{n} qubits exceeds the cap of {self.cap}"
+            )
+        if n > MASK_QUBIT_LIMIT:
+            raise QubitCapExceeded(
+                f"{n} qubits exceeds the {MASK_QUBIT_LIMIT}-qubit limit of int64 bit masks"
             )
         if self.perm is not None and sorted(self.perm) != list(range(n)):
             raise ValueError("perm must be a permutation of all qubits")
@@ -148,29 +156,44 @@ class DenseLattice:
         return [(self.lift_mask(xm), self.lift_mask(zm)) for xm, zm in self._raw_gauss_masks]
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """Sorted basis states that every dense state is supported on: the
-        span of the matter bits and the Gauss-law X masks."""
-        basis = Gf2Basis([self.lift_mask(1 << i) for i in range(self.n_matter)]
-                         + [xm for xm, _ in self.constraint_masks()])
+    def coset_rows(self) -> np.ndarray:
+        """W(u) for every matter pattern u in raw bit order: the product of
+        the Gauss-law X masks of the matter bits set in u.  A `Block` column
+        with coset rep r holds its amplitude at u on basis state r ^ W(u)."""
         rows = np.zeros(1, dtype=np.int64)
-        for v in basis.rows.values():
-            rows = np.concatenate([rows, rows ^ v])
-        return np.sort(rows)
+        matter = self.lift_mask((1 << self.n_matter) - 1)
+        for i, (xm, zm) in enumerate(self.constraint_masks()):
+            assert zm == 0 and xm & matter == self.lift_mask(1 << i), "Gauss-law mask is not a matter X"
+            rows = np.concatenate([rows, rows ^ xm])
+        return rows
+
+    def split_mask(self, xmask: int) -> tuple[int, int]:
+        """(rep, u) of an X mask over lattice bits: u holds its matter bits in
+        raw order and rep = xmask ^ W(u) is gauge-only."""
+        u = sum(1 << i for i in range(self.n_matter) if xmask & self.lift_mask(1 << i))
+        return xmask ^ int(self.coset_rows[u]), u
 
     @cached_property
-    def gauss_gathers(self) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-        """`pauli_gather` on `rows` of each Gauss-law generator, in
-        `constraint_masks` order: the masks that `build_G` and every gauged
-        operator apply, resolved once."""
-        return [pauli_gather(xm, zm, self.rows) for xm, zm in self.constraint_masks()]
-
-    @cached_property
-    def gauging_map(self) -> tuple[np.ndarray, GaugeMapInfo]:
+    def gauging_map(self) -> tuple[Block, GaugeMapInfo]:
         """`build_G` of this lattice, built once and read-only."""
         g, info = build_G(self)
-        g.flags.writeable = False
+        g.reps.flags.writeable = False
+        g.vals.flags.writeable = False
         return g, info
+
+
+@dataclass(frozen=True)
+class Block:
+    """States of the enlarged lattice, one Gauss-law coset per column:
+    column j has amplitude vals[j, u] on basis state reps[j] ^ W(u), for
+    W = `DenseLattice.coset_rows`, and zero everywhere else."""
+
+    reps: np.ndarray
+    vals: np.ndarray
+
+
+def _parity_signs(bits: np.ndarray) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
 def pauli_gather(xmask: int, zmask: int,
@@ -187,18 +210,8 @@ def pauli_gather(xmask: int, zmask: int,
         gather = np.searchsorted(rows, moved)
         if not np.array_equal(rows.take(gather, mode="clip"), moved):
             raise ValueError(f"X mask {xmask:#x} leaves the row set")
-    signs = 1.0 - 2.0 * (np.bitwise_count(moved & zmask) & 1) if zmask else None
+    signs = _parity_signs(moved & zmask) if zmask else None
     return signs, gather
-
-
-def _act(vec: np.ndarray, signs: np.ndarray | None, gather: np.ndarray | None) -> np.ndarray:
-    """A `pauli_gather` pair applied to one state or a block of states; the
-    input itself when both are None, a fresh array otherwise."""
-    out = vec if gather is None else vec[gather]
-    if signs is not None:
-        signs = signs.reshape((len(signs),) + (1,) * (vec.ndim - 1))
-        out = out * signs if out is vec else np.multiply(out, signs, out=out)
-    return out
 
 
 def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np.ndarray:
@@ -206,23 +219,90 @@ def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np
 
     vec is one state or a (len(rows), m) block of states, acted on column by
     column; entry i is the amplitude of basis state rows[i], for a sorted
-    row set that xmask must map onto itself (ValueError otherwise).
+    row set that xmask must map onto itself (ValueError otherwise).  The
+    input itself when both masks are 0, a fresh array otherwise.
     """
-    return _act(vec, *pauli_gather(xmask, zmask, rows))
+    signs, gather = pauli_gather(xmask, zmask, rows)
+    out = vec if gather is None else vec[gather]
+    if signs is not None:
+        signs = signs.reshape((len(signs),) + (1,) * (vec.ndim - 1))
+        out = out * signs if out is vec else np.multiply(out, signs, out=out)
+    return out
 
 
-def _apply_projectors(vec: np.ndarray,
-                      gathers: list[tuple[np.ndarray | None, np.ndarray | None]]) -> np.ndarray:
-    """Product of the projectors (1 + P)/2 over `pauli_gather` pairs P; each
-    step is 0.5 * (vec + P vec), computed in place on the fresh P vec, and
-    the identity P leaves vec as it is."""
-    for signs, gather in gathers:
-        moved = _act(vec, signs, gather)
-        if moved is not vec:
-            moved += vec
-            moved *= 0.5
-            vec = moved
-    return vec
+def _average_over_flips(vals: np.ndarray, flips) -> np.ndarray:
+    """Product of the projectors (1 + X_f)/2 over X flips f of the last
+    axis's index u: each step is 0.5 * (vals + vals[..., u ^ f]), computed
+    in place on the fresh gathered copy."""
+    u = np.arange(vals.shape[-1])
+    for f in flips:
+        moved = vals[..., u ^ f]
+        moved += vals
+        moved *= 0.5
+        vals = moved
+    return vals
+
+
+def pauli_on_block(lat: DenseLattice, block: Block, xmask: int, zmask: int) -> Block:
+    """X(xmask) Z(zmask) on a block, with `apply_pauli`'s sign convention.
+
+    With xmask = rep ^ W(ux), every column's rep moves by rep and its
+    matter pattern u by ux; the sign at the moved basis state factors into
+    one per column (from reps & zmask) and one per u (from W(u) & zmask).
+    The input itself when both masks are 0, fresh arrays otherwise.
+    """
+    rep, ux = lat.split_mask(xmask)
+    reps, vals = block.reps, block.vals
+    if zmask:
+        vals = vals * np.outer(_parity_signs(reps & zmask), _parity_signs(lat.coset_rows & zmask))
+    if ux:
+        vals = vals[:, np.arange(vals.shape[1]) ^ ux]
+    return Block(reps ^ rep if rep else reps, vals)
+
+
+def _project_gauss_law(lat: DenseLattice, vals: np.ndarray) -> np.ndarray:
+    """The Gauss-law projectors on block values: X(W_i) flips bit i of u."""
+    return _average_over_flips(vals, [1 << i for i in range(lat.n_matter)])
+
+
+def add_blocks(a: Block, b: Block) -> Block:
+    """Column-by-column sum of two blocks over the same cosets; ValueError
+    when a column pair lies in different cosets."""
+    if not np.array_equal(a.reps, b.reps):
+        raise ValueError("blocks in different Gauss-law cosets cannot be summed")
+    return Block(a.reps, a.vals + b.vals)
+
+
+def block_gram(a: Block, b: Block) -> np.ndarray:
+    """a^T b: columns in different cosets have disjoint supports."""
+    out = a.vals @ b.vals.T
+    out[a.reps[:, None] != b.reps[None, :]] = 0.0
+    return out
+
+
+def _max_deviation(a: Block, b: Block) -> float:
+    """Largest |a - b| over all basis states: a column pair in different
+    cosets has disjoint supports, so it deviates by its larger magnitude."""
+    same = a.reps == b.reps
+    apart = np.maximum(np.max(np.abs(a.vals), axis=1), np.max(np.abs(b.vals), axis=1))
+    diff = np.max(np.abs(a.vals[same] - b.vals[same]), axis=1)
+    return float(max(np.max(diff, initial=0.0), np.max(apart[~same], initial=0.0)))
+
+
+def block_rank(block: Block) -> int:
+    """Rank of a block by float SVD, threshold 1e-9 * max(1, s_max).
+
+    Columns in different cosets are orthogonal, so the singular values are
+    those of the per-coset blocks, taken in one batched SVD; every coset
+    must hold equally many columns, as the cosets of `build_G` do.
+    """
+    _, counts = np.unique(block.reps, return_counts=True)
+    if counts.min() != counts.max():
+        raise ValueError("cosets hold unequal column counts")
+    order = np.argsort(block.reps, kind="stable")
+    stacked = block.vals[order].reshape(len(counts), counts[0], -1)
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(svals > 1e-9 * max(1.0, np.max(svals))))
 
 
 @dataclass(frozen=True)
@@ -231,17 +311,14 @@ class GaugeMapInfo:
     symmetry_dim: int
 
 
-def _matter_basis_states(lat: DenseLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Each matter basis state adjoined with all-zero gauge qubits, as the
-    columns of a block over lat.rows, and the position each one occupies."""
+def _matter_basis_states(lat: DenseLattice) -> Block:
+    """Each matter basis state u adjoined with all-zero gauge qubits: the
+    basis state lift(u), at pattern u of the coset with rep lift(u) ^ W(u)."""
     dim_m = 1 << lat.n_matter
-    at = np.searchsorted(lat.rows, lat.lift_mask(np.arange(dim_m)))
-    block = np.zeros((len(lat.rows), dim_m))
-    block[at, np.arange(dim_m)] = 1.0
-    return block, at
+    return Block(lat.coset_rows ^ lat.lift_mask(np.arange(dim_m)), np.eye(dim_m))
 
 
-def build_G(lat: DenseLattice) -> tuple[np.ndarray, GaugeMapInfo]:
+def build_G(lat: DenseLattice) -> tuple[Block, GaugeMapInfo]:
     """Dense state gauging map: project each matter basis state adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
@@ -252,10 +329,11 @@ def build_G(lat: DenseLattice) -> tuple[np.ndarray, GaugeMapInfo]:
     eta = lat.model.constraint_map
     # K is the torus kernel of the dagger of eta, whose rank is eta's
     dim_k = eta.rows * lat.n_sites - rank_on_torus(eta, lat.shape)
-    cols = _apply_projectors(_matter_basis_states(lat)[0], lat.gauss_gathers)
-    exponent = len(lat.gauss_gathers) - dim_k
-    cols *= 2.0 ** (exponent / 2.0)
-    return cols, GaugeMapInfo(exponent, dim_k)
+    basis = _matter_basis_states(lat)
+    vals = _project_gauss_law(lat, basis.vals)
+    exponent = lat.n_matter - dim_k
+    vals *= 2.0 ** (exponent / 2.0)
+    return Block(basis.reps, vals), GaugeMapInfo(exponent, dim_k)
 
 
 def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
@@ -266,6 +344,14 @@ def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
     return apply_pauli(np.eye(dim), *lat.raw_masks(op), np.arange(dim))
 
 
+def _times_matter_operator(block: Block, mat: np.ndarray) -> Block:
+    """block @ mat for a signed permutation matrix mat, a matter Pauli:
+    column k is the block's column src[k] times mat[src[k], k]."""
+    src = np.argmax(mat != 0, axis=0)
+    signs = mat[src, np.arange(len(src))]
+    return Block(block.reps[src], block.vals[src] * signs[:, None])
+
+
 def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     """Average of the symmetry group's X products on the matter space.
 
@@ -273,11 +359,8 @@ def symmetric_projector(lat: DenseLattice) -> np.ndarray:
     constraint map, as masks over raw matter coordinates; the product of
     (1 + X_b)/2 over a basis of it is the group average.
     """
-    dim = 1 << lat.n_matter
     eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    full = np.arange(dim)
-    gathers = [pauli_gather(b, 0, full) for b in eta_dag_t.nullspace()]
-    return _apply_projectors(np.eye(dim), gathers)
+    return _average_over_flips(np.eye(1 << lat.n_matter), eta_dag_t.nullspace())
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -290,13 +373,13 @@ def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
 
 def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     """Return a function applying the gauged image of a symmetric matter
-    operator on lat.rows, to one state or a block of states: the
-    disentangler-conjugated image followed by the Gauss-law projector."""
-    conj = conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
-    image = pauli_gather(*lat.masks(conj), lat.rows)
+    operator to a block: the disentangler-conjugated image followed by the
+    Gauss-law projector."""
+    image = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
 
-    def act(vec: np.ndarray) -> np.ndarray:
-        return _apply_projectors(_act(vec, *image), lat.gauss_gathers)
+    def act(block: Block) -> Block:
+        moved = pauli_on_block(lat, block, *image)
+        return Block(moved.reps, _project_gauss_law(lat, moved.vals))
 
     return act
 
@@ -317,7 +400,7 @@ class CheckReport:
 def check_lemma2(lat: DenseLattice) -> CheckReport:
     """Gram matrix of the gauging map versus the symmetric-subspace projector."""
     g, info = lat.gauging_map
-    dev = float(np.max(np.abs(g.T @ g - symmetric_projector(lat))))
+    dev = float(np.max(np.abs(block_gram(g, g) - symmetric_projector(lat))))
     return CheckReport(
         name="gram-vs-symmetric-projector",
         passed=dev <= DERIVED_TOL,
@@ -329,9 +412,8 @@ def check_lemma2(lat: DenseLattice) -> CheckReport:
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
     g, _ = lat.gauging_map
-    diff = g @ matter_operator_dense(lat, op)
-    diff -= gauged_operator_action(lat, op)(g)
-    dev = float(np.max(np.abs(diff, out=diff)))
+    dev = _max_deviation(_times_matter_operator(g, matter_operator_dense(lat, op)),
+                         gauged_operator_action(lat, op)(g))
     return CheckReport(
         name="intertwining",
         passed=dev <= DERIVED_TOL,
@@ -373,27 +455,30 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     # every gauge X bit of the region's Gauss-law generators lies in the
     # region, so their gauge patterns must be independent
     region_ok = len(Gf2Basis(xm >> nm for xm, _ in pi_raw)) == len(gamma_m)
-    pi_masks = [(lat.lift_mask(xm), lat.lift_mask(zm)) for xm, zm in pi_raw]
+    # the twirl's matter patterns, each subset of gamma_m in binary order
+    patterns = [0]
+    for raw in gamma_m:
+        patterns += [p | 1 << raw for p in patterns]
 
     proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
 
+    def zero_on(block: Block, mask: int) -> np.ndarray:
+        # block values with every basis state outside the all-zero state of mask cleared
+        rows = block.reps[:, None] ^ lat.coset_rows[None, :]
+        return np.where((rows & mask) == 0, block.vals, 0.0)
+
     op_x, op_z = lat.masks(op)
-    basis, basis_at = _matter_basis_states(lat)
-    zero_sel = (lat.rows & proj_mask) == 0
-    out = np.zeros_like(basis)
-    for subset in range(1 << len(gamma_m)):
-        xm = zm = 0
-        for k in range(len(gamma_m)):
-            if (subset >> k) & 1:
-                pxm, pzm = pi_masks[k]
-                xm ^= pxm
-                zm ^= pzm
-        term = apply_pauli(basis, xm, zm, lat.rows)
-        term = apply_pauli(term, op_x, op_z, lat.rows)
-        term = np.where(zero_sel[:, None], term, 0.0)
-        term = apply_pauli(term, xm, zm, lat.rows)
-        out += term
-    recovered = out[basis_at]
+    basis = _matter_basis_states(lat)
+    out = None
+    for pattern in patterns:
+        # the product of the Gauss-law generators of the pattern's matter bits
+        twirl = int(lat.coset_rows[pattern])
+        term = pauli_on_block(lat, basis, twirl, 0)
+        term = pauli_on_block(lat, term, op_x, op_z)
+        term = pauli_on_block(lat, Block(term.reps, zero_on(term, proj_mask)), twirl, 0)
+        out = term if out is None else add_blocks(out, term)
+    # read off at each matter basis state u with all-zero gauge qubits
+    recovered = zero_on(out, lat.lift_mask(((1 << lat.n_gauge) - 1) << nm)).T
     expected = matter_operator_dense(lat, op)
     dev = float(np.max(np.abs(recovered - expected)))
     return CheckReport(
@@ -415,7 +500,7 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """
     g, _ = lat.gauging_map
     proj = symmetric_projector(lat)
-    sandwich = g.T @ gauged_operator_action(lat, op)(g)
+    sandwich = block_gram(g, gauged_operator_action(lat, op)(g))
     diff = proj @ matter_operator_dense(lat, op)
     diff -= proj @ sandwich
     dev = float(np.max(np.abs(diff, out=diff)))
@@ -500,18 +585,9 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     dim_local = 1 << (n - rank_local)
 
     g, _ = lat.gauging_map
-    contained = True
-    field_gathers = [pauli_gather(0, zm, lat.rows) for _, zm in flat_masks]
-    for signs, gather in lat.gauss_gathers + field_gathers:
-        moved = _act(g, signs, gather)
-        if moved is g:
-            continue
-        moved -= g
-        if np.max(np.abs(moved, out=moved)) > DERIVED_TOL:
-            contained = False
-            break
-    svals = np.linalg.svd(g, compute_uv=False)
-    g_rank = int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
+    contained = all(_max_deviation(pauli_on_block(lat, g, xm, zm), g) <= DERIVED_TOL
+                    for xm, zm in masks + flat_masks)
+    g_rank = block_rank(g)
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(
         passed=passed,

@@ -249,6 +249,19 @@ def _write_code(tmp_path, generators, dim=1, q=1):
     return str(path)
 
 
+def test_smallscale_over_63_qubits_exits_2_naming_the_mask_limit(tmp_path, capsys):
+    # Z constraints 1 + x on one qubit type: 15 of them on a length-4 circle
+    # need 64 qubits, 20 on a length-3 circle need 63
+    bond = {"x_block": [[]], "z_block": [[[0], [1]]]}
+    code, out, err = run(capsys, "smallscale", "--model", _write_code(tmp_path, [bond] * 15),
+                         "--lengths", "4", "--cap", "80", "--check", "lemma2")
+    assert code == 2 and out == ""
+    assert err == "error: 64 qubits exceeds the 63-qubit limit of int64 bit masks\n"
+    code, out, _ = run(capsys, "smallscale", "--model", _write_code(tmp_path, [bond] * 20),
+                       "--lengths", "3", "--cap", "80", "--check", "lemma2")
+    assert code == 0 and out.startswith("gram-vs-symmetric-projector: pass")
+
+
 def test_duality_check_passes_on_gauged_code_with_a_free_matter_type(tmp_path, capsys):
     # ising2d bonds on matter type 0 only: the gauged code has an all-zero X generator
     bonds = [{"x_block": [[], []], "z_block": [[[0, 0], [1, 0]], []]},

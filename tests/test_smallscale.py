@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from naive_oracle import (
     naive_gauging_map,
     naive_pauli_matrix,
@@ -20,11 +22,14 @@ from stabgauge.pauli import GeneratorMap, PauliColumn
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     DERIVED_TOL,
+    Block,
     DenseLattice,
     GroundspaceReport,
     QubitCapExceeded,
     _gauged_image,
+    add_blocks,
     apply_pauli,
+    block_rank,
     build_G,
     check_claim1,
     check_groundspace_span,
@@ -33,6 +38,7 @@ from stabgauge.smallscale import (
     check_matrix_elements,
     matter_operator_dense,
     pauli_gather,
+    pauli_on_block,
     symmetric_projector,
 )
 from stabgauge.torus import shape_of
@@ -61,6 +67,21 @@ def single_constraint_model():
 def fold_model():
     # the constraint 1 + x^2 folds to zero on a length-2 circle
     return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]]))
+
+
+def expand(lat, block):
+    """A block as a (2^n_total, columns) array: column j holds vals[j, u] at
+    basis state reps[j] ^ W(u), where W(u) is the XOR of the Gauss-law X
+    masks of the matter bits of u, enumerated here bit by bit."""
+    masks = [xm for xm, _ in lat.constraint_masks()]
+    w = np.zeros(1 << lat.n_matter, dtype=np.int64)
+    for u in range(len(w)):
+        for i, xm in enumerate(masks):
+            if (u >> i) & 1:
+                w[u] ^= xm
+    out = np.zeros((1 << lat.n_total, len(block.reps)))
+    out[block.reps[:, None] ^ w[None, :], np.arange(len(block.reps))[:, None]] = block.vals
+    return out
 
 
 def ops(model):
@@ -115,7 +136,7 @@ def test_raw_gauging_map_norm_pattern(ising_model):
     # before the map is scaled by 2^(norm_exponent / 2)
     lat = DenseLattice(ising_model, SHAPE)
     g, info = build_G(lat)
-    norms = np.sum(g * g, axis=0)
+    norms = np.sum(g.vals * g.vals, axis=1)
     scale = 2.0 ** (info.norm_exponent / 2.0)
     assert np.allclose(norms, 2.0 ** (-len(lat.constraint_masks())) * scale**2)
 
@@ -125,9 +146,12 @@ def test_cached_gauging_map_is_read_only(ising_model):
     g, info = lat.gauging_map
     assert lat.gauging_map[0] is g
     with pytest.raises(ValueError):
-        g[0, 0] = 1.0
+        g.vals[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.reps[0] = 1
     fresh, fresh_info = build_G(lat)
-    assert np.array_equal(g, fresh) and info == fresh_info
+    assert np.array_equal(g.reps, fresh.reps) and np.array_equal(g.vals, fresh.vals)
+    assert info == fresh_info
 
 
 def test_normalization_exponent_is_integer(ising_model):
@@ -142,8 +166,9 @@ def test_no_constraint_model_gauges_to_symmetric_projector():
     # average over all of them
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
     g, info = build_G(lat)
-    assert np.array_equal(g, np.full((8, 8), 2.0**-3))
-    assert np.array_equal(g, symmetric_projector(lat))
+    full = expand(lat, g)
+    assert np.array_equal(full, np.full((8, 8), 2.0**-3))
+    assert np.array_equal(full, symmetric_projector(lat))
     assert (info.norm_exponent, info.symmetry_dim) == (0, 3)
 
 
@@ -182,8 +207,23 @@ def test_lemma2_no_symmetry_model_gram_is_identity():
     lat = DenseLattice(single_constraint_model(), shape_of((2,)))
     rep = check_lemma2(lat)
     assert rep.passed
-    g, _ = build_G(lat)
-    assert np.max(np.abs(g.T @ g - np.eye(4))) <= 1e-10
+    full = expand(lat, build_G(lat)[0])
+    assert np.max(np.abs(full.T @ full - np.eye(4))) <= 1e-10
+
+
+def repeated_bonds_model(count):
+    # `count` Z constraints 1 + x on one matter type
+    return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x", 1)] * count]))
+
+
+def test_lattice_over_63_qubits_exceeds_the_mask_limit():
+    # masks are int64: 4 matter and 60 gauge qubits are refused whatever the
+    # cap, 3 matter and 60 gauge qubits still run
+    with pytest.raises(QubitCapExceeded, match="63-qubit limit of int64 bit masks"):
+        DenseLattice(repeated_bonds_model(15), shape_of((4,)), cap=80)
+    lat = DenseLattice(repeated_bonds_model(20), shape_of((3,)), cap=80)
+    assert lat.n_total == 63
+    assert check_lemma2(lat).passed
 
 
 def test_lemma2_cap_guard():
@@ -205,6 +245,18 @@ def test_lemma3_rejects_nonsymmetric(ising_model):
     zero, one = LaurentPoly.zero(2), LaurentPoly.one(2)
     with pytest.raises(NotSymmetricError):
         check_lemma3(DenseLattice(ising_model, SHAPE), PauliColumn(2, 1, (zero,), (one,)))
+
+
+def test_lemma3_fails_for_a_wrong_gauged_operator(ising_model, monkeypatch):
+    # the gauged bond moves no coset where gauged single X does, so every
+    # column pair lies in different cosets and deviates by its larger magnitude
+    lat = DenseLattice(ising_model, SHAPE)
+    single_x, bond = ops(ising_model)
+    action = smallscale.gauged_operator_action
+    monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
+    rep = check_lemma3(lat, single_x)
+    assert not rep.passed
+    assert rep.max_deviation == np.max(np.abs(lat.gauging_map[0].vals)) > DERIVED_TOL
 
 
 def test_claim1_recovers_operators(ising_model):
@@ -289,6 +341,20 @@ def test_reports_invariant_under_qubit_relabeling():
                 assert got.max_deviation <= DERIVED_TOL
 
 
+def test_fractal_ising_pair_at_24_qubits():
+    # the paper's fractal pair on (2,2,2): 8 matter and 16 gauge qubits
+    lat = DenseLattice(symmetry_model_from_code(get_code("fractal_ising")), shape_of((2, 2, 2)), cap=24)
+    reports = _all_reports(lat)
+    assert all(r.passed for r in reports)
+    lemma2, _, _, claim_x, claim_bond, elements, ground = reports
+    assert lemma2.details == {"norm_exponent": 5, "symmetry_dim": 3}
+    assert claim_x.details == {"region_matter": 1, "region_gauge": 8, "region_injective": True}
+    assert claim_bond.details == {"region_matter": 4, "region_gauge": 12, "region_injective": True}
+    assert elements.details == {"states": 256}
+    assert (ground.ground_dim_flat, ground.g_rank, ground.holonomy_sectors,
+            ground.ground_dim_local_fields) == (32, 32, 64, 2048)
+
+
 def test_claim1_adjacency_follows_gauss_law_masks():
     # on a length-2 circle the Gauss-law generator of a matter qubit flips no
     # gauge qubit, so the twirl region cannot be injective
@@ -321,39 +387,43 @@ def test_apply_pauli_acts_on_blocks_column_by_column(ising_model):
         assert np.array_equal(apply_pauli(block, xm, zm, full), by_column)
 
 
-def test_eighteen_qubit_ising_keeps_only_reachable_rows():
-    # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: 2^11 of
-    # the 2^18 basis states; a full-space fall-back would hold all of them
+def test_eighteen_qubit_ising_stores_one_coset_per_column():
+    # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: G has 64
+    # columns of 64 amplitudes each, in 32 cosets that cover 2^11 of the 2^18
+    # basis states; a full-space fall-back would hold all of them per column
     lat = DenseLattice(symmetry_model_from_code(get_code("ising2d")), shape_of((3, 2)))
     assert lat.n_total == 18
-    assert len(lat.rows) == 2048
+    g, _ = lat.gauging_map
+    assert g.vals.shape == (64, 64) and len(np.unique(g.reps)) == 32
+    assert len(np.unique(g.reps[:, None] ^ lat.coset_rows[None, :])) == 2048
 
 
-def test_apply_pauli_rejects_x_mask_outside_rows(ising_model):
-    lat = DenseLattice(ising_model, SHAPE)
-    lone_gauge_x = lat.lift_mask(1 << lat.n_matter)
+def test_apply_pauli_rejects_x_mask_outside_rows():
+    rows = np.arange(4)
     with pytest.raises(ValueError):
-        apply_pauli(np.ones(len(lat.rows)), lone_gauge_x, 0, lat.rows)
+        apply_pauli(np.ones(4), 0b100, 0, rows)
     with pytest.raises(ValueError):
-        pauli_gather(lone_gauge_x, 1, lat.rows)
+        pauli_gather(0b100, 1, rows)
 
 
 @pytest.mark.parametrize("seed", [None, 11], ids=["unpermuted", "permuted"])
-def test_cached_gauss_gathers_match_apply_pauli(ising_model, seed):
-    # entry i of the image is entry gather[i] of the input, times signs[i]
+def test_coset_pauli_action_matches_apply_pauli(ising_model, seed):
+    # Gauss-law masks, a gauged operator's mask with a gauge X remainder and
+    # masks with Z parts on matter and gauge bits, on 3 random columns spread
+    # over two cosets, against apply_pauli on all 2^12 basis states
     base = DenseLattice(ising_model, SHAPE)
     perm = None if seed is None else tuple(
         int(i) for i in np.random.default_rng(seed).permutation(base.n_total))
     lat = DenseLattice(ising_model, SHAPE, perm=perm)
-    block = np.random.default_rng(5).standard_normal((len(lat.rows), 3))
-    masks = lat.constraint_masks()
-    assert lat.gauss_gathers is lat.gauss_gathers
-    assert len(lat.gauss_gathers) == len(masks)
-    for (signs, gather), (xm, zm) in zip(lat.gauss_gathers, masks, strict=True):
-        moved = block[gather]
-        if signs is not None:
-            moved = moved * signs[:, None]
-        assert np.array_equal(moved, apply_pauli(block, xm, zm, lat.rows))
+    gauge_x = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, ops(lat.model)[0])))[0]
+    block = Block(np.array([0, 0, lat.split_mask(gauge_x)[0]]),
+                  np.random.default_rng(5).standard_normal((3, 1 << lat.n_matter)))
+    full = np.arange(1 << lat.n_total)
+    z_mixed = lat.lift_mask(0b101 << lat.n_matter | 0b11)
+    pairs = lat.constraint_masks() + [(gauge_x, 0), (0, z_mixed), (gauge_x ^ lat.lift_mask(1), z_mixed)]
+    for xm, zm in pairs:
+        moved = pauli_on_block(lat, block, xm, zm)
+        assert np.array_equal(expand(lat, moved), apply_pauli(expand(lat, block), xm, zm, full))
 
 
 def _oracle_lattices():
@@ -381,30 +451,85 @@ def test_matter_operators_match_kronecker_products(lat):
         assert np.array_equal(matter_operator_dense(lat, op), expected)
 
 
-@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
-def test_gauging_map_matches_coset_form(lat):
+def assert_matches_oracle(lat):
     masks = lat.constraint_masks()
     assert all(zm == 0 for _, zm in masks)
     g, info = lat.gauging_map
     # the oracle is unnormalized; scaling both by the same float keeps equality exact
     expected = naive_gauging_map(lat.n_matter, lat.n_total, [xm for xm, _ in masks], lat.perm)
     expected *= 2.0 ** (info.norm_exponent / 2.0)
-    off_rows = np.ones(1 << lat.n_total, dtype=bool)
-    off_rows[lat.rows] = False
-    assert not expected[off_rows].any()
-    full = np.zeros_like(expected)
-    full[lat.rows] = g
-    assert np.array_equal(full, expected)
+    assert np.array_equal(expand(lat, g), expected)
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
-def test_rows_closed_under_gauss_law_and_gauged_operator_masks(lat):
+def test_gauging_map_matches_coset_form(lat):
+    assert_matches_oracle(lat)
+
+
+@st.composite
+def small_lattices(draw):
+    """Random eta (dim 1-2, 1-2 matter types, 1-2 constraints, up to 3 terms
+    per entry with exponents in [-2, 2]) on a torus of at most 14 matter and
+    gauge qubits, with a random qubit permutation half of the time."""
+    dim = draw(st.integers(1, 2))
+    rows = draw(st.integers(1, 2))
+    # lengths are at least 2, so a 2D torus of 4 sites leaves room for 3 types
+    cols = draw(st.integers(1, 2 if dim == 1 else 3 - rows))
+    exps = st.tuples(*[st.integers(-2, 2)] * dim)
+    entries = [[LaurentPoly.from_terms(dim, draw(st.lists(exps, max_size=3))) for _ in range(cols)]
+               for _ in range(rows)]
+    sites = 14 // (rows + cols)
+    lengths = [draw(st.integers(2, min(4, sites // (2 if dim == 2 else 1))))]
+    if dim == 2:
+        lengths.append(draw(st.integers(2, min(4, sites // lengths[0]))))
+    n_total = (rows + cols) * int(np.prod(lengths))
+    perm = draw(st.none() | st.permutations(range(n_total)).map(tuple))
+    return DenseLattice(SymmetryModel(GeneratorMap.from_rows(dim, entries)), shape_of(lengths), perm=perm)
+
+
+@given(small_lattices())
+@settings(max_examples=40, deadline=None)
+def test_coset_form_matches_oracle_and_full_rank_on_random_models(lat):
+    assert_matches_oracle(lat)
+    g, _ = lat.gauging_map
+    svals = np.linalg.svd(expand(lat, g), compute_uv=False)
+    assert block_rank(g) == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
+    assert check_lemma2(lat).passed
+
+
+def test_block_rank_groups_columns_by_coset():
+    # cosets 0 and 4 each hold e0 and e1, interleaved: rank 2 in each
+    eye = np.eye(4)
+    block = Block(np.array([0, 4, 0, 4]), eye[[0, 0, 1, 1]])
+    assert block_rank(block) == 4
+    with pytest.raises(ValueError):
+        block_rank(Block(np.array([0, 4, 0]), eye[:3]))
+
+
+def test_summing_blocks_in_different_cosets_raises():
+    a = Block(np.array([0, 4]), np.ones((2, 4)))
+    assert np.array_equal(add_blocks(a, a).vals, np.full((2, 4), 2.0))
+    with pytest.raises(ValueError):
+        add_blocks(a, Block(np.array([0, 8]), np.ones((2, 4))))
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_cosets_closed_under_gauss_law_and_gauged_operator_masks(lat):
+    # each Gauss-law mask moves only the matter pattern u, and each gauged
+    # operator's X mask moves a coset of G onto another coset of G: its
+    # remainder is gauge-only and one of the Gauss-law gauge patterns
+    matter = lat.lift_mask((1 << lat.n_matter) - 1)
+    rows = lat.coset_rows
+    assert len(np.unique(rows)) == len(rows)
+    assert np.array_equal(rows & matter, lat.lift_mask(np.arange(len(rows))))
+    for i, (xm, _) in enumerate(lat.constraint_masks()):
+        assert lat.split_mask(xm) == (0, 1 << i)
     conjugated = [conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
                   for op in ops(lat.model)]
-    xmasks = [xm for xm, _ in lat.constraint_masks()] + [lat.masks(c)[0] for c in conjugated]
-    assert np.array_equal(np.unique(lat.rows), lat.rows)
-    for xm in xmasks:
-        assert np.isin(lat.rows ^ xm, lat.rows).all()
+    for xm in [lat.masks(c)[0] for c in conjugated]:
+        rep, u = lat.split_mask(xm)
+        assert rep & matter == 0 and rep ^ int(rows[u]) == xm
+        assert rep in set((rows & ~matter).tolist())
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
