@@ -455,7 +455,7 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     # every gauge X bit of the region's Gauss-law generators lies in the
     # region, so their gauge patterns must be independent
     region_ok = len(Gf2Basis(xm >> nm for xm, _ in pi_raw)) == len(gamma_m)
-    # the twirl's matter patterns, each subset of gamma_m in binary order
+    # the twirl's matter patterns: every subset of gamma_m, in binary order
     patterns = [0]
     for raw in gamma_m:
         patterns += [p | 1 << raw for p in patterns]
