@@ -1,10 +1,23 @@
-"""Dense state-vector verification of the gauging map on tiny tori.
+"""Exact state-level verification of the gauging map on tiny tori.
 
-Everything here is real arithmetic: X products permute computational
-basis states and Z products flip signs, so all operators are real
-matrices.  The state gauging map is built from the Gauss-law projectors
-and normalized by an exact power of two so that its Gram matrix is a
+Every Gauss-law generator is the disentangler image of one single-site
+matter X: a pure X mask W_i holding matter bit i and gauge bits only.
+Projecting a matter basis state onto their common +1 space leaves a state
+uniform on one Gauss-law coset, the affine-subspace form of stabilizer
+states (Dehaene and De Moor, quant-ph/0304125).  So a state of the
+enlarged lattice is held exactly as a `CosetState`: column j is signs[j]
+times 2^(sq_exp/2) on every basis state reps[j] ^ W(u), for a gauge-only
+rep, every matter pattern u and W(u) the product of the W_i over the bits
+of u (`DenseLattice.coset_rows`).  A Pauli moves reps and signs columns,
+and a Gauss-law projector keeps or zeroes a column.  The gauging map is
+normalized by an exact power of two so that its Gram matrix is a
 projector; the power is reported, never fudged.
+
+Matrices on the matter space alone are `MatterMatrix` values, one dict
+{column: numerator} per row over one power-of-two denominator, so every
+check compares exactly and turns its largest deviation into a float only
+to report it.  No check draws random states: `check_matrix_elements`
+covers every pair of a symmetric basis state and a basis state.
 
 On a closed torus the flat-connection fields generated by the box-local
 kernel leave the wrapping (holonomy) sectors degenerate, so the span of
@@ -12,46 +25,22 @@ gauged basis states is compared against the ground space of the
 constraint projectors together with the full torus kernel of the
 constraint map; the holonomy sector count is reported alongside.
 
-Every Gauss-law generator is the disentangler image of one single-site
-matter X: a pure X mask W_i holding matter bit i and gauge bits only.  So
-a state of the enlarged lattice is held as a `Block`, one Gauss-law coset
-per column: column j has amplitude vals[j, u] on basis state
-reps[j] ^ W(u), for a gauge-only rep and W(u) the product of the W_i over
-the matter bits of u (`DenseLattice.coset_rows`).  Paulis, projectors and
-products act on that form without a row lookup, and each amplitude gets
-the same float operations as over all 2^n basis states.  The qubit cap
-counts all matter and gauge qubits; masks are int64, so no lattice
-exceeds 63 qubits.
-
 Every check takes one `DenseLattice` (and the operator it checks, where it
-has one), so a run builds the lattice, its coset coordinates and its
-gauging map once; the qubit cap and the qubit permutation are set on the
-lattice only.  Matrices on the matter space alone are acted on by
-`apply_pauli`.
-
-`check_matrix_elements` compares every matrix element between a symmetric
-basis state and a basis state, which covers every pair of states, so no
-check draws random states.
-
-Raw qubit coordinates are the torus bit layout of the `torus` module,
-matter types first and gauge types after them; one operator's Pauli masks
-are placed by `place_column` and all Gauss-law translates are read off
-`instantiate`, each split into its X and Z blocks.
+has one), which holds the qubit cap, the qubit permutation, the coset
+coordinates and the gauging map, each built once.  Raw qubit coordinates
+are the torus bit layout of the `torus` module, matter types first and
+gauge types after them; one operator's Pauli masks are placed by
+`place_column` and all Gauss-law translates are read off `instantiate`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .gauging import (
-    SymmetryModel,
-    conjugate_by_disentangler,
-    gauge_operator,
-    pi_generators,
-)
+from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
 from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
 from .poly import LaurentPoly
@@ -66,6 +55,11 @@ DERIVED_TOL = 1e-10
 
 class QubitCapExceeded(ValueError):
     """Raised when a dense lattice would exceed the configured qubit cap."""
+
+
+def _sign(bits: int) -> int:
+    """(-1) to the parity of bits."""
+    return -1 if bits.bit_count() & 1 else 1
 
 
 @dataclass
@@ -87,9 +81,7 @@ class DenseLattice:
             raise ValueError("shape dimension does not match model")
         n = self.n_total
         if n > self.cap:
-            raise QubitCapExceeded(
-                f"{n} qubits exceeds the cap of {self.cap}"
-            )
+            raise QubitCapExceeded(f"{n} qubits exceeds the cap of {self.cap}")
         if n > MASK_QUBIT_LIMIT:
             raise QubitCapExceeded(
                 f"{n} qubits exceeds the {MASK_QUBIT_LIMIT}-qubit limit of int64 bit masks"
@@ -113,12 +105,11 @@ class DenseLattice:
     def n_total(self) -> int:
         return self.n_matter + self.n_gauge
 
-    def lift_mask(self, pattern: int | np.ndarray) -> int | np.ndarray:
-        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice
-        bits; an integer array of bitmasks is lifted elementwise."""
+    def lift_mask(self, pattern: int) -> int:
+        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice bits."""
         if self.perm is None:
             return pattern
-        out = pattern & 0
+        out = 0
         for bit, target in enumerate(self.perm):
             out |= ((pattern >> bit) & 1) << target
         return out
@@ -156,153 +147,173 @@ class DenseLattice:
         return [(self.lift_mask(xm), self.lift_mask(zm)) for xm, zm in self._raw_gauss_masks]
 
     @cached_property
-    def coset_rows(self) -> np.ndarray:
+    def matter_mask(self) -> int:
+        """The lattice bits of all matter qubits."""
+        return self.lift_mask((1 << self.n_matter) - 1)
+
+    @cached_property
+    def coset_rows(self) -> tuple[int, ...]:
         """W(u) for every matter pattern u in raw bit order: the product of
-        the Gauss-law X masks of the matter bits set in u.  A `Block` column
-        with coset rep r holds its amplitude at u on basis state r ^ W(u)."""
-        rows = np.zeros(1, dtype=np.int64)
-        matter = self.lift_mask((1 << self.n_matter) - 1)
+        the Gauss-law X masks of the matter bits set in u, so W(1 << i) is
+        generator i.  Its matter bits are lift(u)."""
+        rows = [0]
         for i, (xm, zm) in enumerate(self.constraint_masks()):
-            assert zm == 0 and xm & matter == self.lift_mask(1 << i), "Gauss-law mask is not a matter X"
-            rows = np.concatenate([rows, rows ^ xm])
-        return rows
+            assert zm == 0 and xm & self.matter_mask == self.lift_mask(1 << i), \
+                "Gauss-law mask is not a matter X"
+            rows += [r ^ xm for r in rows]
+        return tuple(rows)
+
+    @cached_property
+    def symmetry_group(self) -> tuple[int, ...]:
+        """Every element of the symmetry group K, as a mask over raw matter
+        bits: the span of the torus kernel of the dagger of the constraint map."""
+        group = [0]
+        for v in instantiate(self.model.constraint_map.dagger(), self.shape).nullspace():
+            group += [k ^ v for k in group]
+        return tuple(group)
 
     def split_mask(self, xmask: int) -> tuple[int, int]:
         """(rep, u) of an X mask over lattice bits: u holds its matter bits in
         raw order and rep = xmask ^ W(u) is gauge-only."""
         u = sum(1 << i for i in range(self.n_matter) if xmask & self.lift_mask(1 << i))
-        return xmask ^ int(self.coset_rows[u]), u
+        return xmask ^ self.coset_rows[u], u
+
+    def keeps_gauss_law(self, zmask: int) -> bool:
+        """Whether Z(zmask) commutes with every Gauss-law generator: then it
+        has even overlap with every W(u), and leaves each coset state uniform."""
+        return not any((zmask & self.coset_rows[1 << i]).bit_count() & 1
+                       for i in range(self.n_matter))
 
     @cached_property
-    def gauging_map(self) -> tuple[Block, GaugeMapInfo]:
-        """`build_G` of this lattice, built once and read-only."""
-        g, info = build_G(self)
-        g.reps.flags.writeable = False
-        g.vals.flags.writeable = False
-        return g, info
+    def gauging_map(self) -> tuple[CosetState, GaugeMapInfo]:
+        """`build_G` of this lattice, built once."""
+        return build_G(self)
 
 
 @dataclass(frozen=True)
-class Block:
-    """States of the enlarged lattice, one Gauss-law coset per column:
-    column j has amplitude vals[j, u] on basis state reps[j] ^ W(u), for
-    W = `DenseLattice.coset_rows`, and zero everywhere else."""
+class CosetState:
+    """States of the enlarged lattice, one per column, each uniform on one
+    Gauss-law coset: column j is signs[j] (+1, -1 or 0) times 2^(sq_exp/2)
+    on every basis state reps[j] ^ W(u), for W = `DenseLattice.coset_rows`,
+    and zero everywhere else."""
 
-    reps: np.ndarray
-    vals: np.ndarray
-
-
-def _parity_signs(bits: np.ndarray) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
+    reps: tuple[int, ...]
+    signs: tuple[int, ...]
+    sq_exp: int
 
 
-def pauli_gather(xmask: int, zmask: int,
-                 rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(signs, gather) of X(xmask) Z(zmask) on a sorted row set: entry i of
-    the image is entry gather[i] of the input, times signs[i].
+def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) -> CosetState:
+    """X(xmask) Z(zmask) on a coset state, Z acting first.
 
-    Either is None when its mask is 0; xmask must map the row set onto
-    itself (ValueError otherwise).
+    With xmask = rep ^ W(ux), every column's rep moves by rep, and the sum
+    over u absorbs W(ux).  A Z mask that keeps the Gauss law gives column j
+    the sign of reps[j] & zmask; any other Z mask would leave the columns
+    non-uniform on their cosets (ValueError).
     """
-    moved, gather = rows, None
-    if xmask:
-        moved = rows ^ xmask
-        gather = np.searchsorted(rows, moved)
-        if not np.array_equal(rows.take(gather, mode="clip"), moved):
-            raise ValueError(f"X mask {xmask:#x} leaves the row set")
-    signs = _parity_signs(moved & zmask) if zmask else None
-    return signs, gather
+    if not lat.keeps_gauss_law(zmask):
+        raise ValueError(f"Z mask {zmask:#x} anticommutes with a Gauss-law generator")
+    rep, _ = lat.split_mask(xmask)
+    signs = tuple(s * _sign(r & zmask) for r, s in zip(state.reps, state.signs))
+    return CosetState(tuple(r ^ rep for r in state.reps), signs, state.sq_exp)
 
 
-def apply_pauli(vec: np.ndarray, xmask: int, zmask: int, rows: np.ndarray) -> np.ndarray:
-    """Apply X(xmask) Z(zmask): sign from zmask overlap, then flip xmask bits.
+def _max_deviation(a: CosetState, b: CosetState) -> float:
+    """Largest |a - b| over all basis states, for states of one magnitude.
 
-    vec is one state or a (len(rows), m) block of states, acted on column by
-    column; entry i is the amplitude of basis state rows[i], for a sorted
-    row set that xmask must map onto itself (ValueError otherwise).  The
-    input itself when both masks are 0, a fresh array otherwise.
+    A column pair on one coset deviates by |s_a - s_b| times the magnitude;
+    a pair on different cosets has disjoint supports, so by the larger of
+    |s_a| and |s_b| times it.
     """
-    signs, gather = pauli_gather(xmask, zmask, rows)
-    out = vec if gather is None else vec[gather]
-    if signs is not None:
-        signs = signs.reshape((len(signs),) + (1,) * (vec.ndim - 1))
-        out = out * signs if out is vec else np.multiply(out, signs, out=out)
-    return out
+    if a.sq_exp != b.sq_exp:
+        raise ValueError("states of different magnitudes")
+    worst = max((abs(sa - sb) if ra == rb else max(abs(sa), abs(sb))
+                 for ra, sa, rb, sb in zip(a.reps, a.signs, b.reps, b.signs, strict=True)),
+                default=0)
+    return worst * 2.0 ** (a.sq_exp / 2)
 
 
-def _average_over_flips(vals: np.ndarray, flips) -> np.ndarray:
-    """Product of the projectors (1 + X_f)/2 over X flips f of the last
-    axis's index u: each step is 0.5 * (vals + vals[..., u ^ f]), computed
-    in place on the fresh gathered copy."""
-    u = np.arange(vals.shape[-1])
-    for f in flips:
-        moved = vals[..., u ^ f]
-        moved += vals
-        moved *= 0.5
-        vals = moved
-    return vals
+def coset_rank(state: CosetState) -> int:
+    """Rank of a coset state's columns: columns on one coset are parallel
+    and columns on different cosets orthogonal, so it counts the cosets of
+    its nonzero columns."""
+    return len({r for r, s in zip(state.reps, state.signs) if s})
 
 
-def pauli_on_block(lat: DenseLattice, block: Block, xmask: int, zmask: int) -> Block:
-    """X(xmask) Z(zmask) on a block, with `apply_pauli`'s sign convention.
+@dataclass(frozen=True)
+class MatterMatrix:
+    """An exact matrix on the matter space: row r is the dict rows[r]
+    {column: numerator}, every numerator over 2^den_exp.  Equal rows may be
+    one shared dict; no row is mutated once built."""
 
-    With xmask = rep ^ W(ux), every column's rep moves by rep and its
-    matter pattern u by ux; the sign at the moved basis state factors into
-    one per column (from reps & zmask) and one per u (from W(u) & zmask).
-    The input itself when both masks are 0, fresh arrays otherwise.
+    rows: tuple[dict[int, int], ...]
+    den_exp: int
+
+
+def _matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
+    """Largest |a - b| over all entries, exact up to the final float."""
+    den = max(a.den_exp, b.den_exp)
+    scale_a, scale_b = 1 << (den - a.den_exp), 1 << (den - b.den_exp)
+    worst = 0
+    for ra, rb in zip(a.rows, b.rows, strict=True):
+        for col in ra.keys() | rb.keys():
+            worst = max(worst, abs(ra.get(col, 0) * scale_a - rb.get(col, 0) * scale_b))
+    return math.ldexp(float(worst), -den)
+
+
+def _matter_masks(lat: DenseLattice, op: PauliColumn) -> tuple[int, int]:
+    if op.q != lat.model.matter_q:
+        raise ValueError("operator does not live on the matter lattice")
+    return lat.raw_masks(op)
+
+
+def matter_operator(lat: DenseLattice, op: PauliColumn) -> MatterMatrix:
+    """A matter-layout Pauli column X(x) Z(z) on the matter space: it maps
+    basis state c to sign(c & z) times basis state c ^ x."""
+    xm, zm = _matter_masks(lat, op)
+    return MatterMatrix(tuple({r ^ xm: _sign((r ^ xm) & zm)} for r in range(1 << lat.n_matter)), 0)
+
+
+def symmetrize(lat: DenseLattice, m: MatterMatrix) -> MatterMatrix:
+    """P_sym @ m, for P_sym the average of the symmetry group's X products.
+
+    Row r is the sum of m's rows r ^ k over k in K, over 2^dim K more.  Rows
+    whose indices differ by an element of K are therefore equal, so each is
+    summed once per coset of K and shared.
     """
-    rep, ux = lat.split_mask(xmask)
-    reps, vals = block.reps, block.vals
-    if zmask:
-        vals = vals * np.outer(_parity_signs(reps & zmask), _parity_signs(lat.coset_rows & zmask))
-    if ux:
-        vals = vals[:, np.arange(vals.shape[1]) ^ ux]
-    return Block(reps ^ rep if rep else reps, vals)
+    group = lat.symmetry_group
+    out: list[dict[int, int] | None] = [None] * len(m.rows)
+    for r in range(len(out)):
+        if out[r] is None:
+            acc: dict[int, int] = {}
+            for k in group:
+                for col, v in m.rows[r ^ k].items():
+                    acc[col] = acc.get(col, 0) + v
+            for k in group:
+                out[r ^ k] = acc
+    return MatterMatrix(tuple(out), m.den_exp + len(group).bit_length() - 1)
 
 
-def _project_gauss_law(lat: DenseLattice, vals: np.ndarray) -> np.ndarray:
-    """The Gauss-law projectors on block values: X(W_i) flips bit i of u."""
-    return _average_over_flips(vals, [1 << i for i in range(lat.n_matter)])
+def symmetric_projector(lat: DenseLattice) -> MatterMatrix:
+    """Average of the symmetry group's X products on the matter space."""
+    identity = MatterMatrix(tuple({r: 1} for r in range(1 << lat.n_matter)), 0)
+    return symmetrize(lat, identity)
 
 
-def add_blocks(a: Block, b: Block) -> Block:
-    """Column-by-column sum of two blocks over the same cosets; ValueError
-    when a column pair lies in different cosets."""
-    if not np.array_equal(a.reps, b.reps):
-        raise ValueError("blocks in different Gauss-law cosets cannot be summed")
-    return Block(a.reps, a.vals + b.vals)
-
-
-def block_gram(a: Block, b: Block) -> np.ndarray:
-    """a^T b: columns in different cosets have disjoint supports."""
-    out = a.vals @ b.vals.T
-    out[a.reps[:, None] != b.reps[None, :]] = 0.0
-    return out
-
-
-def _max_deviation(a: Block, b: Block) -> float:
-    """Largest |a - b| over all basis states: a column pair in different
-    cosets has disjoint supports, so it deviates by its larger magnitude."""
-    same = a.reps == b.reps
-    apart = np.maximum(np.max(np.abs(a.vals), axis=1), np.max(np.abs(b.vals), axis=1))
-    diff = np.max(np.abs(a.vals[same] - b.vals[same]), axis=1)
-    return float(max(np.max(diff, initial=0.0), np.max(apart[~same], initial=0.0)))
-
-
-def block_rank(block: Block) -> int:
-    """Rank of a block by float SVD, threshold 1e-9 * max(1, s_max).
-
-    Columns in different cosets are orthogonal, so the singular values are
-    those of the per-coset blocks, taken in one batched SVD; every coset
-    must hold equally many columns, as the cosets of `build_G` do.
-    """
-    _, counts = np.unique(block.reps, return_counts=True)
-    if counts.min() != counts.max():
-        raise ValueError("cosets hold unequal column counts")
-    order = np.argsort(block.reps, kind="stable")
-    stacked = block.vals[order].reshape(len(counts), counts[0], -1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals > 1e-9 * max(1.0, np.max(svals))))
+def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
+    """a^T b exactly: two columns on one coset overlap on all 2^n_matter of
+    its basis states, and columns on different cosets nowhere."""
+    sq_exp = a.sq_exp + b.sq_exp
+    if sq_exp % 2:
+        raise ValueError("the Gram entries are not powers of two")
+    by_rep: dict[int, dict[int, int]] = {}
+    for k, (r, s) in enumerate(zip(b.reps, b.signs)):
+        if s:
+            by_rep.setdefault(r, {})[k] = s
+    rows = []
+    for r, s in zip(a.reps, a.signs):
+        row = by_rep.get(r, {})
+        rows.append(row if s == 1 else {k: s * v for k, v in row.items()})
+    return MatterMatrix(tuple(rows), -(lat.n_matter + sq_exp // 2))
 
 
 @dataclass(frozen=True)
@@ -311,56 +322,31 @@ class GaugeMapInfo:
     symmetry_dim: int
 
 
-def _matter_basis_states(lat: DenseLattice) -> Block:
-    """Each matter basis state u adjoined with all-zero gauge qubits: the
-    basis state lift(u), at pattern u of the coset with rep lift(u) ^ W(u)."""
-    dim_m = 1 << lat.n_matter
-    return Block(lat.coset_rows ^ lat.lift_mask(np.arange(dim_m)), np.eye(dim_m))
-
-
-def build_G(lat: DenseLattice) -> tuple[Block, GaugeMapInfo]:
-    """Dense state gauging map: project each matter basis state adjoined with
+def build_G(lat: DenseLattice) -> tuple[CosetState, GaugeMapInfo]:
+    """State gauging map: project each matter basis state u adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
-    It is scaled by 2^((NQ - dim K)/2) so its Gram matrix is exactly the
-    symmetric-subspace projector; K is the symmetry group of the model on
-    this torus.  Checks read it from `DenseLattice.gauging_map`.
+    Basis state lift(u) is pattern u of the coset with gauge-only rep
+    lift(u) ^ W(u), so the projection is that coset with every amplitude
+    2^-n_matter.  The map is scaled by 2^((n_matter - dim K)/2) so its Gram
+    matrix is exactly the symmetric-subspace projector; K is the symmetry
+    group of the model on this torus.  Checks read it from
+    `DenseLattice.gauging_map`.
     """
-    eta = lat.model.constraint_map
-    # K is the torus kernel of the dagger of eta, whose rank is eta's
-    dim_k = eta.rows * lat.n_sites - rank_on_torus(eta, lat.shape)
-    basis = _matter_basis_states(lat)
-    vals = _project_gauss_law(lat, basis.vals)
-    exponent = lat.n_matter - dim_k
-    vals *= 2.0 ** (exponent / 2.0)
-    return Block(basis.reps, vals), GaugeMapInfo(exponent, dim_k)
+    dim_k = len(lat.symmetry_group).bit_length() - 1
+    gauge = ~lat.matter_mask
+    reps = tuple(w & gauge for w in lat.coset_rows)
+    g = CosetState(reps, (1,) * len(reps), -(lat.n_matter + dim_k))
+    return g, GaugeMapInfo(lat.n_matter - dim_k, dim_k)
 
 
-def matter_operator_dense(lat: DenseLattice, op: PauliColumn) -> np.ndarray:
-    """Dense matrix of a matter-layout Pauli column on the matter space."""
-    if op.q != lat.model.matter_q:
-        raise ValueError("operator does not live on the matter lattice")
-    dim = 1 << lat.n_matter
-    return apply_pauli(np.eye(dim), *lat.raw_masks(op), np.arange(dim))
-
-
-def _times_matter_operator(block: Block, mat: np.ndarray) -> Block:
-    """block @ mat for a signed permutation matrix mat, a matter Pauli:
-    column k is the block's column src[k] times mat[src[k], k]."""
-    src = np.argmax(mat != 0, axis=0)
-    signs = mat[src, np.arange(len(src))]
-    return Block(block.reps[src], block.vals[src] * signs[:, None])
-
-
-def symmetric_projector(lat: DenseLattice) -> np.ndarray:
-    """Average of the symmetry group's X products on the matter space.
-
-    The group is spanned by the torus kernel of the dagger of the
-    constraint map, as masks over raw matter coordinates; the product of
-    (1 + X_b)/2 over a basis of it is the group average.
-    """
-    eta_dag_t = instantiate(lat.model.constraint_map.dagger(), lat.shape)
-    return _average_over_flips(np.eye(1 << lat.n_matter), eta_dag_t.nullspace())
+def _times_matter_pauli(lat: DenseLattice, state: CosetState, op: PauliColumn) -> CosetState:
+    """state @ O for a matter Pauli O = X(x) Z(z): column k is the state's
+    column k ^ x times sign(k & z)."""
+    xm, zm = _matter_masks(lat, op)
+    cols = range(len(state.reps))
+    return CosetState(tuple(state.reps[k ^ xm] for k in cols),
+                      tuple(state.signs[k ^ xm] * _sign(k & zm) for k in cols), state.sq_exp)
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -373,13 +359,16 @@ def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
 
 def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     """Return a function applying the gauged image of a symmetric matter
-    operator to a block: the disentangler-conjugated image followed by the
-    Gauss-law projector."""
-    image = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
+    operator to a coset state: the disentangler-conjugated image followed by
+    the Gauss-law projector.  The projector keeps every column when the
+    image's Z mask keeps the Gauss law, and otherwise zeroes every column,
+    as the average of a nontrivial character over the matter patterns."""
+    xmask, zmask = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
 
-    def act(block: Block) -> Block:
-        moved = pauli_on_block(lat, block, *image)
-        return Block(moved.reps, _project_gauss_law(lat, moved.vals))
+    def act(state: CosetState) -> CosetState:
+        if lat.keeps_gauss_law(zmask):
+            return apply_pauli(lat, state, xmask, zmask)
+        return CosetState(state.reps, (0,) * len(state.signs), state.sq_exp)
 
     return act
 
@@ -398,28 +387,19 @@ class CheckReport:
 
 
 def check_lemma2(lat: DenseLattice) -> CheckReport:
-    """Gram matrix of the gauging map versus the symmetric-subspace projector."""
+    """Gram matrix of the gauging map versus the symmetric-subspace projector:
+    columns j and j' must share a coset exactly when j ^ j' lies in K."""
     g, info = lat.gauging_map
-    dev = float(np.max(np.abs(block_gram(g, g) - symmetric_projector(lat))))
-    return CheckReport(
-        name="gram-vs-symmetric-projector",
-        passed=dev <= DERIVED_TOL,
-        max_deviation=dev,
-        details={"norm_exponent": info.norm_exponent, "symmetry_dim": info.symmetry_dim},
-    )
+    dev = _matrix_deviation(gram(lat, g, g), symmetric_projector(lat))
+    return CheckReport("gram-vs-symmetric-projector", dev <= DERIVED_TOL, dev,
+                       {"norm_exponent": info.norm_exponent, "symmetry_dim": info.symmetry_dim})
 
 
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
     g, _ = lat.gauging_map
-    dev = _max_deviation(_times_matter_operator(g, matter_operator_dense(lat, op)),
-                         gauged_operator_action(lat, op)(g))
-    return CheckReport(
-        name="intertwining",
-        passed=dev <= DERIVED_TOL,
-        max_deviation=dev,
-        details={},
-    )
+    dev = _max_deviation(_times_matter_pauli(lat, g, op), gauged_operator_action(lat, op)(g))
+    return CheckReport("intertwining", dev <= DERIVED_TOL, dev, {})
 
 
 def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
@@ -447,7 +427,9 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     The operator is twirled over Gauss-law generators of the matter qubits
     it touches, with the all-zero projector on the adjacent gauge qubits;
     the region is small enough that no nonzero X pattern inside it is
-    silent on all its gauge checks, which is verified and reported.
+    silent on all its gauge checks, which is verified and reported.  Each
+    input is a matter basis state, so every term is one basis state with an
+    integer coefficient, summed in a dict.
     """
     gamma_m, gamma_g, pi_raw = _claim1_region(lat, op, _gauged_image(lat, op))
     nm = lat.n_matter
@@ -455,32 +437,33 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     # every gauge X bit of the region's Gauss-law generators lies in the
     # region, so their gauge patterns must be independent
     region_ok = len(Gf2Basis(xm >> nm for xm, _ in pi_raw)) == len(gamma_m)
-    # the twirl's matter patterns: every subset of gamma_m, in binary order
+    # the twirls: the Gauss-law products over every subset of gamma_m
     patterns = [0]
     for raw in gamma_m:
         patterns += [p | 1 << raw for p in patterns]
+    twirls = [lat.coset_rows[p] for p in patterns]
 
     proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
-
-    def zero_on(block: Block, mask: int) -> np.ndarray:
-        # block values with every basis state outside the all-zero state of mask cleared
-        rows = block.reps[:, None] ^ lat.coset_rows[None, :]
-        return np.where((rows & mask) == 0, block.vals, 0.0)
-
     op_x, op_z = lat.masks(op)
-    basis = _matter_basis_states(lat)
-    out = None
-    for pattern in patterns:
-        # the product of the Gauss-law generators of the pattern's matter bits
-        twirl = int(lat.coset_rows[pattern])
-        term = pauli_on_block(lat, basis, twirl, 0)
-        term = pauli_on_block(lat, term, op_x, op_z)
-        term = pauli_on_block(lat, Block(term.reps, zero_on(term, proj_mask)), twirl, 0)
-        out = term if out is None else add_blocks(out, term)
-    # read off at each matter basis state u with all-zero gauge qubits
-    recovered = zero_on(out, lat.lift_mask(((1 << lat.n_gauge) - 1) << nm)).T
-    expected = matter_operator_dense(lat, op)
-    dev = float(np.max(np.abs(recovered - expected)))
+    matter = lat.matter_mask
+    terms: dict[tuple[int, int], int] = {}
+    for u, w in enumerate(lat.coset_rows):
+        # matter basis state u with all-zero gauge qubits is lift(u) = W(u)'s matter bits
+        start = w & matter
+        for t in twirls:
+            moved = start ^ t
+            sign = _sign(moved & op_z)
+            moved ^= op_x
+            if not moved & proj_mask:
+                key = (u, moved ^ t)
+                terms[key] = terms.get(key, 0) + sign
+    # read off at each matter basis state with all-zero gauge qubits
+    index = {w & matter: u for u, w in enumerate(lat.coset_rows)}
+    rows: list[dict[int, int]] = [{} for _ in range(1 << nm)]
+    for (u, basis_state), c in terms.items():
+        if c and not basis_state & ~matter:
+            rows[index[basis_state]][u] = c
+    dev = _matrix_deviation(MatterMatrix(tuple(rows), 0), matter_operator(lat, op))
     return CheckReport(
         name="partial-trace-inversion",
         passed=dev <= DERIVED_TOL and region_ok,
@@ -499,12 +482,9 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     basis state, covers every pair of states at once.
     """
     g, _ = lat.gauging_map
-    proj = symmetric_projector(lat)
-    sandwich = block_gram(g, gauged_operator_action(lat, op)(g))
-    diff = proj @ matter_operator_dense(lat, op)
-    diff -= proj @ sandwich
-    dev = float(np.max(np.abs(diff, out=diff)))
-    return CheckReport("matrix-elements", dev <= DERIVED_TOL, dev, {"states": len(proj)})
+    sandwich = gram(lat, g, gauged_operator_action(lat, op)(g))
+    dev = _matrix_deviation(symmetrize(lat, matter_operator(lat, op)), symmetrize(lat, sandwich))
+    return CheckReport("matrix-elements", dev <= DERIVED_TOL, dev, {"states": 1 << lat.n_matter})
 
 
 @dataclass
@@ -529,6 +509,28 @@ class GroundspaceReport:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _certified_local_kernel(eta: GeneratorMap) -> GeneratorMap:
+    """mu, the box-local kernel of eta as a map, once the columns of the
+    dagger of eta are certified to generate the kernel of the dagger of mu
+    away from wrapping classes.
+
+    The windowed exactness is a property of the local maps, not of any
+    torus, so it is certified once per eta, on lengths large enough to open
+    a window.  A failed certificate raises ValueError and is not cached.
+    """
+    mu_map = bounded_kernel(eta).matrix()
+    eta_dag = eta.dagger()
+    eta_cols_basis = KernelBasis(
+        parent=mu_map.dagger(),
+        box=eta_dag.support_extent(),
+        generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
+    )
+    if not certify_on_torus(eta_cols_basis, certification_lengths(eta_cols_basis)).passed:
+        raise ValueError("the local fields are not exact in windowed form")
+    return mu_map
+
+
 def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     """The gauged basis states span the flat-connection ground sector.
 
@@ -543,16 +545,11 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     nm = lat.n_matter
     eta = model.constraint_map
 
-    mu = bounded_kernel(eta)
-    mu_map = mu.matrix()
-    # windowed exactness: the columns of the dagger of eta generate the
-    # kernel of the dagger of mu away from wrapping classes
-    eta_dag = eta.dagger()
-    eta_cols_basis = KernelBasis(
-        parent=mu_map.dagger(),
-        box=eta_dag.support_extent(),
-        generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
-    )
+    try:
+        mu_map, local_ok = _certified_local_kernel(eta), True
+    except ValueError:
+        # the certificate failed; an error of the kernel search raises again
+        mu_map, local_ok = bounded_kernel(eta).matrix(), False
     # rows of the dagger's instantiation are the translates' gauge patterns;
     # with no local kernel they are none, so the domain size is not read off it
     mu_dag_t = instantiate(mu_map.dagger(), shape)
@@ -560,12 +557,6 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     # the flat fields are the torus kernel of eta, whose rank is the dagger's
     flat = instantiate(eta, shape).nullspace()
     im_eta_dag = lat.n_gauge - len(flat)
-    # the windowed exactness is a property of the local maps, not of this
-    # particular torus, so certify it on lengths large enough to open a window
-    try:
-        local_ok = certify_on_torus(eta_cols_basis, certification_lengths(eta_cols_basis)).passed
-    except ValueError:
-        local_ok = False
 
     masks = lat.constraint_masks()
 
@@ -585,9 +576,10 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     dim_local = 1 << (n - rank_local)
 
     g, _ = lat.gauging_map
-    contained = all(_max_deviation(pauli_on_block(lat, g, xm, zm), g) <= DERIVED_TOL
+    contained = all(lat.keeps_gauss_law(zm)
+                    and _max_deviation(apply_pauli(lat, g, xm, zm), g) <= DERIVED_TOL
                     for xm, zm in masks + flat_masks)
-    g_rank = block_rank(g)
+    g_rank = coset_rank(g)
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(
         passed=passed,

@@ -354,17 +354,18 @@ def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
     assert len(built) == 1
 
 
-def test_smallscale_all_never_imports_numpy_random():
-    # numpy.random costs a fresh process 14-20 ms to import; no dense check
-    # draws random states, so a CLI run must not load it
+def test_cli_never_imports_numpy():
+    # the dense checks run on Python ints, so neither importing the CLI nor
+    # running every dense check may load numpy, a test-only dependency
     script = (
         "import contextlib, io, sys\n"
         "from stabgauge.cli import cli_main\n"
+        "assert 'numpy' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli_main(['smallscale', '--model', 'ising2d', '--lengths', '2,2',"
         " '--check', 'all', '--json'])\n"
         "assert code == 0, code\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(stabgauge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

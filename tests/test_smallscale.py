@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from stabgauge.gauging import (
     NotSymmetricError,
     SymmetryModel,
     conjugate_by_disentangler,
+    gauge,
     pi_generators,
     symmetry_model_from_code,
 )
@@ -22,26 +25,27 @@ from stabgauge.pauli import GeneratorMap, PauliColumn
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     DERIVED_TOL,
-    Block,
+    CosetState,
     DenseLattice,
     GroundspaceReport,
+    MatterMatrix,
     QubitCapExceeded,
     _gauged_image,
-    add_blocks,
+    _max_deviation,
     apply_pauli,
-    block_rank,
     build_G,
     check_claim1,
     check_groundspace_span,
     check_lemma2,
     check_lemma3,
     check_matrix_elements,
-    matter_operator_dense,
-    pauli_gather,
-    pauli_on_block,
+    coset_rank,
+    gram,
+    matter_operator,
     symmetric_projector,
+    symmetrize,
 )
-from stabgauge.torus import shape_of
+from stabgauge.torus import count_logical, instantiate, shape_of
 
 SHAPE = shape_of((2, 2))
 
@@ -69,19 +73,63 @@ def fold_model():
     return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]]))
 
 
-def expand(lat, block):
-    """A block as a (2^n_total, columns) array: column j holds vals[j, u] at
-    basis state reps[j] ^ W(u), where W(u) is the XOR of the Gauss-law X
-    masks of the matter bits of u, enumerated here bit by bit."""
+def expand(lat, state):
+    """A coset state as a (2^n_total, columns) array: column j holds
+    signs[j] * 2^(sq_exp/2) at basis state reps[j] ^ W(u) for every matter
+    pattern u, where W(u) is the XOR of the Gauss-law X masks of the matter
+    bits of u, enumerated here bit by bit."""
     masks = [xm for xm, _ in lat.constraint_masks()]
     w = np.zeros(1 << lat.n_matter, dtype=np.int64)
     for u in range(len(w)):
         for i, xm in enumerate(masks):
             if (u >> i) & 1:
                 w[u] ^= xm
-    out = np.zeros((1 << lat.n_total, len(block.reps)))
-    out[block.reps[:, None] ^ w[None, :], np.arange(len(block.reps))[:, None]] = block.vals
+    reps = np.array(state.reps, dtype=np.int64)
+    vals = np.array(state.signs, dtype=float) * 2.0 ** (state.sq_exp / 2)
+    out = np.zeros((1 << lat.n_total, len(reps)))
+    out[reps[:, None] ^ w[None, :], np.arange(len(reps))[:, None]] = vals[:, None]
     return out
+
+
+def dense(matrix: MatterMatrix):
+    """An exact matter-space matrix as a float array."""
+    out = np.zeros((len(matrix.rows), len(matrix.rows)))
+    for r, row in enumerate(matrix.rows):
+        for c, v in row.items():
+            out[r, c] = v * 2.0 ** -matrix.den_exp
+    return out
+
+
+def full_pauli(vec, xmask, zmask):
+    """X(xmask) Z(zmask) on full state vectors (axis 0 runs over all 2^n
+    basis states), Z acting first: entry i is the input's entry i ^ xmask
+    times the parity sign of (i ^ xmask) & zmask."""
+    src = np.arange(len(vec)) ^ xmask
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & zmask) & 1)
+    return vec[src] * signs.reshape((-1,) + (1,) * (vec.ndim - 1))
+
+
+def gauss_project(lat, vec, order=1):
+    """The product of the Gauss-law projectors (1 + X(W_i))/2 on full state
+    vectors, taken in the given order (1 or -1) of the generators."""
+    for xm, zm in lat.constraint_masks()[::order]:
+        vec = 0.5 * (vec + full_pauli(vec, xm, zm))
+    return vec
+
+
+def flat_zmasks(lat):
+    """Z masks of the flat fields, the torus kernel of the constraint map."""
+    flat = instantiate(lat.model.constraint_map, lat.shape).nullspace()
+    return [lat.lift_mask(v << lat.n_matter) for v in flat]
+
+
+def random_state(lat, columns, seed):
+    """Random signs (+1, -1 or 0) on random cosets of the gauging map."""
+    rng = np.random.default_rng(seed)
+    g, _ = lat.gauging_map
+    reps = tuple(g.reps[int(i)] for i in rng.integers(0, len(g.reps), columns))
+    signs = tuple(int(s) for s in rng.integers(-1, 2, columns))
+    return CosetState(reps, signs, g.sq_exp)
 
 
 def ops(model):
@@ -90,6 +138,12 @@ def ops(model):
     single_x = PauliColumn(model.dim, 1, (one,), (zero,))
     bond = PauliColumn(model.dim, 1, (zero,), (model.constraint_map.entries[0][0],))
     return single_x, bond
+
+
+def gauged_masks(lat):
+    """(xmask, zmask) of the disentangled gauged images of single X and the bond."""
+    return [lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
+            for op in ops(lat.model)]
 
 
 def test_lattice_has_twelve_qubits(ising_model):
@@ -106,29 +160,33 @@ def test_cap_refuses_cubic_matter_model():
 
 def test_pauli_products_are_involutions(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(1 << lat.n_total)
-    full = np.arange(1 << lat.n_total)
-    for xm, zm in lat.constraint_masks():
-        twice = apply_pauli(apply_pauli(vec, xm, zm, full), xm, zm, full)
-        assert np.max(np.abs(twice - vec)) <= 1e-12
+    state = random_state(lat, 16, 0)
+    pairs = lat.constraint_masks() + [(0, z) for z in flat_zmasks(lat)] + gauged_masks(lat)
+    for xm, zm in pairs:
+        assert apply_pauli(lat, apply_pauli(lat, state, xm, zm), xm, zm) == state
 
 
-def test_projectors_idempotent_and_commuting(ising_model):
+def test_gauss_projector_keeps_or_zeroes_whole_columns(ising_model):
+    # after a Pauli, the full-space Gauss-law projectors (idempotent, and
+    # commuting) keep every column when the Z mask keeps the Gauss law, and
+    # zero every column otherwise
     lat = DenseLattice(ising_model, SHAPE)
-    rng = np.random.default_rng(1)
-    vec = rng.standard_normal(1 << lat.n_total)
-    masks = lat.constraint_masks()
-    full = np.arange(1 << lat.n_total)
-
-    def proj(v, pair):
-        return 0.5 * (v + apply_pauli(v, *pair, full))
-
-    for pair in masks:
-        once = proj(vec, pair)
-        assert np.max(np.abs(proj(once, pair) - once)) <= 1e-12
-    a, b = masks[0], masks[1]
-    assert np.max(np.abs(proj(proj(vec, a), b) - proj(proj(vec, b), a))) <= 1e-12
+    state = random_state(lat, 6, 1)
+    full = expand(lat, state)
+    assert np.array_equal(gauss_project(lat, full), full)
+    matter_z = lat.lift_mask(0b1)
+    pairs = gauged_masks(lat) + [(0, matter_z), (lat.constraint_masks()[0][0], matter_z)]
+    kept = 0
+    for xm, zm in pairs:
+        projected = gauss_project(lat, full_pauli(full, xm, zm))
+        assert np.max(np.abs(gauss_project(lat, projected) - projected)) <= 1e-12
+        assert np.max(np.abs(gauss_project(lat, full_pauli(full, xm, zm), -1) - projected)) <= 1e-12
+        if lat.keeps_gauss_law(zm):
+            kept += 1
+            assert np.array_equal(projected, expand(lat, apply_pauli(lat, state, xm, zm)))
+        else:
+            assert not projected.any()
+    assert kept == 2
 
 
 def test_raw_gauging_map_norm_pattern(ising_model):
@@ -136,7 +194,8 @@ def test_raw_gauging_map_norm_pattern(ising_model):
     # before the map is scaled by 2^(norm_exponent / 2)
     lat = DenseLattice(ising_model, SHAPE)
     g, info = build_G(lat)
-    norms = np.sum(g.vals * g.vals, axis=1)
+    full = expand(lat, g)
+    norms = np.sum(full * full, axis=0)
     scale = 2.0 ** (info.norm_exponent / 2.0)
     assert np.allclose(norms, 2.0 ** (-len(lat.constraint_masks())) * scale**2)
 
@@ -145,12 +204,12 @@ def test_cached_gauging_map_is_read_only(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     g, info = lat.gauging_map
     assert lat.gauging_map[0] is g
-    with pytest.raises(ValueError):
-        g.vals[0, 0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.signs = ()
+    with pytest.raises(TypeError):
         g.reps[0] = 1
     fresh, fresh_info = build_G(lat)
-    assert np.array_equal(g.reps, fresh.reps) and np.array_equal(g.vals, fresh.vals)
+    assert g == fresh
     assert info == fresh_info
 
 
@@ -168,13 +227,13 @@ def test_no_constraint_model_gauges_to_symmetric_projector():
     g, info = build_G(lat)
     full = expand(lat, g)
     assert np.array_equal(full, np.full((8, 8), 2.0**-3))
-    assert np.array_equal(full, symmetric_projector(lat))
+    assert np.array_equal(full, dense(symmetric_projector(lat)))
     assert (info.norm_exponent, info.symmetry_dim) == (0, 3)
 
 
 def test_no_constraint_model_symmetric_projector_averages_every_x_pattern():
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
-    assert np.array_equal(symmetric_projector(lat), np.full((8, 8), 2.0**-3))
+    assert np.array_equal(dense(symmetric_projector(lat)), np.full((8, 8), 2.0**-3))
     assert check_lemma2(lat).max_deviation == 0.0
 
 
@@ -217,8 +276,8 @@ def repeated_bonds_model(count):
 
 
 def test_lattice_over_63_qubits_exceeds_the_mask_limit():
-    # masks are int64: 4 matter and 60 gauge qubits are refused whatever the
-    # cap, 3 matter and 60 gauge qubits still run
+    # 4 matter and 60 gauge qubits are refused whatever the cap, 3 matter
+    # and 60 gauge qubits still run
     with pytest.raises(QubitCapExceeded, match="63-qubit limit of int64 bit masks"):
         DenseLattice(repeated_bonds_model(15), shape_of((4,)), cap=80)
     lat = DenseLattice(repeated_bonds_model(20), shape_of((3,)), cap=80)
@@ -256,7 +315,7 @@ def test_lemma3_fails_for_a_wrong_gauged_operator(ising_model, monkeypatch):
     monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
     rep = check_lemma3(lat, single_x)
     assert not rep.passed
-    assert rep.max_deviation == np.max(np.abs(lat.gauging_map[0].vals)) > DERIVED_TOL
+    assert rep.max_deviation == np.max(np.abs(expand(lat, lat.gauging_map[0]))) > DERIVED_TOL
 
 
 def test_claim1_recovers_operators(ising_model):
@@ -285,7 +344,7 @@ def test_matrix_elements_fail_for_a_wrong_gauged_operator(ising_model, monkeypat
     monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
     rep = check_matrix_elements(lat, single_x)
     assert not rep.passed
-    assert rep.max_deviation > DERIVED_TOL
+    assert rep.max_deviation == 0.5
 
 
 def test_groundspace_span_ising(ising_model):
@@ -316,6 +375,40 @@ def test_groundspace_no_constraints_trivially_spanned():
     rep = check_groundspace_span(DenseLattice(trivial_model(q=1), shape_of((3,))))
     assert rep.passed
     assert rep.holonomy_sectors == 1
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(smallscale, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smallscale, name, counted)
+    return calls
+
+
+def test_groundspace_certifies_each_model_once(ising_model, monkeypatch):
+    # the windowed exactness depends on the model alone, so lattices of one
+    # model share one kernel search and one certificate
+    smallscale._certified_local_kernel.cache_clear()
+    kernels = _counting(monkeypatch, "bounded_kernel")
+    certificates = _counting(monkeypatch, "certify_on_torus")
+    for lengths in ((2, 2), (3, 2)):
+        assert check_groundspace_span(DenseLattice(ising_model, shape_of(lengths))).passed
+    assert (len(kernels), len(certificates)) == (1, 1)
+    smallscale._certified_local_kernel.cache_clear()
+
+
+def test_groundspace_failed_certificate_is_not_cached(monkeypatch):
+    smallscale._certified_local_kernel.cache_clear()
+    certificates = _counting(monkeypatch, "certify_on_torus")
+    lat = DenseLattice(fold_model(), shape_of((2,)))
+    for _ in range(2):
+        assert not check_groundspace_span(lat).local_exactness
+    assert len(certificates) == 2
+    smallscale._certified_local_kernel.cache_clear()
 
 
 def _all_reports(lat):
@@ -355,6 +448,23 @@ def test_fractal_ising_pair_at_24_qubits():
             ground.ground_dim_local_fields) == (32, 32, 64, 2048)
 
 
+@pytest.mark.parametrize("name,lengths,cap,sectors,k", [
+    ("ising2d", (2, 2), 20, 4, 2),
+    ("ising2d", (3, 2), 20, 4, 2),
+    ("toric2d", (2, 2), 20, 4, 2),
+    ("fractal_ising", (2, 2, 2), 24, 64, 6),
+])
+def test_holonomy_sectors_count_logical_qubits_of_the_gauged_code(name, lengths, cap, sectors, k):
+    # two layers of the paper's relation give one number: the wrapping
+    # sectors the local fields leave degenerate, and 2^k of the gauged code
+    model = symmetry_model_from_code(get_code(name))
+    shape = shape_of(lengths)
+    rep = check_groundspace_span(DenseLattice(model, shape, cap=cap))
+    k_encoded = count_logical(gauge(model)[0], shape).k_encoded
+    assert (rep.holonomy_sectors, k_encoded) == (sectors, k)
+    assert rep.holonomy_sectors == 2 ** k_encoded
+
+
 def test_claim1_adjacency_follows_gauss_law_masks():
     # on a length-2 circle the Gauss-law generator of a matter qubit flips no
     # gauge qubit, so the twirl region cannot be injective
@@ -375,55 +485,69 @@ def test_claim1_region_holds_no_untouched_gauge_qubit():
     assert rep.details["region_gauge"] == 0
 
 
-def test_apply_pauli_acts_on_blocks_column_by_column(ising_model):
+def test_apply_pauli_acts_column_by_column(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
-    rng = np.random.default_rng(3)
-    block = rng.standard_normal((1 << lat.n_total, 5))
-    full = np.arange(1 << lat.n_total)
+    state = random_state(lat, 5, 3)
     x_only, _ = lat.constraint_masks()[0]
-    z_only = lat.lift_mask(0b101 << lat.n_matter)
-    for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (x_only, z_only | 1)):
-        by_column = np.column_stack([apply_pauli(block[:, j], xm, zm, full) for j in range(5)])
-        assert np.array_equal(apply_pauli(block, xm, zm, full), by_column)
+    z_only = flat_zmasks(lat)[0]
+    gauge_x, gauge_z = gauged_masks(lat)[1]
+    for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (gauge_x, gauge_z ^ z_only)):
+        whole = apply_pauli(lat, state, xm, zm)
+        for j in range(5):
+            column = CosetState(state.reps[j:j + 1], state.signs[j:j + 1], state.sq_exp)
+            moved = apply_pauli(lat, column, xm, zm)
+            assert (moved.reps[0], moved.signs[0]) == (whole.reps[j], whole.signs[j])
 
 
 def test_eighteen_qubit_ising_stores_one_coset_per_column():
     # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: G has 64
-    # columns of 64 amplitudes each, in 32 cosets that cover 2^11 of the 2^18
-    # basis states; a full-space fall-back would hold all of them per column
+    # columns in 32 cosets that cover 2^11 of the 2^18 basis states, and
+    # holds one rep and one sign per column
     lat = DenseLattice(symmetry_model_from_code(get_code("ising2d")), shape_of((3, 2)))
     assert lat.n_total == 18
     g, _ = lat.gauging_map
-    assert g.vals.shape == (64, 64) and len(np.unique(g.reps)) == 32
-    assert len(np.unique(g.reps[:, None] ^ lat.coset_rows[None, :])) == 2048
+    assert len(g.reps) == len(g.signs) == 64 and len(set(g.reps)) == 32
+    assert len({r ^ w for r in g.reps for w in lat.coset_rows}) == 2048
 
 
-def test_apply_pauli_rejects_x_mask_outside_rows():
-    rows = np.arange(4)
+def test_apply_pauli_rejects_z_mask_that_breaks_the_gauss_law(ising_model):
+    # a matter Z anticommutes with its own Gauss-law generator: the image of
+    # a coset state would not be uniform on its coset
+    lat = DenseLattice(ising_model, SHAPE)
+    g, _ = lat.gauging_map
+    with pytest.raises(ValueError, match="anticommutes"):
+        apply_pauli(lat, g, 0, lat.lift_mask(1))
     with pytest.raises(ValueError):
-        apply_pauli(np.ones(4), 0b100, 0, rows)
-    with pytest.raises(ValueError):
-        pauli_gather(0b100, 1, rows)
+        apply_pauli(lat, g, lat.constraint_masks()[0][0], lat.lift_mask(1))
 
 
 @pytest.mark.parametrize("seed", [None, 11], ids=["unpermuted", "permuted"])
-def test_coset_pauli_action_matches_apply_pauli(ising_model, seed):
-    # Gauss-law masks, a gauged operator's mask with a gauge X remainder and
-    # masks with Z parts on matter and gauge bits, on 3 random columns spread
-    # over two cosets, against apply_pauli on all 2^12 basis states
+def test_coset_pauli_action_matches_full_space_action(ising_model, seed):
+    # Gauss-law masks, the gauged operators' masks with their gauge X
+    # remainders, flat-field Z masks and mixed masks with matter bits, on
+    # random columns over several cosets, against the action on all 2^12
+    # basis states; Z masks that break the Gauss law are refused
     base = DenseLattice(ising_model, SHAPE)
     perm = None if seed is None else tuple(
         int(i) for i in np.random.default_rng(seed).permutation(base.n_total))
     lat = DenseLattice(ising_model, SHAPE, perm=perm)
-    gauge_x = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, ops(lat.model)[0])))[0]
-    block = Block(np.array([0, 0, lat.split_mask(gauge_x)[0]]),
-                  np.random.default_rng(5).standard_normal((3, 1 << lat.n_matter)))
-    full = np.arange(1 << lat.n_total)
+    state = random_state(lat, 4, 5)
+    gauge_x = gauged_masks(lat)[0][0]
+    z_flat = flat_zmasks(lat)[0]
     z_mixed = lat.lift_mask(0b101 << lat.n_matter | 0b11)
-    pairs = lat.constraint_masks() + [(gauge_x, 0), (0, z_mixed), (gauge_x ^ lat.lift_mask(1), z_mixed)]
+    pairs = lat.constraint_masks() + gauged_masks(lat) + [
+        (gauge_x, 0), (0, z_flat), (gauge_x ^ lat.lift_mask(1), z_flat),
+        (0, z_mixed), (gauge_x ^ lat.lift_mask(1), z_mixed)]
+    refused = 0
     for xm, zm in pairs:
-        moved = pauli_on_block(lat, block, xm, zm)
-        assert np.array_equal(expand(lat, moved), apply_pauli(expand(lat, block), xm, zm, full))
+        if lat.keeps_gauss_law(zm):
+            moved = apply_pauli(lat, state, xm, zm)
+            assert np.array_equal(expand(lat, moved), full_pauli(expand(lat, state), xm, zm))
+        else:
+            refused += 1
+            with pytest.raises(ValueError):
+                apply_pauli(lat, state, xm, zm)
+    assert refused == 2
 
 
 def _oracle_lattices():
@@ -448,7 +572,7 @@ def test_matter_operators_match_kronecker_products(lat):
     mixed = PauliColumn(dim, 1, (LaurentPoly.one(dim),), (LaurentPoly.one(dim),))
     for op in (single_x, bond, mixed, identity_column(dim, 1)):
         expected = naive_pauli_matrix(lat.n_matter, *lat.raw_masks(op))
-        assert np.array_equal(matter_operator_dense(lat, op), expected)
+        assert np.array_equal(dense(matter_operator(lat, op)), expected)
 
 
 def assert_matches_oracle(lat):
@@ -464,6 +588,18 @@ def assert_matches_oracle(lat):
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
 def test_gauging_map_matches_coset_form(lat):
     assert_matches_oracle(lat)
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
+def test_exact_matrices_match_dense_products(lat):
+    # the Gram matrix of two coset states and its symmetrized form, against
+    # float products of their expansions
+    g, _ = lat.gauging_map
+    for other in (g, random_state(lat, len(g.reps), 7)):
+        product = expand(lat, g).T @ expand(lat, other)
+        assert np.max(np.abs(dense(gram(lat, g, other)) - product)) <= 1e-12
+        proj = dense(symmetric_projector(lat))
+        assert np.max(np.abs(dense(symmetrize(lat, gram(lat, g, other))) - proj @ product)) <= 1e-12
 
 
 @st.composite
@@ -493,24 +629,31 @@ def test_coset_form_matches_oracle_and_full_rank_on_random_models(lat):
     assert_matches_oracle(lat)
     g, _ = lat.gauging_map
     svals = np.linalg.svd(expand(lat, g), compute_uv=False)
-    assert block_rank(g) == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
+    assert coset_rank(g) == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
     assert check_lemma2(lat).passed
 
 
-def test_block_rank_groups_columns_by_coset():
-    # cosets 0 and 4 each hold e0 and e1, interleaved: rank 2 in each
-    eye = np.eye(4)
-    block = Block(np.array([0, 4, 0, 4]), eye[[0, 0, 1, 1]])
-    assert block_rank(block) == 4
-    with pytest.raises(ValueError):
-        block_rank(Block(np.array([0, 4, 0]), eye[:3]))
+def test_coset_rank_counts_cosets_of_nonzero_columns(ising_model):
+    # columns on one coset are parallel whatever their signs, a zero column
+    # adds nothing, and columns on different cosets are orthogonal
+    lat = DenseLattice(ising_model, SHAPE)
+    g, _ = lat.gauging_map
+    a, b, c = sorted(set(g.reps))[:3]
+    state = CosetState((a, b, a, b, c), (1, -1, -1, 1, 0), g.sq_exp)
+    assert coset_rank(state) == 2 == np.linalg.matrix_rank(expand(lat, state))
 
 
-def test_summing_blocks_in_different_cosets_raises():
-    a = Block(np.array([0, 4]), np.ones((2, 4)))
-    assert np.array_equal(add_blocks(a, a).vals, np.full((2, 4), 2.0))
+def test_max_deviation_matches_full_space_difference(ising_model):
+    # columns on one coset differ by their signs; columns on different
+    # cosets have disjoint supports and deviate by the larger magnitude
+    lat = DenseLattice(ising_model, SHAPE)
+    for seed in range(4):
+        a, b = random_state(lat, 8, seed), random_state(lat, 8, seed + 10)
+        b = CosetState(a.reps[:4] + b.reps[4:], b.signs, b.sq_exp)
+        want = np.max(np.abs(expand(lat, a) - expand(lat, b)))
+        assert _max_deviation(a, b) == want
     with pytest.raises(ValueError):
-        add_blocks(a, Block(np.array([0, 8]), np.ones((2, 4))))
+        _max_deviation(a, CosetState(a.reps, a.signs, a.sq_exp - 2))
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
@@ -520,23 +663,21 @@ def test_cosets_closed_under_gauss_law_and_gauged_operator_masks(lat):
     # remainder is gauge-only and one of the Gauss-law gauge patterns
     matter = lat.lift_mask((1 << lat.n_matter) - 1)
     rows = lat.coset_rows
-    assert len(np.unique(rows)) == len(rows)
-    assert np.array_equal(rows & matter, lat.lift_mask(np.arange(len(rows))))
+    assert len(set(rows)) == len(rows)
+    assert [r & matter for r in rows] == [lat.lift_mask(u) for u in range(len(rows))]
     for i, (xm, _) in enumerate(lat.constraint_masks()):
         assert lat.split_mask(xm) == (0, 1 << i)
-    conjugated = [conjugate_by_disentangler(lat.model, _gauged_image(lat, op))
-                  for op in ops(lat.model)]
-    for xm in [lat.masks(c)[0] for c in conjugated]:
+    for xm, _ in gauged_masks(lat):
         rep, u = lat.split_mask(xm)
-        assert rep & matter == 0 and rep ^ int(rows[u]) == xm
-        assert rep in set((rows & ~matter).tolist())
+        assert rep & matter == 0 and rep ^ rows[u] == xm
+        assert rep in {r & ~matter for r in rows}
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
 def test_symmetric_projector_matches_group_average(lat):
     masks = [xm for xm, _ in lat.constraint_masks()]
     expected = naive_symmetric_projector(lat.n_matter, masks, lat.perm)
-    assert np.array_equal(symmetric_projector(lat), expected)
+    assert np.array_equal(dense(symmetric_projector(lat)), expected)
 
 
 def test_masks_match_term_placement_on_fold_model():
