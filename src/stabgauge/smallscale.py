@@ -35,10 +35,9 @@ gauge types after them; one operator's Pauli masks are placed by
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
 from .gf2 import Gf2Basis
@@ -276,9 +275,9 @@ def matter_operator(lat: DenseLattice, op: PauliColumn) -> MatterMatrix:
 def symmetrize(lat: DenseLattice, m: MatterMatrix) -> MatterMatrix:
     """P_sym @ m, for P_sym the average of the symmetry group's X products.
 
-    Row r is the sum of m's rows r ^ k over k in K, over 2^dim K more.  Rows
-    whose indices differ by an element of K are therefore equal, so each is
-    summed once per coset of K and shared.
+    Row r is the sum of m's rows r ^ k over k in K, over a denominator
+    2^dim K times m's.  Rows whose indices differ by an element of K are
+    therefore equal, so each is summed once per coset of K and shared.
     """
     group = lat.symmetry_group
     out: list[dict[int, int] | None] = [None] * len(m.rows)
@@ -364,9 +363,10 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     image's Z mask keeps the Gauss law, and otherwise zeroes every column,
     as the average of a nontrivial character over the matter patterns."""
     xmask, zmask = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
+    kept = lat.keeps_gauss_law(zmask)
 
     def act(state: CosetState) -> CosetState:
-        if lat.keeps_gauss_law(zmask):
+        if kept:
             return apply_pauli(lat, state, xmask, zmask)
         return CosetState(state.reps, (0,) * len(state.signs), state.sq_exp)
 
@@ -509,7 +509,7 @@ class GroundspaceReport:
         )
 
 
-@functools.lru_cache(maxsize=16)
+@lru_cache(maxsize=16)
 def _certified_local_kernel(eta: GeneratorMap) -> GeneratorMap:
     """mu, the box-local kernel of eta as a map, once the columns of the
     dagger of eta are certified to generate the kernel of the dagger of mu
