@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import replace
 
 from .cluster import build_cluster
 from .gauging import symmetry_model_from_code
@@ -118,11 +117,9 @@ def generalized_toric(d: int, k: int) -> CodeSpec:
 
 
 def _cluster_from(code_name: str, out_name: str) -> CodeSpec:
-    model = symmetry_model_from_code(get_code(code_name))
-    return replace(
-        build_cluster(model, out_name),
-        notes=f"cluster model on the bipartite constraint graph of {code_name}",
-    )
+    code = build_cluster(symmetry_model_from_code(get_code(code_name)), out_name)
+    return CodeSpec(code.name, code.css, code.sigma_x, code.sigma_z, code.sigma,
+                    notes=f"cluster model on the bipartite constraint graph of {code_name}")
 
 
 _BUILDERS = {
@@ -208,7 +205,7 @@ def code_to_dict(code: CodeSpec) -> dict:
                 "z_block": [_poly_to_json(p) for p in col[q:]],
             }
         )
-    return {
+    out = {
         "name": code.name,
         "dim": code.dim,
         "q_per_site": q,
@@ -216,6 +213,10 @@ def code_to_dict(code: CodeSpec) -> dict:
         "generators": generators,
         "notes": code.notes,
     }
+    # only an all-zero generator can make the reader's sector guess wrong
+    if code.css and not all(any(full.column(j)) for j in range(full.cols)):
+        out["n_x_types"] = code.n_x_types
+    return out
 
 
 def code_from_dict(data: dict) -> CodeSpec:
@@ -239,20 +240,33 @@ def code_from_dict(data: dict) -> CodeSpec:
             raise ValueError("generator block length does not match q_per_site")
         cols.append(tuple(x + z))
     if not css:
+        if "n_x_types" in data:
+            raise ValueError("n_x_types is only valid for a CSS code")
         return CodeSpec(
             name=name, css=False, sigma=GeneratorMap.from_columns(dim, 2 * q, cols), notes=notes,
         )
-    # X generators are written first, so in a file with any X generator an
-    # all-zero generator that no Z generator precedes is an X generator
-    has_x = any(any(c[:q]) for c in cols)
-    x_cols, z_cols = [], []
-    for c in cols:
-        if any(c[:q]) or (has_x and not z_cols and not any(c[q:])):
-            if any(c[q:]):
-                raise ValueError("CSS file contains a mixed generator")
-            x_cols.append(c[:q])
-        else:
-            z_cols.append(c[q:])
+    if "n_x_types" in data:
+        # the first n_x_types generators are the X sector, the rest the Z sector
+        n_x = _require_int(data["n_x_types"], "n_x_types", 0)
+        if n_x > len(cols):
+            raise ValueError(f"n_x_types must be at most {len(cols)}, got {n_x}")
+        for g, c in enumerate(cols):
+            if any(c[q:] if g < n_x else c[:q]):
+                part = "a Z" if g < n_x else "an X"
+                raise ValueError(f"n_x_types is {n_x}, but generator {g} has {part} part")
+        x_cols, z_cols = [c[:q] for c in cols[:n_x]], [c[q:] for c in cols[n_x:]]
+    else:
+        # X generators are written first, so in a file with any X generator
+        # an all-zero generator that no Z generator precedes is an X generator
+        has_x = any(any(c[:q]) for c in cols)
+        x_cols, z_cols = [], []
+        for c in cols:
+            if any(c[:q]) or (has_x and not z_cols and not any(c[q:])):
+                if any(c[q:]):
+                    raise ValueError("CSS file contains a mixed generator")
+                x_cols.append(c[:q])
+            else:
+                z_cols.append(c[q:])
     return CodeSpec(
         name=name, css=True, sigma_x=GeneratorMap.from_columns(dim, q, x_cols),
         sigma_z=GeneratorMap.from_columns(dim, q, z_cols), notes=notes,

@@ -17,8 +17,6 @@ translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pauli import (
     CodeSpec,
     GeneratorMap,
@@ -27,6 +25,7 @@ from .pauli import (
     maps_equal_up_to_translation,
     verify_stabilizer,
 )
+from .poly import Frozen
 from .syzygy import (
     KernelBasis,
     NotSymmetricError,  # raised by gauge_operator; callers import it from here
@@ -35,8 +34,7 @@ from .syzygy import (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryModel:
+class SymmetryModel(Frozen):
     """Matter qubits with a locally-defined tensor-product X symmetry.
 
     constraint_map (eta) has one row per matter qubit type and one column
@@ -44,8 +42,10 @@ class SymmetryModel:
     read off it.
     """
 
-    constraint_map: GeneratorMap
-    notes: str = ""
+    __slots__ = ("constraint_map", "notes")
+
+    def __init__(self, constraint_map: GeneratorMap, notes: str = "") -> None:
+        self._fill(constraint_map, notes)
 
     @property
     def dim(self) -> int:
@@ -130,12 +130,11 @@ def _swap_sectors(code: CodeSpec) -> CodeSpec:
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    passed: bool
-    forward_match: bool
-    dual_match: bool
-    diff: str = ""
+class DualityReport(Frozen):
+    __slots__ = ("passed", "forward_match", "dual_match", "diff")
+
+    def __init__(self, passed: bool, forward_match: bool, dual_match: bool, diff: str = "") -> None:
+        self._fill(passed, forward_match, dual_match, diff)
 
     def __str__(self) -> str:
         if self.passed:

@@ -9,31 +9,37 @@ commutativity of every pair of generator translates at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .poly import LaurentPoly, support_box
+from .poly import Frozen, LaurentPoly, support_box
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(Frozen):
     """Matrix of Laurent polynomials: a tuple of rows, and the column count,
     which a map without rows cannot read off them (0 when omitted)."""
 
-    dim: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-    cols: int | None = None
+    __slots__ = ("dim", "entries", "cols")
 
-    def __post_init__(self) -> None:
-        width = len(self.entries[0]) if self.entries else (self.cols or 0)
-        if self.cols not in (None, width):
+    def __init__(self, dim: int, entries: tuple[tuple[LaurentPoly, ...], ...],
+                 cols: int | None = None) -> None:
+        width = len(entries[0]) if entries else (cols or 0)
+        if cols not in (None, width):
             raise ValueError("column count does not match the rows")
-        object.__setattr__(self, "cols", width)
-        for row in self.entries:
+        for row in entries:
             if len(row) != width:
                 raise ValueError("ragged generator map")
             for p in row:
-                if p.dim != self.dim:
+                if p.dim != dim:
                     raise ValueError("entry dimension does not match map dimension")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cols", width)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.entries, self.cols) == (other.dim, other.entries, other.cols)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.entries, self.cols))
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> GeneratorMap:
@@ -110,21 +116,31 @@ class GeneratorMap:
         return tuple(h - l for l, h in zip(*box))
 
 
-@dataclass(frozen=True)
-class PauliColumn:
+class PauliColumn(Frozen):
     """A lattice Pauli operator: Q X-block and Q Z-block polynomials."""
 
-    dim: int
-    q: int
-    x_block: tuple[LaurentPoly, ...]
-    z_block: tuple[LaurentPoly, ...]
+    __slots__ = ("dim", "q", "x_block", "z_block")
 
-    def __post_init__(self) -> None:
-        if len(self.x_block) != self.q or len(self.z_block) != self.q:
+    def __init__(self, dim: int, q: int, x_block: tuple[LaurentPoly, ...],
+                 z_block: tuple[LaurentPoly, ...]) -> None:
+        if len(x_block) != q or len(z_block) != q:
             raise ValueError("block length does not match qubit count")
-        for p in self.x_block + self.z_block:
-            if p.dim != self.dim:
+        for p in x_block + z_block:
+            if p.dim != dim:
                 raise ValueError("entry dimension mismatch")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "x_block", x_block)
+        object.__setattr__(self, "z_block", z_block)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.dim, self.q, self.x_block, self.z_block)
+                == (other.dim, other.q, other.x_block, other.z_block))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.q, self.x_block, self.z_block))
 
     @classmethod
     def single_x(cls, dim: int, q: int, i: int) -> PauliColumn:
@@ -183,8 +199,7 @@ def epsilon_of(sigma: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(sigma.dim, tuple(out), sigma.rows)
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Frozen):
     """A translation-invariant stabilizer Hamiltonian.
 
     CSS codes carry sigma_x and sigma_z (Q x T_x and Q x T_z, each in its
@@ -193,14 +208,12 @@ class CodeSpec:
     read off the maps.
     """
 
-    name: str
-    css: bool
-    sigma_x: GeneratorMap | None = None
-    sigma_z: GeneratorMap | None = None
-    sigma: GeneratorMap | None = None
-    notes: str = ""
+    __slots__ = ("name", "css", "sigma_x", "sigma_z", "sigma", "notes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, css: bool, sigma_x: GeneratorMap | None = None,
+                 sigma_z: GeneratorMap | None = None, sigma: GeneratorMap | None = None,
+                 notes: str = "") -> None:
+        self._fill(name, css, sigma_x, sigma_z, sigma, notes)
         if self.css:
             x, z = self.sigma_x, self.sigma_z
             if x is None or z is None:
@@ -242,10 +255,11 @@ class CodeSpec:
         return [PauliColumn.from_entries(self.dim, full.column(j)) for j in range(full.cols)]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    passed: bool
-    witness: tuple[int, int, LaurentPoly] | None = None
+class VerifyReport(Frozen):
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: tuple[int, int, LaurentPoly] | None = None) -> None:
+        self._fill(passed, witness)
 
     def __str__(self) -> str:
         if self.passed:

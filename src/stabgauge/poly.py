@@ -6,8 +6,8 @@ monomial has coefficient 1, so addition is symmetric difference.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
 
 Monomial = tuple[int, ...]
 
@@ -15,19 +15,67 @@ _FACTOR_RE = re.compile(r"^(x(\d+)|[xyz])(?:\^(-?\d+))?$")
 _XYZ = {"x": 1, "y": 2, "z": 3}
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class Record:
+    """Base of the value classes: the fields are the names in `__slots__`
+    (bar `__dict__`), in order; records compare equal by value within one
+    class, repr as `Name(field=value, ...)` and are mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._values = operator.attrgetter(*cls._fields) if cls._fields else None
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable, hashable record: fields are set once by `__init__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LaurentPoly(Frozen):
     """Laurent polynomial over GF(2) in `dim` variables."""
 
-    dim: int
-    terms: frozenset[Monomial] = field(default_factory=frozenset)
+    __slots__ = ("dim", "terms")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int, terms: frozenset[Monomial] = frozenset()) -> None:
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        for t in self.terms:
-            if len(t) != self.dim:
-                raise ValueError(f"exponent vector {t} does not match dim {self.dim}")
+        for t in terms:
+            if len(t) != dim:
+                raise ValueError(f"exponent vector {t} does not match dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.terms) == (other.dim, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.terms))
 
     @classmethod
     def zero(cls, dim: int) -> LaurentPoly:

@@ -36,13 +36,12 @@ gauge types after them; one operator's Pauli masks are placed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
 from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
-from .poly import LaurentPoly
+from .poly import Frozen, LaurentPoly, Record
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate, place_column, rank_on_torus
 
@@ -61,8 +60,7 @@ def _sign(bits: int) -> int:
     return -1 if bits.bit_count() & 1 else 1
 
 
-@dataclass
-class DenseLattice:
+class DenseLattice(Record):
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
     Matter qubit (q, site) gets raw bit q*N + site; gauge qubit (t, site)
@@ -70,12 +68,12 @@ class DenseLattice:
     all bits, used to confirm reports do not depend on the basis ordering.
     """
 
-    model: SymmetryModel
-    shape: TorusShape
-    cap: int = DEFAULT_QUBIT_CAP
-    perm: tuple[int, ...] | None = None
+    # a __dict__ holds the cached properties
+    __slots__ = ("model", "shape", "cap", "perm", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUBIT_CAP,
+                 perm: tuple[int, ...] | None = None) -> None:
+        self._fill(model, shape, cap, perm)
         if self.shape.dim != self.model.dim:
             raise ValueError("shape dimension does not match model")
         n = self.n_total
@@ -189,16 +187,16 @@ class DenseLattice:
         return build_G(self)
 
 
-@dataclass(frozen=True)
-class CosetState:
+class CosetState(Frozen):
     """States of the enlarged lattice, one per column, each uniform on one
     Gauss-law coset: column j is signs[j] (+1, -1 or 0) times 2^(sq_exp/2)
     on every basis state reps[j] ^ W(u), for W = `DenseLattice.coset_rows`,
     and zero everywhere else."""
 
-    reps: tuple[int, ...]
-    signs: tuple[int, ...]
-    sq_exp: int
+    __slots__ = ("reps", "signs", "sq_exp")
+
+    def __init__(self, reps: tuple[int, ...], signs: tuple[int, ...], sq_exp: int) -> None:
+        self._fill(reps, signs, sq_exp)
 
 
 def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) -> CosetState:
@@ -238,14 +236,15 @@ def coset_rank(state: CosetState) -> int:
     return len({r for r, s in zip(state.reps, state.signs) if s})
 
 
-@dataclass(frozen=True)
-class MatterMatrix:
+class MatterMatrix(Frozen):
     """An exact matrix on the matter space: row r is the dict rows[r]
     {column: numerator}, every numerator over 2^den_exp.  Equal rows may be
     one shared dict; no row is mutated once built."""
 
-    rows: tuple[dict[int, int], ...]
-    den_exp: int
+    __slots__ = ("rows", "den_exp")
+
+    def __init__(self, rows: tuple[dict[int, int], ...], den_exp: int) -> None:
+        self._fill(rows, den_exp)
 
 
 def _matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
@@ -315,10 +314,11 @@ def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
     return MatterMatrix(tuple(rows), -(lat.n_matter + sq_exp // 2))
 
 
-@dataclass(frozen=True)
-class GaugeMapInfo:
-    norm_exponent: int
-    symmetry_dim: int
+class GaugeMapInfo(Frozen):
+    __slots__ = ("norm_exponent", "symmetry_dim")
+
+    def __init__(self, norm_exponent: int, symmetry_dim: int) -> None:
+        self._fill(norm_exponent, symmetry_dim)
 
 
 def build_G(lat: DenseLattice) -> tuple[CosetState, GaugeMapInfo]:
@@ -373,12 +373,11 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     return act
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    max_deviation: float
-    details: dict
+class CheckReport(Record):
+    __slots__ = ("name", "passed", "max_deviation", "details")
+
+    def __init__(self, name: str, passed: bool, max_deviation: float, details: dict) -> None:
+        self._fill(name, passed, max_deviation, details)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -487,17 +486,16 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     return CheckReport("matrix-elements", dev <= DERIVED_TOL, dev, {"states": 1 << lat.n_matter})
 
 
-@dataclass
-class GroundspaceReport:
-    passed: bool
-    ground_dim_flat: int
-    ground_dim_local_fields: int
-    holonomy_sectors: int
-    g_rank: int
-    contained: bool
-    local_exactness: bool
-    kernel_mu_dagger_dim: int
-    image_eta_dagger_dim: int
+class GroundspaceReport(Record):
+    __slots__ = ("passed", "ground_dim_flat", "ground_dim_local_fields", "holonomy_sectors",
+                 "g_rank", "contained", "local_exactness", "kernel_mu_dagger_dim",
+                 "image_eta_dagger_dim")
+
+    def __init__(self, passed: bool, ground_dim_flat: int, ground_dim_local_fields: int,
+                 holonomy_sectors: int, g_rank: int, contained: bool, local_exactness: bool,
+                 kernel_mu_dagger_dim: int, image_eta_dagger_dim: int) -> None:
+        self._fill(passed, ground_dim_flat, ground_dim_local_fields, holonomy_sectors, g_rank,
+                   contained, local_exactness, kernel_mu_dagger_dim, image_eta_dagger_dim)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"

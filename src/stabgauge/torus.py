@@ -30,25 +30,23 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .gf2 import Gf2Matrix
 from .pauli import CodeSpec, GeneratorMap, verify_stabilizer
-from .poly import LaurentPoly
+from .poly import Frozen, LaurentPoly
 
 
-@dataclass(frozen=True)
-class TorusShape:
+class TorusShape(Frozen):
     """Periodic lattice with lengths (L_1, ..., L_d), all >= 2."""
 
-    lengths: tuple[int, ...]
+    __slots__ = ("lengths",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, lengths: tuple[int, ...]) -> None:
         try:
-            lengths = tuple(operator.index(l) for l in self.lengths)
+            lengths = tuple(operator.index(l) for l in lengths)
         except TypeError:
-            raise ValueError(f"torus lengths must be integers: {self.lengths!r}") from None
-        object.__setattr__(self, "lengths", lengths)
+            raise ValueError(f"torus lengths must be integers: {lengths!r}") from None
+        self._fill(lengths)
         if any(l < 2 for l in lengths):
             raise ValueError("all torus lengths must be >= 2")
 
@@ -163,8 +161,7 @@ def rank_on_torus(m: GeneratorMap, shape: TorusShape) -> int:
     return instantiate(m, shape).rank()
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Frozen):
     """Encoded-qubit count on one torus, with the local-count bulk formula.
 
     bulk_term is N times the per-cell combination of qubit, generator and
@@ -173,13 +170,14 @@ class CountReport:
     Either may be None when the local kernel counts could not be certified.
     """
 
-    shape: TorusShape
-    n_qubits: int
-    n_generator_translates: int
-    stab_rank: int
-    k_encoded: int
-    bulk_term: int | None
-    c_constant: int | None
+    __slots__ = ("shape", "n_qubits", "n_generator_translates", "stab_rank", "k_encoded",
+                 "bulk_term", "c_constant")
+
+    def __init__(self, shape: TorusShape, n_qubits: int, n_generator_translates: int,
+                 stab_rank: int, k_encoded: int, bulk_term: int | None,
+                 c_constant: int | None) -> None:
+        self._fill(shape, n_qubits, n_generator_translates, stab_rank, k_encoded, bulk_term,
+                   c_constant)
 
 
 def _per_cell(code: CodeSpec) -> int | None:

@@ -199,6 +199,11 @@ MALFORMED = [
     (["q_per_site"], 0, "q_per_site must be at least 1, got 0"),
     (["name"], [1], "name must be a string, got list"),
     (["notes"], {"a": 1}, "notes must be a string, got dict"),
+    (["n_x_types"], True, "n_x_types must be an integer, got True"),
+    (["n_x_types"], -1, "n_x_types must be at least 0, got -1"),
+    (["n_x_types"], 3, "n_x_types must be at most 2, got 3"),
+    (["n_x_types"], 0, "n_x_types is 0, but generator 0 has an X part"),
+    (["n_x_types"], 2, "n_x_types is 2, but generator 1 has a Z part"),
 ]
 
 
@@ -356,16 +361,19 @@ def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
 
 def test_cli_never_imports_numpy():
     # the dense checks run on Python ints, so neither importing the CLI nor
-    # running every dense check may load numpy, a test-only dependency
+    # running every dense check may load numpy, a test-only dependency; the
+    # value classes are written out, so neither loads dataclasses or inspect,
+    # which every process would pay for at start-up
     script = (
         "import contextlib, io, sys\n"
         "from stabgauge.cli import cli_main\n"
-        "assert 'numpy' not in sys.modules\n"
+        "heavy = {'numpy', 'dataclasses', 'inspect'}\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli_main(['smallscale', '--model', 'ising2d', '--lengths', '2,2',"
         " '--check', 'all', '--json'])\n"
         "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
     )
     src = str(Path(stabgauge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -14,7 +14,8 @@ from stabgauge.codebook import (
     loads_code,
 )
 from stabgauge.gauging import gauge, symmetry_model_from_code
-from stabgauge.pauli import canonical_column_set, verify_stabilizer
+from stabgauge.pauli import CodeSpec, GeneratorMap, canonical_column_set, verify_stabilizer
+from stabgauge.poly import LaurentPoly
 from stabgauge.torus import count_logical, shape_of
 
 ALL_NAMES = ["toric2d", "cubic", "ising2d", "fractal_ising", "cluster_toric", "cluster_cubic"]
@@ -29,6 +30,8 @@ def test_codebook_entries_commute(name):
 def test_json_round_trip_bit_exact(name):
     code = get_code(name)
     text = dumps_code(code)
+    # no sector count where the reader's guess cannot go wrong
+    assert "n_x_types" not in json.loads(text)
     again = loads_code(text)
     assert again.full_sigma() == code.full_sigma()
     assert (again.name, again.dim, again.q_per_site, again.css) == (
@@ -65,6 +68,31 @@ def test_css_file_without_generators_round_trips():
     code = loads_code(text)
     assert (code.dim, code.q_per_site, code.n_x_types, code.n_z_types) == (2, 2, 0, 0)
     assert dumps_code(code) == text
+
+
+def _toric2d_with_zero_z_generator():
+    """toric2d with an all-zero Z generator written before its Z plaquette,
+    where the reader's sector guess would take the zero generator for X."""
+    toric = get_code("toric2d")
+    zero = (LaurentPoly.zero(2),) * toric.q_per_site
+    sigma_z = GeneratorMap.from_columns(2, toric.q_per_site, [zero, toric.sigma_z.column(0)])
+    return CodeSpec("zero-z", True, sigma_x=toric.sigma_x, sigma_z=sigma_z)
+
+
+def test_all_zero_generator_keeps_its_sector():
+    code = _toric2d_with_zero_z_generator()
+    text = dumps_code(code)
+    assert json.loads(text)["n_x_types"] == 1
+    again = loads_code(text)
+    assert (again.n_x_types, again.n_z_types) == (1, 2)
+    assert again == code
+
+
+def test_sector_count_is_rejected_in_a_mixed_code():
+    data = code_to_dict(get_code("cluster_toric"))
+    data["n_x_types"] = 0
+    with pytest.raises(ValueError, match="n_x_types is only valid for a CSS code"):
+        code_from_dict(data)
 
 
 def test_css_generator_with_empty_blocks_is_a_z_generator():
