@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / check passed, 1 = a check failed,
-2 = usage or I/O error.
+2 = usage or input error.  Every input error reaches `cli_main` as a
+`KeyError` or `ValueError`, which it prints as one `error: ` line.
 
 The argparse parser is built once per process, on the first `cli_main`
 call, and reused.  Commands are dispatched by name: `cli_main` looks up
@@ -39,9 +40,11 @@ def _load(path: str) -> CodeSpec:
         with open(path, "r", encoding="utf-8") as fh:
             return loads_code(fh.read())
     except FileNotFoundError:
-        raise SystemExit(f"error: no such file or codebook entry: {path}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise SystemExit(f"error: cannot parse code file {path}: {exc}")
+        raise ValueError(f"no such file or codebook entry: {path}")
+    except OSError as exc:
+        raise ValueError(f"cannot read code file {path}: {exc.strerror}")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"cannot parse code file {path}: {exc}")
 
 
 def _emit(payload) -> None:
@@ -52,14 +55,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(f"error: expected comma-separated integers, got {text!r}")
-
-
-def _model_of(code: CodeSpec):
-    try:
-        return symmetry_model_from_code(code)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def cmd_verify(args) -> int:
@@ -89,8 +85,7 @@ def cmd_codebook(args) -> int:
             print(name)
         return PASS
     if not args.name:
-        print("error: codebook dump needs a name", file=sys.stderr)
-        return USAGE
+        raise ValueError("codebook dump needs a name")
     print(dumps_code(get_code(args.name)), end="")
     return PASS
 
@@ -123,7 +118,7 @@ def cmd_logical(args) -> int:
 
 def cmd_kernel(args) -> int:
     code = _load(args.code)
-    model = _model_of(code)
+    model = symmetry_model_from_code(code)
     box = _parse_ints(args.box) if args.box else None
     kb = bounded_kernel(model.constraint_map, box)
     lines = [f"{len(kb.generators)} kernel generator(s) in box {kb.box}:"]
@@ -150,7 +145,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_gauge(args) -> int:
     code = _load(args.code)
-    model = _model_of(code)
+    model = symmetry_model_from_code(code)
     box = _parse_ints(args.box) if args.box else None
     gauged, mu = gauge(model, box)
     cert = certify_on_torus(mu, certification_lengths(mu))
@@ -163,10 +158,7 @@ def cmd_gauge(args) -> int:
 
 def cmd_ungauge(args) -> int:
     code = _load(args.code)
-    try:
-        model = ungauge_css(code)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    model = ungauge_css(code)
     eta = model.constraint_map
     matter = CodeSpec(
         name=f"{code.name}-ungauged",
@@ -197,7 +189,7 @@ def cmd_duality_check(args) -> int:
 
 def cmd_cluster(args) -> int:
     code = _load(args.code)
-    model = _model_of(code)
+    model = symmetry_model_from_code(code)
     name = f"cluster_{code.name}"
     if args.gauge_sublattice:
         out = cluster_mod.gauge_sublattice(model, args.gauge_sublattice, name)
@@ -209,15 +201,12 @@ def cmd_cluster(args) -> int:
 
 def cmd_smallscale(args) -> int:
     code = _load(args.model)
-    model = _model_of(code)
+    model = symmetry_model_from_code(code)
     shape = shape_of(_parse_ints(args.lengths))
     single_x = PauliColumn.single_x(model.dim, model.matter_q, 0)
     bond = PauliColumn(model.dim, model.matter_q, single_x.z_block,
                        model.constraint_map.column(0))
-    try:
-        lat = smallscale_mod.DenseLattice(model, shape, args.cap)
-    except smallscale_mod.QubitCapExceeded as exc:
-        raise SystemExit(f"error: {exc}")
+    lat = smallscale_mod.DenseLattice(model, shape, args.cap)
     reports = []
     which = args.check
     if which in ("all", "lemma2"):
@@ -308,11 +297,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except SystemExit as exc:
-        if exc.code not in (0, None) and isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE
-        return exc.code or 0
     except (KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

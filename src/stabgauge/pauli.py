@@ -87,16 +87,8 @@ class GeneratorMap(Frozen):
             )
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in composition")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = LaurentPoly.zero(self.dim)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return GeneratorMap(self.dim, tuple(out), other.cols)
+        return GeneratorMap.from_columns(
+            self.dim, self.rows, [self.apply(other.column(j)) for j in range(other.cols)])
 
     def apply(self, col) -> tuple[LaurentPoly, ...]:
         """The map times one column of polynomials (one entry per map column)."""
