@@ -4,19 +4,28 @@ Exit codes: 0 = success / check passed, 1 = a check failed,
 2 = usage or input error.  Every input error reaches `cli_main` as a
 `KeyError` or `ValueError`, which it prints as one `error: ` line.
 
-The argparse parser is built once per process, on the first `cli_main`
-call, and reused.  Commands are dispatched by name: `cli_main` looks up
-`cmd_<command>` (with `-` read as `_`) in this module at call time, so
-the parser holds no function objects and a rebinding of `cmd_*` takes
-effect on the next call.
+The CLI's surface is one table, `COMMANDS`: each command's help and its
+`add_argument` specs, `--json` included where the command takes it.  Two
+parsers read it.  `parse_plain` handles a plain command line (exact
+command and option names, no value starting with "-", every choice and
+`int` valid, every required argument given) and returns the namespace
+argparse would give, or None for anything else.  On None, `cli_main`
+falls back to `build_parser()`, which builds the argparse parser from the
+same table, once per process, and imports `argparse` inside itself: help,
+usage errors, abbreviations, `--opt=value`, `--` and negative numbers get
+argparse's own output and exit codes, while neither importing this module
+nor running a plain command loads `argparse`.  Commands are dispatched by
+name: `cli_main` looks up `cmd_<command>` (with `-` read as `_`) in this
+module at call time, so a rebinding of `cmd_*` takes effect on the next
+call.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import cluster as cluster_mod
 from . import smallscale as smallscale_mod
@@ -230,70 +239,109 @@ def cmd_smallscale(args) -> int:
     return PASS if ok else FAIL
 
 
+# The CLI's surface, read by both parsers: command -> (help, add_argument
+# specs as (name or flag, keyword arguments)).  A command takes --json when
+# its specs hold _JSON.
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_CODE = ("code", {})
+COMMANDS = {
+    "verify": ("check that all stabilizer translates commute",
+               [_JSON, ("code", {"help": "code file or codebook name"})]),
+    "render": ("per-site letter diagram of the generators", [_CODE]),
+    "codebook": ("list or dump built-in codes",
+                 [("action", {"choices": ["list", "dump"]}), ("name", {"nargs": "?"})]),
+    "logical": ("count encoded qubits on a torus",
+                [_JSON, _CODE,
+                 ("--lengths", {"required": True, "help": "comma-separated torus lengths"})]),
+    "kernel": ("box-local kernel generators of the constraint map",
+               [_JSON, _CODE, ("--box", {"help": "comma-separated box extents"}),
+                ("--certify", {"help": "torus lengths for certification"})]),
+    "gauge": ("gauge a matter model into a CSS code",
+              [_CODE, ("--box", {"help": "comma-separated box extents for the kernel search"})]),
+    "ungauge": ("read the matter model off a CSS code", [_CODE]),
+    "duality-check": ("ungauge then regauge, both orders", [_JSON, _CODE]),
+    "cluster": ("build the cluster model of a matter model",
+                [_CODE, ("--gauge-sublattice", {"choices": ["matter", "gauge", "both"]})]),
+    "smallscale": ("dense state-vector checks on a tiny torus",
+                   [_JSON, ("--model", {"required": True, "help": "code file or codebook name"}),
+                    ("--lengths", {"required": True}),
+                    ("--check", {"default": "all", "choices": [
+                        "all", "lemma2", "lemma3", "claim1", "elements", "groundspace"]}),
+                    ("--cap", {"type": int, "default": smallscale_mod.DEFAULT_QUBIT_CAP})]),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # help and usage errors only; see the module docstring
+
     parser = argparse.ArgumentParser(
         prog="stabgauge",
         description="translation-invariant stabilizer models, gauging duality, exact checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, json_output=False):
-        p = sub.add_parser(name, help=help_)
-        if json_output:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("verify", "check that all stabilizer translates commute", json_output=True)
-    p.add_argument("code", help="code file or codebook name")
-
-    p = add("render", "per-site letter diagram of the generators")
-    p.add_argument("code")
-
-    p = add("codebook", "list or dump built-in codes")
-    p.add_argument("action", choices=["list", "dump"])
-    p.add_argument("name", nargs="?")
-
-    p = add("logical", "count encoded qubits on a torus", json_output=True)
-    p.add_argument("code")
-    p.add_argument("--lengths", required=True, help="comma-separated torus lengths")
-
-    p = add("kernel", "box-local kernel generators of the constraint map", json_output=True)
-    p.add_argument("code")
-    p.add_argument("--box", help="comma-separated box extents")
-    p.add_argument("--certify", help="torus lengths for certification")
-
-    p = add("gauge", "gauge a matter model into a CSS code")
-    p.add_argument("code")
-    p.add_argument("--box", help="comma-separated box extents for the kernel search")
-
-    p = add("ungauge", "read the matter model off a CSS code")
-    p.add_argument("code")
-
-    p = add("duality-check", "ungauge then regauge, both orders", json_output=True)
-    p.add_argument("code")
-
-    p = add("cluster", "build the cluster model of a matter model")
-    p.add_argument("code")
-    p.add_argument("--gauge-sublattice", choices=["matter", "gauge", "both"])
-
-    p = add("smallscale", "dense state-vector checks on a tiny torus", json_output=True)
-    p.add_argument("--model", required=True, help="code file or codebook name")
-    p.add_argument("--lengths", required=True)
-    p.add_argument(
-        "--check",
-        default="all",
-        choices=["all", "lemma2", "lemma3", "claim1", "elements", "groundspace"],
-    )
-    p.add_argument("--cap", type=int, default=smallscale_mod.DEFAULT_QUBIT_CAP)
+    for command, (help_, specs) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, kwargs in specs:
+            p.add_argument(name, **kwargs)
     return parser
 
 
+def parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line, or None.
+
+    A plain line is an exact command name, then exact long options (each
+    at most once, each value not starting with "-"), flags and positionals
+    not starting with "-", with every choice and type valid and every
+    required argument given.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs = COMMANDS[argv[0]][1]
+    spec = dict(specs)
+    slots = iter(name for name, _ in specs if not name.startswith("-"))
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            name = next(slots, None)
+            if name is None:
+                return None
+        elif word in spec and word not in given:
+            name = word
+            if spec[name].get("action") == "store_true":
+                given[name] = True
+                continue
+            word = next(words, "-")
+            if word.startswith("-"):
+                return None
+        else:
+            return None
+        try:
+            value = spec[name].get("type", str)(word)
+        except ValueError:
+            return None
+        if value not in spec[name].get("choices", (value,)):
+            return None
+        given[name] = value
+    values = {"command": argv[0]}
+    for name, kwargs in specs:
+        positional = not name.startswith("-")
+        if name not in given and kwargs.get("required", positional and kwargs.get("nargs") != "?"):
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    return SimpleNamespace(**values)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE if exc.code not in (0, None) else 0
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

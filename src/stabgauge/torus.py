@@ -13,15 +13,16 @@ translates it by s inside every N-bit column block.  Row t * N + s of
 after a shift by s, so no torus matrix is ever transposed.  To get one
 translate, place it; to get all of them, instantiate the dagger.
 
-Counting does each piece of work once per process, through two caches
+Counting does each piece of work once per process, through three caches
 keyed by value (equal codes, maps and shapes share an entry), each of a
-constant size and holding only ints or None.  `_sigma_rank(code, shape)`
-verifies the code and ranks its sigma once per torus; a CSS code ranks
-sigma_x and sigma_z apart and adds the ranks, which is exact because the
-full sigma is block-diagonal.  `_kernel_balance(s)` certifies the local
-kernels of a sector map once, whatever torus is counted.  Both
-`count_logical` and `logical_operator_gap` read `_sigma_rank`; failures
-raise and are not cached.
+constant size and holding only ints or None.  `_verified(code)` checks
+that a code commutes once, whatever torus is counted.  `_sigma_rank(code,
+shape)` ranks its sigma once per torus; a CSS code ranks sigma_x and
+sigma_z apart and adds the ranks, which is exact because the full sigma
+is block-diagonal.  `_kernel_balance(s)` certifies the local kernels of a
+sector map once, whatever torus is counted.  Both `count_logical` and
+`logical_operator_gap` read `_sigma_rank`; failures raise and are not
+cached.
 """
 
 from __future__ import annotations
@@ -221,13 +222,19 @@ def _kernel_balance(s: GeneratorMap) -> int | None:
     return len(ker_s.generators) - len(ker_s_dag.generators)
 
 
+@functools.lru_cache(maxsize=64)
+def _verified(code: CodeSpec) -> None:
+    """Raise unless the code's translates commute; only a pass is cached."""
+    report = verify_stabilizer(code)
+    if not report.passed:
+        raise ValueError(f"code is not commuting: {report}")
+
+
 @functools.lru_cache(maxsize=256)
 def _sigma_rank(code: CodeSpec, shape: TorusShape) -> int:
     """Rank of the instantiated sigma of a commuting code; a CSS code ranks
     its two sectors apart, as the full sigma is block-diagonal."""
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise ValueError(f"code is not commuting: {report}")
+    _verified(code)
     if not code.css:
         return rank_on_torus(code.sigma, shape)
     return rank_on_torus(code.sigma_x, shape) + rank_on_torus(code.sigma_z, shape)

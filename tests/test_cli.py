@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stabgauge
 from stabgauge import smallscale as smallscale_mod
 from stabgauge import torus as torus_mod
-from stabgauge.cli import build_parser, cli_main
+from stabgauge.cli import COMMANDS, build_parser, cli_main, parse_plain
 from stabgauge.codebook import dumps_code, get_code, loads_code
 from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of
 from stabgauge.poly import LaurentPoly
@@ -97,6 +101,128 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
     assert reused == alone
     assert [code for code, _, _ in reused] == [0, 2, 2, 0, 0, 2, 0, 2]
     assert reused[0][1].startswith("usage: stabgauge")
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _table_words(specs):
+    """A table entry's own tokens, their prefixes and near misses."""
+    options, values = set(), set()
+    for name, kwargs in specs:
+        values.update(str(c) for c in kwargs.get("choices", ()))
+        if name.startswith("-"):
+            options.update(name[:k] for k in range(3, len(name) + 1))
+            options.update(f"{name}={v}" for v in ("4,4,4", "all", ""))
+        else:
+            values.add(name)
+    return sorted(options), sorted(values)
+
+
+OPTIONS = sorted({"--", "-h", "--help"}.union(
+    *(_table_words(specs)[0] for _, specs in COMMANDS.values())))
+VALUES = sorted({"", "-5", "5", "x", "4,4,4", "cubic", "nope"}.union(
+    COMMANDS, *(_table_words(specs)[1] for _, specs in COMMANDS.values())))
+
+
+def _group(name, kwargs):
+    """The words one spec adds to a line argparse accepts."""
+    if kwargs.get("action") == "store_true":
+        return st.sampled_from([[], [name]])
+    if "choices" in kwargs:
+        value = st.sampled_from([str(c) for c in kwargs["choices"]])
+    elif kwargs.get("type") is int:
+        value = st.sampled_from(["5", "+24", " 7"])
+    else:
+        value = st.sampled_from(["cubic", "4,4,4", "", "x y"])
+    words = value.map(lambda v: [name, v] if name.startswith("-") else [v])
+    required = kwargs.get("required", kwargs.get("nargs") != "?" and not name.startswith("-"))
+    return words if required else st.one_of(st.just([]), words)
+
+
+def _edit(line, edits):
+    """Insert a token at, or (for None) delete the token at, each index."""
+    line = list(line)
+    for i, word in edits:
+        i = min(i, len(line))
+        if word is not None:
+            line.insert(i, word)
+        elif i < len(line):
+            del line[i]
+    return line
+
+
+def _line(command):
+    """A line argparse accepts, in any order of its groups, then up to two edits."""
+    groups = st.tuples(*(_group(name, kwargs) for name, kwargs in COMMANDS[command][1]))
+    line = groups.flatmap(st.permutations).map(lambda gs: [command] + [w for g in gs for w in g])
+    word = st.one_of(st.none(), st.sampled_from(OPTIONS + VALUES))
+    return st.tuples(line, st.lists(st.tuples(st.integers(0, 8), word), max_size=2)).map(
+        lambda pair: _edit(*pair))
+
+
+ARGV = st.one_of(
+    st.sampled_from(sorted(COMMANDS)).flatmap(_line),
+    st.lists(st.sampled_from(OPTIONS + VALUES), max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=ARGV)
+def test_plain_parser_agrees_with_argparse(argv):
+    # the plain parser either declines (argparse then parses) or gives
+    # argparse's exact namespace; it must decline every line argparse refuses
+    plain = parse_plain(argv)
+    expected = _argparse_vars(argv)
+    if expected is None:
+        assert plain is None
+    elif plain is not None:
+        assert vars(plain) == expected
+
+
+def test_plain_parser_takes_every_golden_case():
+    cases = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())
+    for case in cases:
+        plain = parse_plain(case["argv"])
+        assert plain is not None and vars(plain) == _argparse_vars(case["argv"]), case["argv"]
+
+
+@pytest.mark.parametrize("fallback, plain", [
+    (["logical", "cubic", "--len", "4,4,4", "--json"],
+     ["logical", "cubic", "--lengths", "4,4,4", "--json"]),
+    (["logical", "cubic", "--lengths=4,4,4", "--json"],
+     ["logical", "cubic", "--lengths", "4,4,4", "--json"]),
+    # argparse keeps the last of a repeated option
+    (["kernel", "ising2d", "--box", "3,3", "--box", "1,1", "--json"],
+     ["kernel", "ising2d", "--box", "1,1", "--json"]),
+])
+def test_fallback_lines_answer_as_their_plain_form(capsys, fallback, plain):
+    assert parse_plain(fallback) is None and parse_plain(plain) is not None
+    assert run(capsys, *fallback) == run(capsys, *plain)
+
+
+def test_negative_cap_reaches_the_command_through_argparse(capsys):
+    argv = ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--cap", "-5"]
+    assert parse_plain(argv) is None
+    assert run(capsys, *argv) == (2, "", "error: 12 qubits exceeds the cap of -5\n")
+
+
+def test_codebook_dump_without_a_name_exits_2(capsys):
+    # the name is an optional positional, so the line is plain; the command refuses it
+    assert parse_plain(["codebook", "dump"]) is not None
+    assert run(capsys, "codebook", "dump") == (2, "", "error: codebook dump needs a name\n")
+
+
+def test_every_command_help_comes_from_argparse(capsys):
+    for command in COMMANDS:
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: stabgauge {command} [-h]")
 
 
 def test_duality_check_toric(capsys):
@@ -369,11 +495,12 @@ def test_cli_never_imports_numpy():
     # the dense checks run on Python ints, so neither importing the CLI nor
     # running every dense check may load numpy, a test-only dependency; the
     # value classes are written out, so neither loads dataclasses or inspect,
-    # which every process would pay for at start-up
+    # and a plain command line is parsed without argparse (and its gettext),
+    # all of which every process would pay for at start-up
     script = (
         "import contextlib, io, sys\n"
         "from stabgauge.cli import cli_main\n"
-        "heavy = {'numpy', 'dataclasses', 'inspect'}\n"
+        "heavy = {'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext'}\n"
         "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli_main(['smallscale', '--model', 'ising2d', '--lengths', '2,2',"
@@ -386,3 +513,7 @@ def test_cli_never_imports_numpy():
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    # help still comes from argparse, in a fresh process too
+    result = subprocess.run([sys.executable, "-m", "stabgauge.cli", "--help"], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0 and result.stdout.startswith("usage: stabgauge"), result.stderr

@@ -363,6 +363,7 @@ def test_torus_shape_rejects_non_integer_lengths(make, lengths):
 
 @pytest.fixture
 def cold_caches():
+    torus_mod._verified.cache_clear()
     torus_mod._sigma_rank.cache_clear()
     torus_mod._kernel_balance.cache_clear()
 
@@ -401,6 +402,22 @@ def test_count_and_gap_rank_each_sector_once(cold_caches, monkeypatch):
         2 * report.n_qubits - report.stab_rank, report.stab_rank, 2 * report.k_encoded)
     assert ranked == [code.sigma_x, code.sigma_z]
     assert len(verified) == 1
+
+
+def test_scan_verifies_each_code_once(cold_caches, monkeypatch):
+    # whether a code commutes does not depend on the torus, so a k(L) scan
+    # verifies it once; a failed check raises on every call, not cached
+    verified = _count_calls(monkeypatch, torus_mod, "verify_stabilizer")
+    code = get_code("cubic")
+    for L in (2, 3, 4):
+        count_logical(code, shape_of((L, L, L)))
+    assert verified == [code]
+    one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
+    bad = CodeSpec(name="xz", css=False, sigma=GeneratorMap(1, ((one, zero), (zero, one))))
+    for L in (2, 3, 2):
+        with pytest.raises(ValueError, match="code is not commuting"):
+            count_logical(bad, shape_of((L,)))
+    assert verified == [code, bad, bad, bad]
 
 
 def test_mixed_code_ranks_its_sigma_once(cold_caches, monkeypatch):
