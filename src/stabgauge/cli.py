@@ -57,7 +57,7 @@ def _load(path: str) -> CodeSpec:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ conjugates of single-site X.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .gauging import SymmetryModel, gauge_operator
 from .gf2 import Gf2Basis
 from .pauli import (
@@ -16,7 +18,7 @@ from .pauli import (
     maps_equal_up_to_translation,
     verify_stabilizer,
 )
-from .poly import Frozen, LaurentPoly
+from .poly import LaurentPoly
 from .syzygy import bounded_kernel
 from .torus import TorusShape, instantiate, rank_on_torus
 
@@ -53,15 +55,10 @@ def cz_conjugate(model: SymmetryModel, op: PauliColumn) -> PauliColumn:
     return PauliColumn(op.dim, op.q, op.x_block, z)
 
 
-class SymmetryReport(Frozen):
-    __slots__ = ("shape", "matter_dim", "gauge_dim", "matter_matches_constraint_cokernel",
-                 "gauge_matches_constraint_kernel")
-
-    def __init__(self, shape: TorusShape, matter_dim: int, gauge_dim: int,
-                 matter_matches_constraint_cokernel: bool,
-                 gauge_matches_constraint_kernel: bool) -> None:
-        self._fill(shape, matter_dim, gauge_dim, matter_matches_constraint_cokernel,
-                   gauge_matches_constraint_kernel)
+class SymmetryReport(namedtuple("SymmetryReport", (
+        "shape", "matter_dim", "gauge_dim", "matter_matches_constraint_cokernel",
+        "gauge_matches_constraint_kernel"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (

@@ -17,6 +17,8 @@ translation.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .pauli import (
     CodeSpec,
     GeneratorMap,
@@ -25,7 +27,6 @@ from .pauli import (
     maps_equal_up_to_translation,
     verify_stabilizer,
 )
-from .poly import Frozen
 from .syzygy import (
     KernelBasis,
     NotSymmetricError,  # raised by gauge_operator; callers import it from here
@@ -34,7 +35,7 @@ from .syzygy import (
 )
 
 
-class SymmetryModel(Frozen):
+class SymmetryModel(namedtuple("SymmetryModel", ("constraint_map", "notes"), defaults=("",))):
     """Matter qubits with a locally-defined tensor-product X symmetry.
 
     constraint_map (eta) has one row per matter qubit type and one column
@@ -42,10 +43,7 @@ class SymmetryModel(Frozen):
     read off it.
     """
 
-    __slots__ = ("constraint_map", "notes")
-
-    def __init__(self, constraint_map: GeneratorMap, notes: str = "") -> None:
-        self._fill(constraint_map, notes)
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -130,11 +128,9 @@ def _swap_sectors(code: CodeSpec) -> CodeSpec:
     )
 
 
-class DualityReport(Frozen):
-    __slots__ = ("passed", "forward_match", "dual_match", "diff")
-
-    def __init__(self, passed: bool, forward_match: bool, dual_match: bool, diff: str = "") -> None:
-        self._fill(passed, forward_match, dual_match, diff)
+class DualityReport(namedtuple("DualityReport", ("passed", "forward_match", "dual_match", "diff"),
+                               defaults=("",))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.passed:

@@ -9,17 +9,20 @@ commutativity of every pair of generator translates at once.
 
 from __future__ import annotations
 
-from .poly import Frozen, LaurentPoly, support_box
+from collections import namedtuple
+
+from .poly import LaurentPoly, support_box
 
 
-class GeneratorMap(Frozen):
+class GeneratorMap(namedtuple("GeneratorMap", ("dim", "entries", "cols"))):
     """Matrix of Laurent polynomials: a tuple of rows, and the column count,
     which a map without rows cannot read off them (0 when omitted)."""
 
-    __slots__ = ("dim", "entries", "cols")
+    __slots__ = ()
 
-    def __init__(self, dim: int, entries: tuple[tuple[LaurentPoly, ...], ...],
-                 cols: int | None = None) -> None:
+    def __new__(cls, dim: int, entries: tuple[tuple[LaurentPoly, ...], ...],
+                cols: int | None = None) -> GeneratorMap:
+        entries = tuple(map(tuple, entries))
         width = len(entries[0]) if entries else (cols or 0)
         if cols not in (None, width):
             raise ValueError("column count does not match the rows")
@@ -29,21 +32,11 @@ class GeneratorMap(Frozen):
             for p in row:
                 if p.dim != dim:
                     raise ValueError("entry dimension does not match map dimension")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cols", width)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.entries, self.cols) == (other.dim, other.entries, other.cols)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.entries, self.cols))
+        return super().__new__(cls, dim, entries, width)
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> GeneratorMap:
-        return cls(dim, tuple(tuple(row) for row in rows))
+        return cls(dim, rows)
 
     @classmethod
     def from_columns(cls, dim: int, rows: int, columns) -> GeneratorMap:
@@ -108,31 +101,20 @@ class GeneratorMap(Frozen):
         return tuple(h - l for l, h in zip(*box))
 
 
-class PauliColumn(Frozen):
+class PauliColumn(namedtuple("PauliColumn", ("dim", "q", "x_block", "z_block"))):
     """A lattice Pauli operator: Q X-block and Q Z-block polynomials."""
 
-    __slots__ = ("dim", "q", "x_block", "z_block")
+    __slots__ = ()
 
-    def __init__(self, dim: int, q: int, x_block: tuple[LaurentPoly, ...],
-                 z_block: tuple[LaurentPoly, ...]) -> None:
+    def __new__(cls, dim: int, q: int, x_block: tuple[LaurentPoly, ...],
+                z_block: tuple[LaurentPoly, ...]) -> PauliColumn:
+        x_block, z_block = tuple(x_block), tuple(z_block)
         if len(x_block) != q or len(z_block) != q:
             raise ValueError("block length does not match qubit count")
         for p in x_block + z_block:
             if p.dim != dim:
                 raise ValueError("entry dimension mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "x_block", x_block)
-        object.__setattr__(self, "z_block", z_block)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.dim, self.q, self.x_block, self.z_block)
-                == (other.dim, other.q, other.x_block, other.z_block))
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.q, self.x_block, self.z_block))
+        return super().__new__(cls, dim, q, x_block, z_block)
 
     @classmethod
     def single_x(cls, dim: int, q: int, i: int) -> PauliColumn:
@@ -191,7 +173,7 @@ def epsilon_of(sigma: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(sigma.dim, tuple(out), sigma.rows)
 
 
-class CodeSpec(Frozen):
+class CodeSpec(namedtuple("CodeSpec", ("name", "css", "sigma_x", "sigma_z", "sigma", "notes"))):
     """A translation-invariant stabilizer Hamiltonian.
 
     CSS codes carry sigma_x and sigma_z (Q x T_x and Q x T_z, each in its
@@ -200,20 +182,19 @@ class CodeSpec(Frozen):
     read off the maps.
     """
 
-    __slots__ = ("name", "css", "sigma_x", "sigma_z", "sigma", "notes")
+    __slots__ = ()
 
-    def __init__(self, name: str, css: bool, sigma_x: GeneratorMap | None = None,
-                 sigma_z: GeneratorMap | None = None, sigma: GeneratorMap | None = None,
-                 notes: str = "") -> None:
-        self._fill(name, css, sigma_x, sigma_z, sigma, notes)
-        if self.css:
-            x, z = self.sigma_x, self.sigma_z
-            if x is None or z is None:
+    def __new__(cls, name: str, css: bool, sigma_x: GeneratorMap | None = None,
+                sigma_z: GeneratorMap | None = None, sigma: GeneratorMap | None = None,
+                notes: str = "") -> CodeSpec:
+        if css:
+            if sigma_x is None or sigma_z is None:
                 raise ValueError("CSS code needs both sector maps")
-            if x.rows != z.rows or x.dim != z.dim:
+            if sigma_x.rows != sigma_z.rows or sigma_x.dim != sigma_z.dim:
                 raise ValueError("CSS sector maps must share rows and dimension")
-        elif self.sigma is None or self.sigma.rows % 2:
+        elif sigma is None or sigma.rows % 2:
             raise ValueError("mixed code needs a 2Q-row sigma")
+        return super().__new__(cls, name, css, sigma_x, sigma_z, sigma, notes)
 
     @property
     def dim(self) -> int:
@@ -247,11 +228,8 @@ class CodeSpec(Frozen):
         return [PauliColumn.from_entries(self.dim, full.column(j)) for j in range(full.cols)]
 
 
-class VerifyReport(Frozen):
-    __slots__ = ("passed", "witness")
-
-    def __init__(self, passed: bool, witness: tuple[int, int, LaurentPoly] | None = None) -> None:
-        self._fill(passed, witness)
+class VerifyReport(namedtuple("VerifyReport", ("passed", "witness"), defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.passed:

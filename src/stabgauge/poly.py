@@ -2,12 +2,20 @@
 
 A polynomial is a finite set of integer exponent vectors; every present
 monomial has coefficient 1, so addition is symmetric difference.
+
+`LaurentPoly`, like every value class of the library, subclasses a
+`collections.namedtuple` of its fields, so values have tuple semantics:
+they are immutable, compare and hash by their fields (a value also equals
+the plain tuple of its fields) and repr as `Name(field=value, ...)`, bar
+a polynomial, which reprs through its text form.  Classes that check
+their input do so in `__new__`; `_make` and `_replace` would skip those
+checks, so the library never calls them.
 """
 
 from __future__ import annotations
 
-import operator
 import re
+from collections import namedtuple
 
 Monomial = tuple[int, ...]
 
@@ -15,67 +23,23 @@ _FACTOR_RE = re.compile(r"^(x(\d+)|[xyz])(?:\^(-?\d+))?$")
 _XYZ = {"x": 1, "y": 2, "z": 3}
 
 
-class Record:
-    """Base of the value classes: the fields are the names in `__slots__`
-    (bar `__dict__`), in order; records compare equal by value within one
-    class, repr as `Name(field=value, ...)` and are mutable and unhashable."""
+class LaurentPoly(namedtuple("LaurentPoly", ("dim", "terms"))):
+    """Laurent polynomial over GF(2) in `dim` variables.
+
+    `terms` is read as a set of exponent vectors (a repeat counts once);
+    `from_terms` cancels repeats mod 2 instead.
+    """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(n for n in cls.__slots__ if n != "__dict__")
-        cls._values = operator.attrgetter(*cls._fields) if cls._fields else None
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Frozen(Record):
-    """An immutable, hashable record: fields are set once by `__init__`."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class LaurentPoly(Frozen):
-    """Laurent polynomial over GF(2) in `dim` variables."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: frozenset[Monomial] = frozenset()) -> None:
+    def __new__(cls, dim: int, terms: frozenset[Monomial] = frozenset()) -> LaurentPoly:
+        terms = frozenset(terms)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         for t in terms:
             if len(t) != dim:
                 raise ValueError(f"exponent vector {t} does not match dim {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.terms) == (other.dim, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.terms))
+        return super().__new__(cls, dim, terms)
 
     @classmethod
     def zero(cls, dim: int) -> LaurentPoly:
@@ -121,6 +85,10 @@ class LaurentPoly(Frozen):
                 else:
                     acc.add(m)
         return LaurentPoly(self.dim, frozenset(acc))
+
+    def __rmul__(self, other):
+        # else `3 * p` would answer with tuple repetition
+        return NotImplemented
 
     def antipode(self) -> LaurentPoly:
         """Negate every exponent vector (spatial inversion); an involution."""

@@ -36,12 +36,13 @@ gauge types after them; one operator's Pauli masks are placed by
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
 from .gf2 import Gf2Basis
 from .pauli import GeneratorMap, PauliColumn
-from .poly import Frozen, LaurentPoly, Record
+from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate, place_column, rank_on_torus
 
@@ -57,7 +58,7 @@ def _sign(bits: int) -> int:
     return -1 if bits.bit_count() & 1 else 1
 
 
-class DenseLattice(Record):
+class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap", "perm"))):
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
     Matter qubit (q, site) gets raw bit q*N + site; gauge qubit (t, site)
@@ -65,19 +66,19 @@ class DenseLattice(Record):
     all bits, used to confirm reports do not depend on the basis ordering.
     """
 
-    # a __dict__ holds the cached properties
-    __slots__ = ("model", "shape", "cap", "perm", "__dict__")
+    # no __slots__: an instance __dict__ holds the cached properties
 
-    def __init__(self, model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUBIT_CAP,
-                 perm: tuple[int, ...] | None = None) -> None:
-        self._fill(model, shape, cap, perm)
-        if self.shape.dim != self.model.dim:
+    def __new__(cls, model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUBIT_CAP,
+                perm: tuple[int, ...] | None = None) -> DenseLattice:
+        if shape.dim != model.dim:
             raise ValueError("shape dimension does not match model")
+        self = super().__new__(cls, model, shape, cap, perm)
         n = self.n_total
-        if n > self.cap:
-            raise QubitCapExceeded(f"{n} qubits exceeds the cap of {self.cap}")
-        if self.perm is not None and sorted(self.perm) != list(range(n)):
+        if n > cap:
+            raise QubitCapExceeded(f"{n} qubits exceeds the cap of {cap}")
+        if perm is not None and sorted(perm) != list(range(n)):
             raise ValueError("perm must be a permutation of all qubits")
+        return self
 
     @property
     def n_sites(self) -> int:
@@ -180,16 +181,13 @@ class DenseLattice(Record):
         return build_G(self)
 
 
-class CosetState(Frozen):
+class CosetState(namedtuple("CosetState", ("reps", "signs", "sq_exp"))):
     """States of the enlarged lattice, one per column, each uniform on one
     Gauss-law coset: column j is signs[j] (+1, -1 or 0) times 2^(sq_exp/2)
     on every basis state reps[j] ^ W(u), for W = `DenseLattice.coset_rows`,
     and zero everywhere else."""
 
-    __slots__ = ("reps", "signs", "sq_exp")
-
-    def __init__(self, reps: tuple[int, ...], signs: tuple[int, ...], sq_exp: int) -> None:
-        self._fill(reps, signs, sq_exp)
+    __slots__ = ()
 
 
 def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) -> CosetState:
@@ -229,15 +227,12 @@ def coset_rank(state: CosetState) -> int:
     return len({r for r, s in zip(state.reps, state.signs) if s})
 
 
-class MatterMatrix(Frozen):
+class MatterMatrix(namedtuple("MatterMatrix", ("rows", "den_exp"))):
     """An exact matrix on the matter space: row r is the dict rows[r]
     {column: numerator}, every numerator over 2^den_exp.  Equal rows may be
     one shared dict; no row is mutated once built."""
 
-    __slots__ = ("rows", "den_exp")
-
-    def __init__(self, rows: tuple[dict[int, int], ...], den_exp: int) -> None:
-        self._fill(rows, den_exp)
+    __slots__ = ()
 
 
 def _matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
@@ -307,11 +302,8 @@ def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
     return MatterMatrix(tuple(rows), -(lat.n_matter + sq_exp // 2))
 
 
-class GaugeMapInfo(Frozen):
-    __slots__ = ("norm_exponent", "symmetry_dim")
-
-    def __init__(self, norm_exponent: int, symmetry_dim: int) -> None:
-        self._fill(norm_exponent, symmetry_dim)
+class GaugeMapInfo(namedtuple("GaugeMapInfo", ("norm_exponent", "symmetry_dim"))):
+    __slots__ = ()
 
 
 def build_G(lat: DenseLattice) -> tuple[CosetState, GaugeMapInfo]:
@@ -366,11 +358,8 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     return act
 
 
-class CheckReport(Record):
-    __slots__ = ("name", "passed", "max_deviation", "details")
-
-    def __init__(self, name: str, passed: bool, max_deviation: float, details: dict) -> None:
-        self._fill(name, passed, max_deviation, details)
+class CheckReport(namedtuple("CheckReport", ("name", "passed", "max_deviation", "details"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -479,16 +468,10 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     return CheckReport("matrix-elements", dev == 0, dev, {"states": 1 << lat.n_matter})
 
 
-class GroundspaceReport(Record):
-    __slots__ = ("passed", "ground_dim_flat", "ground_dim_local_fields", "holonomy_sectors",
-                 "g_rank", "contained", "local_exactness", "kernel_mu_dagger_dim",
-                 "image_eta_dagger_dim")
-
-    def __init__(self, passed: bool, ground_dim_flat: int, ground_dim_local_fields: int,
-                 holonomy_sectors: int, g_rank: int, contained: bool, local_exactness: bool,
-                 kernel_mu_dagger_dim: int, image_eta_dagger_dim: int) -> None:
-        self._fill(passed, ground_dim_flat, ground_dim_local_fields, holonomy_sectors, g_rank,
-                   contained, local_exactness, kernel_mu_dagger_dim, image_eta_dagger_dim)
+class GroundspaceReport(namedtuple("GroundspaceReport", (
+        "passed", "ground_dim_flat", "ground_dim_local_fields", "holonomy_sectors", "g_rank",
+        "contained", "local_exactness", "kernel_mu_dagger_dim", "image_eta_dagger_dim"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"

@@ -35,10 +35,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import namedtuple
 
 from .gf2 import Gf2Basis, Gf2Matrix
 from .pauli import GeneratorMap, columns_equal_up_to_translation, normalize_column
-from .poly import Frozen, LaurentPoly, Record, support_box
+from .poly import LaurentPoly, support_box
 from .torus import TorusShape, instantiate, place_column, rank_on_torus, read_column, shape_of
 
 
@@ -46,14 +47,10 @@ class NotSymmetricError(ValueError):
     """Raised when an operator's Z part is not generated by the constraints."""
 
 
-class KernelBasis(Record):
+class KernelBasis(namedtuple("KernelBasis", ("parent", "box", "generators"))):
     """Independent box-local generators of the kernel of `parent`."""
 
-    __slots__ = ("parent", "box", "generators")
-
-    def __init__(self, parent: GeneratorMap, box: tuple[int, ...],
-                 generators: list[tuple[LaurentPoly, ...]]) -> None:
-        self._fill(parent, box, generators)
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -178,15 +175,10 @@ def certification_lengths(kb: KernelBasis) -> tuple[int, ...]:
     return tuple(max(3, 2 * (e + max(b, 1)) + 2) for e, b in zip(ext, kb.box))
 
 
-class CertifyReport(Frozen):
-    __slots__ = ("lengths", "kernel_dim", "span_dim", "containment", "window",
-                 "local_kernel_dim", "local_spanned", "missing_local", "passed")
-
-    def __init__(self, lengths: tuple[int, ...], kernel_dim: int, span_dim: int,
-                 containment: bool, window: tuple[int, ...], local_kernel_dim: int,
-                 local_spanned: bool, missing_local: int, passed: bool) -> None:
-        self._fill(lengths, kernel_dim, span_dim, containment, window, local_kernel_dim,
-                   local_spanned, missing_local, passed)
+class CertifyReport(namedtuple("CertifyReport", (
+        "lengths", "kernel_dim", "span_dim", "containment", "window", "local_kernel_dim",
+        "local_spanned", "missing_local", "passed"))):
+    __slots__ = ()
 
     @property
     def wrapping_deficit(self) -> int:

@@ -31,25 +31,26 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 
 from .gf2 import Gf2Matrix
 from .pauli import CodeSpec, GeneratorMap, verify_stabilizer
-from .poly import Frozen, LaurentPoly
+from .poly import LaurentPoly
 
 
-class TorusShape(Frozen):
+class TorusShape(namedtuple("TorusShape", ("lengths",))):
     """Periodic lattice with lengths (L_1, ..., L_d), all >= 2."""
 
-    __slots__ = ("lengths",)
+    __slots__ = ()
 
-    def __init__(self, lengths: tuple[int, ...]) -> None:
+    def __new__(cls, lengths: tuple[int, ...]) -> TorusShape:
         try:
             lengths = tuple(operator.index(l) for l in lengths)
         except TypeError:
             raise ValueError(f"torus lengths must be integers: {lengths!r}") from None
-        self._fill(lengths)
         if any(l < 2 for l in lengths):
             raise ValueError("all torus lengths must be >= 2")
+        return super().__new__(cls, lengths)
 
     @property
     def dim(self) -> int:
@@ -162,7 +163,9 @@ def rank_on_torus(m: GeneratorMap, shape: TorusShape) -> int:
     return instantiate(m, shape).rank()
 
 
-class CountReport(Frozen):
+class CountReport(namedtuple("CountReport", (
+        "shape", "n_qubits", "n_generator_translates", "stab_rank", "k_encoded", "bulk_term",
+        "c_constant"))):
     """Encoded-qubit count on one torus, with the local-count bulk formula.
 
     bulk_term is N times the per-cell combination of qubit, generator and
@@ -171,14 +174,7 @@ class CountReport(Frozen):
     Either may be None when the local kernel counts could not be certified.
     """
 
-    __slots__ = ("shape", "n_qubits", "n_generator_translates", "stab_rank", "k_encoded",
-                 "bulk_term", "c_constant")
-
-    def __init__(self, shape: TorusShape, n_qubits: int, n_generator_translates: int,
-                 stab_rank: int, k_encoded: int, bulk_term: int | None,
-                 c_constant: int | None) -> None:
-        self._fill(shape, n_qubits, n_generator_translates, stab_rank, k_encoded, bulk_term,
-                   c_constant)
+    __slots__ = ()
 
 
 def _per_cell(code: CodeSpec) -> int | None:
