@@ -57,12 +57,6 @@ class SymmetryModel(namedtuple("SymmetryModel", ("constraint_map", "notes"), def
     def n_constraints(self) -> int:
         return self.constraint_map.cols
 
-    @property
-    def local_x_map(self) -> GeneratorMap:
-        """Box-local X fields, one per column: the kernel generators of the
-        dagger of eta, which commute with every constraint field."""
-        return bounded_kernel(self.constraint_map.dagger()).matrix()
-
 
 def symmetry_model_from_code(code: CodeSpec) -> SymmetryModel:
     """Interpret a single-sector (Z-only or X-only) code as a symmetry model."""

@@ -4,8 +4,10 @@ Rows are stored as Python integers used as bit sets (bit j = column j),
 so row updates are single word-level XOR operations.
 
 Every elimination goes through `Gf2Basis`, an incremental echelon basis
-that keys each stored row by its pivot, the row's highest set bit, so one
-reduction step is a `bit_length` and a dict lookup.  `Gf2Matrix.rank`
+held as one flat pivot table: the stored row whose pivot, its highest set
+bit, is bit b - 1 sits at index b, its `bit_length`, and every other
+entry is 0.  One reduction step is then a `bit_length`, a list index and
+an XOR, and a vector in the span ends at entry 0.  `Gf2Matrix.rank`
 inserts the rows; which side of a torus matrix to insert is chosen by
 `torus.rank_on_torus` before the matrix is built.  `Gf2Matrix.row_reduce`
 needs first-column pivots, so it inserts the rows bit-reversed and
@@ -24,19 +26,31 @@ class Gf2Basis:
     """Incremental echelon basis of a subspace of GF(2)^n.
 
     Attributes:
-        rows: maps each stored row's pivot, its highest set bit, to the row.
-            No two rows share a pivot.
+        rows: the pivot table.  rows[b] is the stored row whose highest set
+            bit, its pivot, is bit b - 1, or 0 when no row has that pivot;
+            rows[0] is always 0.  The table grows to one past the bit
+            length of the widest vector inserted.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, vectors=()):
-        self.rows: dict[int, int] = {}
+        rows = self.rows = [0]
+        size = 1
+        # the loop of `add`, inlined: one frame for all the vectors
         for v in vectors:
-            self.add(v)
+            b = v.bit_length()
+            if b >= size:
+                rows += [0] * (b + 1 - size)
+                size = b + 1
+            while r := rows[b]:
+                v ^= r
+                b = v.bit_length()
+            rows[b] = v
 
     def __len__(self) -> int:
-        return len(self.rows)
+        rows = self.rows
+        return len(rows) - rows.count(0)
 
     def reduce(self, v: int) -> int:
         """Clear v's leading bits against the basis.
@@ -45,19 +59,25 @@ class Gf2Basis:
         coset whose highest bit is not a pivot.
         """
         rows = self.rows
-        while v:
-            r = rows.get(v.bit_length() - 1)
-            if r is None:
-                break
-            v ^= r
+        # a vector wider than the table leads with a bit that is no pivot;
+        # every other step lands inside the table, and rows[0] ends the loop
+        if v.bit_length() < len(rows):
+            while r := rows[v.bit_length()]:
+                v ^= r
         return v
 
     def add(self, v: int) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        v = self.reduce(v)
-        if v:
-            self.rows[v.bit_length() - 1] = v
-        return bool(v)
+        rows = self.rows
+        b = v.bit_length()
+        if b >= len(rows):
+            rows += [0] * (b + 1 - len(rows))
+        while r := rows[b]:
+            v ^= r
+            b = v.bit_length()
+        # a vector in the span reduces to 0 and is written to rows[0], which stays 0
+        rows[b] = v
+        return b > 0
 
     def contains(self, v: int) -> bool:
         return not self.reduce(v)
@@ -70,17 +90,17 @@ class Gf2Basis:
         rows = self.rows
         done = 0
         out = []
-        for p in sorted(rows):
-            r = rows[p]
-            hits = r & done
-            while hits:
-                q = hits.bit_length() - 1
-                # rows[q] is already reduced: bit q is its only pivot bit
-                r ^= rows[q]
-                hits ^= 1 << q
-            rows[p] = r
-            out.append(r)
-            done |= 1 << p
+        for b, r in enumerate(rows):
+            if r:
+                hits = r & done
+                while hits:
+                    q = hits.bit_length()
+                    # rows[q] is already reduced: its pivot is its only pivot bit
+                    r ^= rows[q]
+                    hits ^= 1 << (q - 1)
+                rows[b] = r
+                out.append(r)
+                done |= 1 << (b - 1)
         return out
 
 
@@ -135,8 +155,10 @@ class Gf2Matrix:
 
         # zero rows span nothing
         echelon = Gf2Basis(flip(r) for r in self.data if r).rref()
-        reduced = [flip(r) for r in reversed(echelon)]
-        pivots = [(r & -r).bit_length() - 1 for r in reduced]
+        echelon.reverse()
+        reduced = [flip(r) for r in echelon]
+        # a flipped row's pivot bit b - 1 is column n - b
+        pivots = [n - r.bit_length() for r in echelon]
         return reduced + [0] * (self.rows - len(reduced)), pivots
 
     def rank(self) -> int:
@@ -151,16 +173,18 @@ class Gf2Matrix:
             one per free column, in ascending free-column order.
         """
         reduced, pivots = self.row_reduce()
-        free_mask = (1 << self.cols) - 1 - sum(1 << c for c in pivots)
+        pivot_set = set(pivots)
         # one vector per free column, in ascending order; each pivot row
-        # sets its pivot bit in the vectors of the free bits it holds
-        basis = {f: 1 << f for f in range(self.cols) if (free_mask >> f) & 1}
-        for r, c in enumerate(pivots):
-            bits = reduced[r] & free_mask
-            while bits:
-                low = bits & -bits
-                basis[low.bit_length() - 1] |= 1 << c
-                bits ^= low
+        # sets its pivot bit in the vectors of the free columns it holds
+        basis = {f: 1 << f for f in range(self.cols) if f not in pivot_set}
+        for r, c in zip(reduced, pivots):
+            bit = 1 << c
+            # a reduced row's only pivot bit is its pivot, so the rest are free
+            free = r ^ bit
+            while free:
+                f = free.bit_length() - 1
+                basis[f] |= bit
+                free ^= 1 << f
         return list(basis.values())
 
     def solve(self, b: int) -> int | None:

@@ -48,9 +48,16 @@ class NotSymmetricError(ValueError):
 
 
 class KernelBasis(namedtuple("KernelBasis", ("parent", "box", "generators"))):
-    """Independent box-local generators of the kernel of `parent`."""
+    """Independent box-local generators of the kernel of `parent`.
+
+    The box and each generator column are stored as tuples, and so is the
+    list of generators, so a basis hashes and equals one built from lists.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, parent: GeneratorMap, box, generators):
+        return super().__new__(cls, parent, tuple(box), tuple(map(tuple, generators)))
 
     @property
     def dim(self) -> int:

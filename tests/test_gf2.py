@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import naive_nullspace, naive_rank, naive_rref, naive_solve, stabilizer_rows
+from naive_oracle import (
+    naive_nullspace,
+    naive_rank,
+    naive_rref,
+    naive_solve,
+    naive_torus_column,
+    stabilizer_rows,
+)
 from stabgauge.codebook import get_code
 from stabgauge.gf2 import Gf2Basis, Gf2Matrix
+from stabgauge.pauli import GeneratorMap
+from stabgauge.poly import LaurentPoly
+from stabgauge.torus import rank_on_torus, shape_of
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -37,6 +47,16 @@ def from_array(arr) -> Gf2Matrix:
 
 def pack(bits) -> int:
     return sum(1 << j for j, v in enumerate(bits) if v)
+
+
+def assert_pivot_table(basis: Gf2Basis, inserted) -> None:
+    """rows[b] is 0 or a row whose highest bit is b - 1, rows[0] is 0, and
+    the table is one longer than the widest vector inserted."""
+    rows = basis.rows
+    assert rows[0] == 0
+    assert all(r == 0 or r.bit_length() == b for b, r in enumerate(rows))
+    assert len(rows) == 1 + max((v.bit_length() for v in inserted), default=0)
+    assert len(basis) == sum(1 for r in rows if r)
 
 
 def test_rank_identity():
@@ -179,7 +199,7 @@ def test_basis_add_and_contains_match_oracle(m, probes):
         assert len(basis) == len(kept)
     for p in list(m.data) + [p & ((1 << m.cols) - 1) for p in probes]:
         assert basis.contains(p) is (span_rank(kept + [p]) == len(kept))
-    assert all(r.bit_length() - 1 == p for p, r in basis.rows.items())
+    assert_pivot_table(basis, m.data)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1)])
@@ -189,3 +209,110 @@ def test_degenerate_shapes(shape):
     assert m.rank() == 0
     assert m.nullspace() == [1 << j for j in range(shape[1])]
     assert m.solve(0) == 0
+
+
+@given(st.lists(st.integers(0, 40).flatmap(lambda w: st.integers(0, (1 << w) - 1)), max_size=14),
+       st.lists(st.integers(0, 2**48 - 1), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_basis_of_mixed_widths_matches_oracle(vectors, probes):
+    """Vectors of any width, inserted in any order: a wider vector grows the
+    table, and a probe may be wider than every stored row."""
+    width = max((v.bit_length() for v in vectors + probes), default=0)
+
+    def span_rank(vs):
+        return naive_rank(to_array(Gf2Matrix(len(vs), width, list(vs))))
+
+    built = Gf2Basis(vectors)
+    grown = Gf2Basis()
+    for i, v in enumerate(vectors):
+        assert grown.add(v) is (span_rank(vectors[:i + 1]) > span_rank(vectors[:i]))
+        assert_pivot_table(grown, vectors[:i + 1])
+    # inserting one by one stores what inserting all at once does
+    assert built.rows == grown.rows
+    assert len(built) == span_rank(vectors)
+    for p in probes + vectors + [0]:
+        rest = built.reduce(p)
+        in_span = span_rank(vectors + [p]) == span_rank(vectors)
+        assert built.contains(p) is in_span and (rest == 0) is in_span
+        # the rest is p plus a vector of the span, and leads with no pivot
+        assert span_rank(vectors + [p ^ rest]) == span_rank(vectors)
+        assert rest.bit_length() >= len(built.rows) or built.rows[rest.bit_length()] == 0
+
+
+@given(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_vector_wider_than_the_table_reduces_to_itself(vectors):
+    basis = Gf2Basis(vectors)
+    wide = (1 << len(basis.rows)) | vectors[0]
+    assert basis.reduce(wide) == wide and not basis.contains(wide)
+    assert basis.reduce(0) == 0 and basis.contains(0)
+    rows = list(basis.rows)
+    assert basis.add(0) is False and basis.rows == rows
+    assert basis.add(wide) is True
+    assert len(basis.rows) == wide.bit_length() + 1 and basis.rows[-1] == wide
+
+
+def test_empty_basis():
+    basis = Gf2Basis()
+    assert (len(basis), basis.rows, basis.rref()) == (0, [0], [])
+    assert basis.reduce(0b101) == 0b101 and basis.contains(0)
+    assert Gf2Basis([0, 0]).rows == [0]
+
+
+@given(gf2_matrices(max_rows=10, max_cols=12))
+@settings(max_examples=300, deadline=None)
+def test_rref_is_the_highest_bit_reduced_form(m):
+    """rref returns the rows by ascending pivot, the highest bit of each:
+    the first-column reduced form of the bit-reversed matrix, reversed."""
+    ref, pivots = naive_rref(to_array(m)[:, ::-1])
+    expected = [pack(row[::-1]) for row in ref[:len(pivots)]][::-1]
+    basis = Gf2Basis(m.data)
+    assert basis.rref() == expected
+    assert [r.bit_length() - 1 for r in expected] == sorted(m.cols - 1 - c for c in pivots)
+    # back-substitution rewrites the table in place
+    assert [r for r in basis.rows if r] == expected
+
+
+@st.composite
+def small_maps(draw):
+    """Maps of 1-3 rows and columns, tall or wide, with exponents in [-3, 3]
+    on tori of 1-3 axes of lengths 2-5, odd ones included."""
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * dim)
+    entries = [[LaurentPoly.from_terms(dim, draw(st.lists(exps, max_size=3))) for _ in range(cols)]
+               for _ in range(rows)]
+    return GeneratorMap.from_rows(dim, entries), shape_of(lengths)
+
+
+def naive_kernel_dim(m: GeneratorMap, shape) -> int:
+    """Kernel dimension of the instantiated map, with its columns placed
+    term by term: column t * N + s is column t of m translated to site s."""
+    placed = [naive_torus_column([p.shift(site) for p in m.column(t)], shape)
+              for t in range(m.cols) for site in shape.sites()]
+    n = m.rows * shape.n_sites
+    columns = np.array([[(c >> i) & 1 for i in range(n)] for c in placed], dtype=np.uint8)
+    return len(naive_nullspace(columns.reshape(len(placed), n).T))
+
+
+@given(small_maps())
+@settings(max_examples=150, deadline=None)
+def test_rank_on_torus_matches_oracle_on_random_maps(case):
+    m, shape = case
+    for side in (m, m.dagger()):
+        kernel_dim = side.cols * shape.n_sites - rank_on_torus(side, shape)
+        assert kernel_dim == naive_kernel_dim(side, shape)
+
+
+@pytest.mark.parametrize(
+    "name", ["cubic", "toric2d", "fractal_ising", "cluster_toric", "cluster_cubic"])
+def test_rank_on_torus_matches_oracle_on_codebook_maps(name):
+    code = get_code(name)
+    maps = (code.sigma_x, code.sigma_z) if code.css else (code.sigma,)
+    for lengths in {2: [(3, 5), (5, 6)], 3: [(3, 5, 6)]}[code.dim]:
+        shape = shape_of(lengths)
+        for m in maps:
+            for side in (m, m.dagger()):
+                expected = naive_kernel_dim(side, shape)
+                assert side.cols * shape.n_sites - rank_on_torus(side, shape) == expected

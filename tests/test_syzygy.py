@@ -52,7 +52,7 @@ def test_bigger_box_reduces_to_one_generator():
 
 def test_unit_map_has_empty_kernel():
     kb = bounded_kernel(GeneratorMap.identity(2, 1), (1, 1))
-    assert kb.generators == []
+    assert kb.generators == ()
 
 
 def test_kernel_generators_satisfy_exact_identity():

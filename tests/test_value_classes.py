@@ -46,7 +46,7 @@ FROZEN = [
     (CosetState, lambda: ((0, 3), (1, -1), -2), lambda: ((0, 3), (1, 1), -2)),
     (MatterMatrix, lambda: (({0: 1}, {1: -1}), 0), lambda: (({0: 1}, {1: 1}), 0)),
     (GaugeMapInfo, lambda: (2, 1), lambda: (1, 2)),
-    (KernelBasis, lambda: (BOND, (1, 1), [(ONE,)]), lambda: (BOND, (1, 1), [(X,)])),
+    (KernelBasis, lambda: (BOND, (1, 1), ((ONE,),)), lambda: (BOND, (1, 1), ((X,),))),
     (DenseLattice, lambda: (MODEL, SHAPE), lambda: (MODEL, SHAPE, 12, (1, 0, 2, 3, 4, 5, 6, 7))),
     (CheckReport, lambda: ("intertwining", True, 0.0, {}), lambda: ("intertwining", False, 0.5, {})),
     (GroundspaceReport, lambda: (True, 4, 16, 4, 4, True, True, 4, 3),
@@ -111,7 +111,7 @@ REPRS = {
     MatterMatrix: "MatterMatrix(rows=({0: 1}, {1: -1}), den_exp=0)",
     GaugeMapInfo: "GaugeMapInfo(norm_exponent=2, symmetry_dim=1)",
     KernelBasis: "KernelBasis(parent=GeneratorMap(dim=2, entries=((LaurentPoly(2, '1 + x1'),),), "
-                 "cols=1), box=(1, 1), generators=[(LaurentPoly(2, '1'),)])",
+                 "cols=1), box=(1, 1), generators=((LaurentPoly(2, '1'),),))",
     DenseLattice: "DenseLattice(model=SymmetryModel(constraint_map=GeneratorMap(dim=2, "
                   "entries=((LaurentPoly(2, '1 + x1'),),), cols=1), notes=''), "
                   "shape=TorusShape(lengths=(2, 2)), cap=20, perm=None)",
@@ -137,6 +137,10 @@ def test_list_built_values_equal_tuple_built_ones():
     assert hash(GeneratorMap(2, [[ONE + X]])) == hash(BOND)
     col = PauliColumn(2, 1, [X], [ONE])
     assert col == PauliColumn(2, 1, (X,), (ONE,)) and col.entries() == (X, ONE)
+    basis = KernelBasis(BOND, [1, 1], [[ONE], [X]])
+    assert basis == KernelBasis(BOND, (1, 1), ((ONE,), (X,)))
+    assert hash(basis) == hash(KernelBasis(BOND, (1, 1), ((ONE,), (X,))))
+    assert basis.generators == ((ONE,), (X,)) and basis.box == (1, 1)
     # a code whose sector maps were built from lists verifies like the original
     toric = get_code("toric2d")
     listed = CodeSpec("toric2d", True, GeneratorMap(2, list(map(list, toric.sigma_x.entries))),
