@@ -19,6 +19,8 @@ class GeneratorMap(namedtuple("GeneratorMap", ("dim", "entries", "cols"))):
     which a map without rows cannot read off them (0 when omitted)."""
 
     __slots__ = ()
+    # no tuple concatenation or repetition: `+` and `*` raise TypeError
+    __add__ = __mul__ = __rmul__ = None
 
     def __new__(cls, dim: int, entries: tuple[tuple[LaurentPoly, ...], ...],
                 cols: int | None = None) -> GeneratorMap:
@@ -105,6 +107,8 @@ class PauliColumn(namedtuple("PauliColumn", ("dim", "q", "x_block", "z_block")))
     """A lattice Pauli operator: Q X-block and Q Z-block polynomials."""
 
     __slots__ = ()
+    # no tuple concatenation or repetition: `+` and `*` raise TypeError
+    __add__ = __mul__ = __rmul__ = None
 
     def __new__(cls, dim: int, q: int, x_block: tuple[LaurentPoly, ...],
                 z_block: tuple[LaurentPoly, ...]) -> PauliColumn:

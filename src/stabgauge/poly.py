@@ -7,9 +7,12 @@ monomial has coefficient 1, so addition is symmetric difference.
 `collections.namedtuple` of its fields, so values have tuple semantics:
 they are immutable, compare and hash by their fields (a value also equals
 the plain tuple of its fields) and repr as `Name(field=value, ...)`, bar
-a polynomial, which reprs through its text form.  Classes that check
-their input do so in `__new__`; `_make` and `_replace` would skip those
-checks, so the library never calls them.
+a polynomial, which reprs through its text form.  `len`, iteration and
+ordering (`<`) stay those of the tuple of fields.  Tuple `+` and `*` do
+not: a polynomial adds and multiplies as a polynomial, and `GeneratorMap`
+and `PauliColumn` raise TypeError on both.  Classes that check their
+input do so in `__new__`; `_make` and `_replace` would skip those checks,
+so the library never calls them.
 """
 
 from __future__ import annotations

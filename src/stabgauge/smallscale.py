@@ -6,12 +6,14 @@ Projecting a matter basis state onto their common +1 space leaves a state
 uniform on one Gauss-law coset, the affine-subspace form of stabilizer
 states (Dehaene and De Moor, quant-ph/0304125).  So a state of the
 enlarged lattice is held exactly as a `CosetState`: column j is signs[j]
-times 2^(sq_exp/2) on every basis state reps[j] ^ W(u), for a gauge-only
+times one magnitude on every basis state reps[j] ^ W(u), for a gauge-only
 rep, every matter pattern u and W(u) the product of the W_i over the bits
 of u (`DenseLattice.coset_rows`).  A Pauli moves reps and signs columns,
 and a Gauss-law projector keeps or zeroes a column.  The gauging map is
 normalized by an exact power of two so that its Gram matrix is a
-projector; the power is reported, never fudged.
+projector; the power is reported, never fudged.  Every state is the
+gauging map or a Pauli or projector image of it, so the magnitude,
+2^-((n_matter + dim K)/2) for the symmetry group K, is the lattice's.
 
 Matrices on the matter space alone are `MatterMatrix` values, one dict
 {column: numerator} per row over one power-of-two denominator, so every
@@ -26,11 +28,12 @@ constraint projectors together with the full torus kernel of the
 constraint map; the holonomy sector count is reported alongside.
 
 Every check takes one `DenseLattice` (and the operator it checks, where it
-has one), which holds the qubit cap, the qubit permutation, the coset
-coordinates and the gauging map, each built once.  Raw qubit coordinates
-are the torus bit layout of the `torus` module, matter types first and
-gauge types after them; one operator's Pauli masks are placed by
-`place_column` and all Gauss-law translates are read off `instantiate`.
+has one), which holds the qubit cap, the coset coordinates and the
+gauging map, each built once.  Its qubit bits are the torus bit layout of
+the `torus` module, matter types first and gauge types after them, so
+matter basis state u is bit pattern u; one operator's Pauli masks are
+placed by `place_column` and all Gauss-law translates are read off
+`instantiate`.
 """
 
 from __future__ import annotations
@@ -58,26 +61,26 @@ def _sign(bits: int) -> int:
     return -1 if bits.bit_count() & 1 else 1
 
 
-class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap", "perm"))):
+class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
-    Matter qubit (q, site) gets raw bit q*N + site; gauge qubit (t, site)
-    gets raw bit n_matter + t*N + site.  An optional permutation relabels
-    all bits, used to confirm reports do not depend on the basis ordering.
+    Matter qubit (q, site) is bit q*N + site; gauge qubit (t, site) is bit
+    n_matter + t*N + site, the torus layout of the enlarged lattice.
     """
 
     # no __slots__: an instance __dict__ holds the cached properties
 
-    def __new__(cls, model: SymmetryModel, shape: TorusShape, cap: int = DEFAULT_QUBIT_CAP,
-                perm: tuple[int, ...] | None = None) -> DenseLattice:
+    # the benchmark tracer's build_G key still reads `perm`; a read-only
+    # None until that key is mended (ROADMAP item 1)
+    perm = property(lambda self: None)
+
+    def __new__(cls, model: SymmetryModel, shape: TorusShape,
+                cap: int = DEFAULT_QUBIT_CAP) -> DenseLattice:
         if shape.dim != model.dim:
             raise ValueError("shape dimension does not match model")
-        self = super().__new__(cls, model, shape, cap, perm)
-        n = self.n_total
-        if n > cap:
-            raise QubitCapExceeded(f"{n} qubits exceeds the cap of {cap}")
-        if perm is not None and sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of all qubits")
+        self = super().__new__(cls, model, shape, cap)
+        if self.n_total > cap:
+            raise QubitCapExceeded(f"{self.n_total} qubits exceeds the cap of {cap}")
         return self
 
     @property
@@ -96,20 +99,11 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap", "perm"))
     def n_total(self) -> int:
         return self.n_matter + self.n_gauge
 
-    def lift_mask(self, pattern: int) -> int:
-        """Lift a bitmask over raw coordinates (matter first, then gauge) to lattice bits."""
-        if self.perm is None:
-            return pattern
-        out = 0
-        for bit, target in enumerate(self.perm):
-            out |= ((pattern >> bit) & 1) << target
-        return out
-
-    def raw_masks(self, op: PauliColumn) -> tuple[int, int]:
-        """(xmask, zmask) of a Pauli column over raw coordinates.
+    def masks(self, op: PauliColumn) -> tuple[int, int]:
+        """(xmask, zmask) of a Pauli column over lattice bits.
 
         The column lives on the matter lattice (matter_q types) or on the
-        enlarged lattice (matter then gauge types); type ty at site s is raw
+        enlarged lattice (matter then gauge types); type ty at site s is
         bit ty * N + s either way.
         """
         if op.q not in (self.model.matter_q, self.model.matter_q + self.model.n_constraints):
@@ -118,55 +112,54 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap", "perm"))
         bits = place_column(op.entries(), self.shape)
         return bits & ((1 << split) - 1), bits >> split
 
-    def masks(self, op: PauliColumn) -> tuple[int, int]:
-        """(xmask, zmask) of a Pauli column over lattice bits."""
-        xm, zm = self.raw_masks(op)
-        return self.lift_mask(xm), self.lift_mask(zm)
-
     @cached_property
-    def _raw_gauss_masks(self) -> list[tuple[int, int]]:
-        """Raw masks of the Gauss-law generator translates, indexed by the
-        raw matter bit q * N + s that each one flips."""
+    def constraint_masks(self) -> tuple[tuple[int, int], ...]:
+        """All Gauss-law generator translates as (xmask, zmask) pairs, indexed
+        by the matter bit q * N + s that each one flips."""
         ops = pi_generators(self.model)
         m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
-        split = ops[0].q * self.n_sites
-        cols = instantiate(m.dagger(), self.shape).data
-        return [(v & ((1 << split) - 1), v >> split) for v in cols]
+        n = self.n_total
+        return tuple((v & ((1 << n) - 1), v >> n) for v in instantiate(m.dagger(), self.shape).data)
 
-    def constraint_masks(self) -> list[tuple[int, int]]:
-        """All Gauss-law generator translates as (xmask, zmask) pairs."""
-        return [(self.lift_mask(xm), self.lift_mask(zm)) for xm, zm in self._raw_gauss_masks]
-
-    @cached_property
+    @property
     def matter_mask(self) -> int:
-        """The lattice bits of all matter qubits."""
-        return self.lift_mask((1 << self.n_matter) - 1)
+        """The bits of all matter qubits."""
+        return (1 << self.n_matter) - 1
 
     @cached_property
     def coset_rows(self) -> tuple[int, ...]:
-        """W(u) for every matter pattern u in raw bit order: the product of
-        the Gauss-law X masks of the matter bits set in u, so W(1 << i) is
-        generator i.  Its matter bits are lift(u)."""
+        """W(u) for every matter pattern u: the product of the Gauss-law X
+        masks of the matter bits set in u, so W(1 << i) is generator i.  Its
+        matter bits are u."""
         rows = [0]
-        for i, (xm, zm) in enumerate(self.constraint_masks()):
-            assert zm == 0 and xm & self.matter_mask == self.lift_mask(1 << i), \
-                "Gauss-law mask is not a matter X"
+        for i, (xm, zm) in enumerate(self.constraint_masks):
+            assert zm == 0 and xm & self.matter_mask == 1 << i, "Gauss-law mask is not a matter X"
             rows += [r ^ xm for r in rows]
         return tuple(rows)
 
     @cached_property
     def symmetry_group(self) -> tuple[int, ...]:
-        """Every element of the symmetry group K, as a mask over raw matter
+        """Every element of the symmetry group K, as a mask over matter
         bits: the span of the torus kernel of the dagger of the constraint map."""
         group = [0]
         for v in instantiate(self.model.constraint_map.dagger(), self.shape).nullspace():
             group += [k ^ v for k in group]
         return tuple(group)
 
+    @property
+    def symmetry_dim(self) -> int:
+        """dim K, the number of independent symmetry generators."""
+        return len(self.symmetry_group).bit_length() - 1
+
+    @property
+    def norm_exponent(self) -> int:
+        """The gauging map is scaled by 2^(norm_exponent / 2)."""
+        return self.n_matter - self.symmetry_dim
+
     def split_mask(self, xmask: int) -> tuple[int, int]:
-        """(rep, u) of an X mask over lattice bits: u holds its matter bits in
-        raw order and rep = xmask ^ W(u) is gauge-only."""
-        u = sum(1 << i for i in range(self.n_matter) if xmask & self.lift_mask(1 << i))
+        """(rep, u) of an X mask: u is its matter bits and rep = xmask ^ W(u)
+        is gauge-only."""
+        u = xmask & self.matter_mask
         return xmask ^ self.coset_rows[u], u
 
     def keeps_gauss_law(self, zmask: int) -> bool:
@@ -176,16 +169,16 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap", "perm"))
                        for i in range(self.n_matter))
 
     @cached_property
-    def gauging_map(self) -> tuple[CosetState, GaugeMapInfo]:
+    def gauging_map(self) -> CosetState:
         """`build_G` of this lattice, built once."""
         return build_G(self)
 
 
-class CosetState(namedtuple("CosetState", ("reps", "signs", "sq_exp"))):
+class CosetState(namedtuple("CosetState", ("reps", "signs"))):
     """States of the enlarged lattice, one per column, each uniform on one
-    Gauss-law coset: column j is signs[j] (+1, -1 or 0) times 2^(sq_exp/2)
-    on every basis state reps[j] ^ W(u), for W = `DenseLattice.coset_rows`,
-    and zero everywhere else."""
+    Gauss-law coset: column j is signs[j] (+1, -1 or 0) times the lattice's
+    magnitude 2^-((n_matter + dim K)/2) on every basis state reps[j] ^ W(u),
+    for W = `DenseLattice.coset_rows`, and zero everywhere else."""
 
     __slots__ = ()
 
@@ -202,22 +195,20 @@ def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) ->
         raise ValueError(f"Z mask {zmask:#x} anticommutes with a Gauss-law generator")
     rep, _ = lat.split_mask(xmask)
     signs = tuple(s * _sign(r & zmask) for r, s in zip(state.reps, state.signs))
-    return CosetState(tuple(r ^ rep for r in state.reps), signs, state.sq_exp)
+    return CosetState(tuple(r ^ rep for r in state.reps), signs)
 
 
-def _max_deviation(a: CosetState, b: CosetState) -> float:
-    """Largest |a - b| over all basis states, for states of one magnitude.
+def _max_deviation(lat: DenseLattice, a: CosetState, b: CosetState) -> float:
+    """Largest |a - b| over all basis states.
 
-    A column pair on one coset deviates by |s_a - s_b| times the magnitude;
-    a pair on different cosets has disjoint supports, so by the larger of
-    |s_a| and |s_b| times it.
+    A column pair on one coset deviates by |s_a - s_b| times the lattice's
+    magnitude; a pair on different cosets has disjoint supports, so by the
+    larger of |s_a| and |s_b| times it.
     """
-    if a.sq_exp != b.sq_exp:
-        raise ValueError("states of different magnitudes")
     worst = max((abs(sa - sb) if ra == rb else max(abs(sa), abs(sb))
                  for ra, sa, rb, sb in zip(a.reps, a.signs, b.reps, b.signs, strict=True)),
                 default=0)
-    return worst * 2.0 ** (a.sq_exp / 2)
+    return worst * 2.0 ** (-(lat.n_matter + lat.symmetry_dim) / 2)
 
 
 def coset_rank(state: CosetState) -> int:
@@ -249,7 +240,7 @@ def _matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
 def _matter_masks(lat: DenseLattice, op: PauliColumn) -> tuple[int, int]:
     if op.q != lat.model.matter_q:
         raise ValueError("operator does not live on the matter lattice")
-    return lat.raw_masks(op)
+    return lat.masks(op)
 
 
 def matter_operator(lat: DenseLattice, op: PauliColumn) -> MatterMatrix:
@@ -276,7 +267,7 @@ def symmetrize(lat: DenseLattice, m: MatterMatrix) -> MatterMatrix:
                     acc[col] = acc.get(col, 0) + v
             for k in group:
                 out[r ^ k] = acc
-    return MatterMatrix(tuple(out), m.den_exp + len(group).bit_length() - 1)
+    return MatterMatrix(tuple(out), m.den_exp + lat.symmetry_dim)
 
 
 def symmetric_projector(lat: DenseLattice) -> MatterMatrix:
@@ -287,10 +278,8 @@ def symmetric_projector(lat: DenseLattice) -> MatterMatrix:
 
 def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
     """a^T b exactly: two columns on one coset overlap on all 2^n_matter of
-    its basis states, and columns on different cosets nowhere."""
-    sq_exp = a.sq_exp + b.sq_exp
-    if sq_exp % 2:
-        raise ValueError("the Gram entries are not powers of two")
+    its basis states, each with the squared magnitude 2^-(n_matter + dim K),
+    and columns on different cosets nowhere."""
     by_rep: dict[int, dict[int, int]] = {}
     for k, (r, s) in enumerate(zip(b.reps, b.signs)):
         if s:
@@ -299,29 +288,22 @@ def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
     for r, s in zip(a.reps, a.signs):
         row = by_rep.get(r, {})
         rows.append(row if s == 1 else {k: s * v for k, v in row.items()})
-    return MatterMatrix(tuple(rows), -(lat.n_matter + sq_exp // 2))
+    return MatterMatrix(tuple(rows), lat.symmetry_dim)
 
 
-class GaugeMapInfo(namedtuple("GaugeMapInfo", ("norm_exponent", "symmetry_dim"))):
-    __slots__ = ()
-
-
-def build_G(lat: DenseLattice) -> tuple[CosetState, GaugeMapInfo]:
+def build_G(lat: DenseLattice) -> CosetState:
     """State gauging map: project each matter basis state u adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
-    Basis state lift(u) is pattern u of the coset with gauge-only rep
-    lift(u) ^ W(u), so the projection is that coset with every amplitude
-    2^-n_matter.  The map is scaled by 2^((n_matter - dim K)/2) so its Gram
-    matrix is exactly the symmetric-subspace projector; K is the symmetry
-    group of the model on this torus.  Checks read it from
+    Basis state u is pattern u of the coset with gauge-only rep u ^ W(u),
+    so the projection is that coset with every amplitude 2^-n_matter.  The
+    map is scaled by 2^(norm_exponent/2) = 2^((n_matter - dim K)/2) so its
+    Gram matrix is exactly the symmetric-subspace projector; K is the
+    symmetry group of the model on this torus.  Checks read it from
     `DenseLattice.gauging_map`.
     """
-    dim_k = len(lat.symmetry_group).bit_length() - 1
-    gauge = ~lat.matter_mask
-    reps = tuple(w & gauge for w in lat.coset_rows)
-    g = CosetState(reps, (1,) * len(reps), -(lat.n_matter + dim_k))
-    return g, GaugeMapInfo(lat.n_matter - dim_k, dim_k)
+    reps = tuple(w ^ u for u, w in enumerate(lat.coset_rows))
+    return CosetState(reps, (1,) * len(reps))
 
 
 def _times_matter_pauli(lat: DenseLattice, state: CosetState, op: PauliColumn) -> CosetState:
@@ -330,7 +312,7 @@ def _times_matter_pauli(lat: DenseLattice, state: CosetState, op: PauliColumn) -
     xm, zm = _matter_masks(lat, op)
     cols = range(len(state.reps))
     return CosetState(tuple(state.reps[k ^ xm] for k in cols),
-                      tuple(state.signs[k ^ xm] * _sign(k & zm) for k in cols), state.sq_exp)
+                      tuple(state.signs[k ^ xm] * _sign(k & zm) for k in cols))
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -353,7 +335,7 @@ def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
     def act(state: CosetState) -> CosetState:
         if kept:
             return apply_pauli(lat, state, xmask, zmask)
-        return CosetState(state.reps, (0,) * len(state.signs), state.sq_exp)
+        return CosetState(state.reps, (0,) * len(state.signs))
 
     return act
 
@@ -370,16 +352,16 @@ class CheckReport(namedtuple("CheckReport", ("name", "passed", "max_deviation", 
 def check_lemma2(lat: DenseLattice) -> CheckReport:
     """Gram matrix of the gauging map versus the symmetric-subspace projector:
     columns j and j' must share a coset exactly when j ^ j' lies in K."""
-    g, info = lat.gauging_map
+    g = lat.gauging_map
     dev = _matrix_deviation(gram(lat, g, g), symmetric_projector(lat))
     return CheckReport("gram-vs-symmetric-projector", dev == 0, dev,
-                       {"norm_exponent": info.norm_exponent, "symmetry_dim": info.symmetry_dim})
+                       {"norm_exponent": lat.norm_exponent, "symmetry_dim": lat.symmetry_dim})
 
 
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Intertwining identity: gauged operator after gauging equals gauging after op."""
-    g, _ = lat.gauging_map
-    dev = _max_deviation(_times_matter_pauli(lat, g, op), gauged_operator_action(lat, op)(g))
+    g = lat.gauging_map
+    dev = _max_deviation(lat, _times_matter_pauli(lat, g, op), gauged_operator_action(lat, op)(g))
     return CheckReport("intertwining", dev == 0, dev, {})
 
 
@@ -387,18 +369,15 @@ def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
     """Minimal twirl region: the matter qubits under the operator, and the
     gauge qubits that their Gauss-law generators flip or the Z-part
     preimage of its gauged image acts on, read off the XOR masks on the
-    torus.  Also returns the raw (xmask, zmask) of each of those Gauss-law
-    generators."""
-    xm_raw, zm_raw = lat.raw_masks(op)
-    support = xm_raw | zm_raw
-    gamma_m = [raw for raw in range(lat.n_matter) if (support >> raw) & 1]
-    pi_raw = [lat._raw_gauss_masks[raw] for raw in gamma_m]
-    _, gauge = lat.raw_masks(image)
-    for xm, _ in pi_raw:
+    torus: the matter bits, the mask of the gauge bits, and the (xmask,
+    zmask) of each of those Gauss-law generators."""
+    op_x, op_z = lat.masks(op)
+    gamma_m = [i for i in range(lat.n_matter) if ((op_x | op_z) >> i) & 1]
+    pis = [lat.constraint_masks[i] for i in gamma_m]
+    _, gauge = lat.masks(image)
+    for xm, _ in pis:
         gauge |= xm
-    gauge >>= lat.n_matter
-    gamma_g = [g for g in range(lat.n_gauge) if (gauge >> g) & 1]
-    return gamma_m, gamma_g, pi_raw
+    return gamma_m, gauge & ~lat.matter_mask, pis
 
 
 def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
@@ -412,44 +391,40 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     input is a matter basis state, so every term is one basis state with an
     integer coefficient, summed in a dict.
     """
-    gamma_m, gamma_g, pi_raw = _claim1_region(lat, op, _gauged_image(lat, op))
+    gamma_m, proj_mask, pis = _claim1_region(lat, op, _gauged_image(lat, op))
     nm = lat.n_matter
 
     # every gauge X bit of the region's Gauss-law generators lies in the
     # region, so their gauge patterns must be independent
-    region_ok = len(Gf2Basis(xm >> nm for xm, _ in pi_raw)) == len(gamma_m)
+    region_ok = len(Gf2Basis(xm >> nm for xm, _ in pis)) == len(gamma_m)
     # the twirls: the Gauss-law products over every subset of gamma_m
     patterns = [0]
-    for raw in gamma_m:
-        patterns += [p | 1 << raw for p in patterns]
+    for i in gamma_m:
+        patterns += [p | 1 << i for p in patterns]
     twirls = [lat.coset_rows[p] for p in patterns]
 
-    proj_mask = lat.lift_mask(sum(1 << (nm + g_raw) for g_raw in gamma_g))
     op_x, op_z = lat.masks(op)
-    matter = lat.matter_mask
     terms: dict[tuple[int, int], int] = {}
-    for u, w in enumerate(lat.coset_rows):
-        # matter basis state u with all-zero gauge qubits is lift(u) = W(u)'s matter bits
-        start = w & matter
+    # matter basis state u with all-zero gauge qubits is bit pattern u
+    for u in range(1 << nm):
         for t in twirls:
-            moved = start ^ t
+            moved = u ^ t
             sign = _sign(moved & op_z)
             moved ^= op_x
             if not moved & proj_mask:
                 key = (u, moved ^ t)
                 terms[key] = terms.get(key, 0) + sign
     # read off at each matter basis state with all-zero gauge qubits
-    index = {w & matter: u for u, w in enumerate(lat.coset_rows)}
     rows: list[dict[int, int]] = [{} for _ in range(1 << nm)]
     for (u, basis_state), c in terms.items():
-        if c and not basis_state & ~matter:
-            rows[index[basis_state]][u] = c
+        if c and not basis_state >> nm:
+            rows[basis_state][u] = c
     dev = _matrix_deviation(MatterMatrix(tuple(rows), 0), matter_operator(lat, op))
     return CheckReport(
         name="partial-trace-inversion",
         passed=dev == 0 and region_ok,
         max_deviation=dev,
-        details={"region_matter": len(gamma_m), "region_gauge": len(gamma_g),
+        details={"region_matter": len(gamma_m), "region_gauge": proj_mask.bit_count(),
                  "region_injective": region_ok},
     )
 
@@ -462,7 +437,7 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     the symmetric projector proj over every symmetric basis state and every
     basis state, covers every pair of states at once.
     """
-    g, _ = lat.gauging_map
+    g = lat.gauging_map
     sandwich = gram(lat, g, gauged_operator_action(lat, op)(g))
     dev = _matrix_deviation(symmetrize(lat, matter_operator(lat, op)), symmetrize(lat, sandwich))
     return CheckReport("matrix-elements", dev == 0, dev, {"states": 1 << lat.n_matter})
@@ -474,12 +449,15 @@ class GroundspaceReport(namedtuple("GroundspaceReport", (
     __slots__ = ()
 
     def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
+        # a failure names the flags, since its dimensions may all agree
+        why = "" if self.passed else (
+            f"; contained={self.contained}, local_exactness={self.local_exactness}")
         return (
-            f"groundspace-span: {status} (flat-sector dim {self.ground_dim_flat}, "
+            f"groundspace-span: {'pass' if self.passed else 'FAIL'} "
+            f"(flat-sector dim {self.ground_dim_flat}, "
             f"gauged-basis rank {self.g_rank}, "
             f"holonomy sectors {self.holonomy_sectors}, "
-            f"local-field ground dim {self.ground_dim_local_fields})"
+            f"local-field ground dim {self.ground_dim_local_fields}{why})"
         )
 
 
@@ -529,10 +507,10 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     # space has dimension 2^(n_gauge - rank of its fields)
     dim_flat, dim_local = 1 << im_eta_dag, 1 << ker_mu_dag
 
-    g, _ = lat.gauging_map
+    g = lat.gauging_map
+    fields = ((0, v << lat.n_matter) for v in flat)
     contained = all(lat.keeps_gauss_law(zm) and apply_pauli(lat, g, xm, zm) == g
-                    for xm, zm in lat.constraint_masks()
-                    + [(0, lat.lift_mask(v << lat.n_matter)) for v in flat])
+                    for xm, zm in (*lat.constraint_masks, *fields))
     g_rank = coset_rank(g)
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(

@@ -184,36 +184,28 @@ def naive_pauli_matrix(n: int, xmask: int, zmask: int) -> np.ndarray:
     return out
 
 
-def _lift(pattern: int, perm) -> int:
-    if perm is None:
-        return pattern
-    return sum(1 << perm[b] for b in range(len(perm)) if (pattern >> b) & 1)
-
-
-def naive_gauging_map(n_matter: int, n_total: int, gauss_xmasks, perm=None) -> np.ndarray:
+def naive_gauging_map(n_matter: int, n_total: int, gauss_xmasks) -> np.ndarray:
     """Unnormalized state gauging map in coset form.
 
     The Gauss-law generators are pure X, so projecting the matter basis state
     lambda (gauge qubits all zero) onto their common +1 space gives column
     lambda = 2^-r * sum over s in span(gauss_xmasks) of |lambda xor s>, where
-    2^r is the size of the span.  Raw bit b sits at bit perm[b] when a
-    permutation is given.
+    2^r is the size of the span.
     """
     span = {0}
     for mask in gauss_xmasks:
         span |= {s ^ mask for s in span}
     out = np.zeros((1 << n_total, 1 << n_matter))
     for lam in range(1 << n_matter):
-        row = _lift(lam, perm)
         for s in span:
-            out[row ^ s, lam] = 1.0 / len(span)
+            out[lam ^ s, lam] = 1.0 / len(span)
     return out
 
 
-def naive_symmetric_projector(n_matter: int, gauss_xmasks, perm=None) -> np.ndarray:
+def naive_symmetric_projector(n_matter: int, gauss_xmasks) -> np.ndarray:
     """Average of X(g) over the symmetry group, on the matter qubits.
 
-    Gauss-law generator k flips raw matter qubit k and its adjacent gauge
+    Gauss-law generator k flips matter qubit k and its adjacent gauge
     qubits; a matter X pattern g is a symmetry when the product of the
     generators in g flips no gauge qubit.  The group is enumerated pattern by
     pattern and the average summed from Kronecker products.
@@ -224,7 +216,7 @@ def naive_symmetric_projector(n_matter: int, gauss_xmasks, perm=None) -> np.ndar
         for k in range(n_matter):
             if (g >> k) & 1:
                 product ^= gauss_xmasks[k]
-        if product == _lift(g, perm):
+        if product == g:
             group.append(g)
     total = sum(naive_pauli_matrix(n_matter, g, 0) for g in group)
     return total / len(group)

@@ -399,6 +399,19 @@ def test_smallscale_over_63_qubits_runs_within_the_cap(tmp_path, capsys):
     assert code == 0 and out.startswith("gram-vs-symmetric-projector: pass")
 
 
+def test_smallscale_groundspace_failure_names_its_flags(tmp_path, capsys):
+    # 1 + x^2 on a length-3 circle: every dimension agrees with the gauged
+    # basis, but the local fields are not exact in windowed form
+    fold = {"x_block": [[]], "z_block": [[[0], [2]]]}
+    code, out, _ = run(capsys, "smallscale", "--model", _write_code(tmp_path, [fold]),
+                       "--lengths", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "groundspace-span: FAIL (flat-sector dim 4, gauged-basis rank 4, holonomy sectors 2, "
+        "local-field ground dim 8; contained=True, local_exactness=False)")
+    assert all(": pass " in line for line in out.splitlines()[:-1])
+
+
 def test_duality_check_passes_on_gauged_code_with_a_free_matter_type(tmp_path, capsys):
     # ising2d bonds on matter type 0 only: the gauged code has an all-zero X generator
     bonds = [{"x_block": [[], []], "z_block": [[[0, 0], [1, 0]], []]},
