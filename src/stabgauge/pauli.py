@@ -9,6 +9,7 @@ commutativity of every pair of generator translates at once.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .poly import LaurentPoly, support_box
@@ -242,6 +243,7 @@ class VerifyReport(namedtuple("VerifyReport", ("passed", "witness"), defaults=(N
         return f"NOT commuting: generators {t} and {u} pair to {p}"
 
 
+@functools.lru_cache(maxsize=64)
 def verify_stabilizer(code: CodeSpec) -> VerifyReport:
     """Check epsilon o sigma = 0 symbolically; on failure return the witness entry."""
     sigma = code.full_sigma()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
 from .gf2 import Gf2Basis
@@ -461,28 +461,6 @@ class GroundspaceReport(namedtuple("GroundspaceReport", (
         )
 
 
-@lru_cache(maxsize=16)
-def _certified_local_kernel(eta: GeneratorMap) -> GeneratorMap:
-    """mu, the box-local kernel of eta as a map, once the columns of the
-    dagger of eta are certified to generate the kernel of the dagger of mu
-    away from wrapping classes.
-
-    The windowed exactness is a property of the local maps, not of any
-    torus, so it is certified once per eta, on lengths large enough to open
-    a window.  A failed certificate raises ValueError and is not cached.
-    """
-    mu_map = bounded_kernel(eta).matrix()
-    eta_dag = eta.dagger()
-    eta_cols_basis = KernelBasis(
-        parent=mu_map.dagger(),
-        box=eta_dag.support_extent(),
-        generators=[eta_dag.column(j) for j in range(eta_dag.cols)],
-    )
-    if not certify_on_torus(eta_cols_basis, certification_lengths(eta_cols_basis)).passed:
-        raise ValueError("the local fields are not exact in windowed form")
-    return mu_map
-
-
 def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     """The gauged basis states span the flat-connection ground sector.
 
@@ -490,14 +468,17 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     with Z fields for the full torus kernel of the constraint map; with
     only the box-local kernel fields the ground space also contains the
     wrapping (holonomy) sectors, whose count is reported.  Exactness of
-    the local field content is certified in its windowed form first.
+    the local field content is certified in its windowed form: the columns
+    of eta-dagger must generate the kernel of mu-dagger, for mu the
+    box-local kernel of eta, away from wrapping classes.  Both the kernel
+    search and the certificate depend on the model alone.
     """
     eta = lat.model.constraint_map
-    try:
-        mu_map, local_ok = _certified_local_kernel(eta), True
-    except ValueError:
-        # the certificate failed; an error of the kernel search raises again
-        mu_map, local_ok = bounded_kernel(eta).matrix(), False
+    mu_map = bounded_kernel(eta).matrix()
+    eta_dag = eta.dagger()
+    exact = KernelBasis(mu_map.dagger(), eta_dag.support_extent(),
+                        [eta_dag.column(j) for j in range(eta_dag.cols)])
+    local_ok = certify_on_torus(exact, certification_lengths(exact)).passed
     ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, lat.shape)
     # the flat fields are the torus kernel of eta, whose rank is the dagger's
     flat = instantiate(eta, lat.shape).nullspace()

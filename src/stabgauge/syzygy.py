@@ -27,11 +27,15 @@ kernel is the nullspace of the masked torus matrix, less the unit
 vectors of the cleared columns.  An undersized search box fails the
 second check with a dimension deficit; the wrapping classes are
 reported, not hidden.  Certification is a pure function of the kernel
-basis and the torus: it returns a report and changes nothing.
+basis and the torus: it returns a report and changes nothing.  So the
+kernel search and the certificate are memoized by value once their
+arguments are checked (`_bounded_kernel`, `_certify`): equal arguments,
+say a list-built box and its tuple, share one immutable result.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -102,7 +106,11 @@ def bounded_kernel(m: GeneratorMap, box: tuple[int, ...] | None = None) -> Kerne
         raise ValueError("box dimension does not match map dimension")
     if any(b < 0 for b in box):
         raise ValueError("box extents must be nonnegative")
+    return _bounded_kernel(m, box)
 
+
+@functools.lru_cache(maxsize=64)
+def _bounded_kernel(m: GeneratorMap, box: tuple[int, ...]) -> KernelBasis:
     # the smallest torus on which m times a column in the box does not wrap
     shape = shape_of(max(2, b + e + 1) for b, e in zip(box, m.support_extent()))
     system, mask = _box_columns(m, shape, box)
@@ -211,12 +219,16 @@ def certify_on_torus(kb: KernelBasis, lengths) -> CertifyReport:
     elements that wrap the torus are reported via `wrapping_deficit`.
     The window is masked by `_box_columns`; `kb` is not modified.
     """
-    lengths = tuple(lengths)
-    if len(lengths) != kb.dim:
-        raise ValueError("torus dimension mismatch")
-    if any(l <= 2 * b for l, b in zip(lengths, kb.box)):
-        raise ValueError("torus lengths must exceed twice the box extent")
     shape = shape_of(lengths)  # rejects non-integer lengths
+    if shape.dim != kb.dim:
+        raise ValueError("torus dimension mismatch")
+    if any(l <= 2 * b for l, b in zip(shape.lengths, kb.box)):
+        raise ValueError("torus lengths must exceed twice the box extent")
+    return _certify(kb, shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _certify(kb: KernelBasis, shape: TorusShape) -> CertifyReport:
     lengths = shape.lengths
     kernel_dim = kb.parent.cols * shape.n_sites - rank_on_torus(kb.parent, shape)
 

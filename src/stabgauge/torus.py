@@ -13,16 +13,10 @@ translates it by s inside every N-bit column block.  Row t * N + s of
 after a shift by s, so no torus matrix is ever transposed.  To get one
 translate, place it; to get all of them, instantiate the dagger.
 
-Counting does each piece of work once per process, through three caches
-keyed by value (equal codes, maps and shapes share an entry), each of a
-constant size and holding only ints or None.  `_verified(code)` checks
-that a code commutes once, whatever torus is counted.  `_sigma_rank(code,
-shape)` ranks its sigma once per torus; a CSS code ranks sigma_x and
-sigma_z apart and adds the ranks, which is exact because the full sigma
-is block-diagonal.  `_kernel_balance(s)` certifies the local kernels of a
-sector map once, whatever torus is counted.  Both `count_logical` and
-`logical_operator_gap` read `_sigma_rank`; failures raise and are not
-cached.
+Counting reads four pure primitives that are memoized by value where they
+are defined (`verify_stabilizer`, `rank_on_torus`, `bounded_kernel` and
+`certify_on_torus`), so a k(L) scan verifies a code and certifies its
+sector kernels once, and ranks each sector once per torus.
 """
 
 from __future__ import annotations
@@ -160,6 +154,12 @@ def rank_on_torus(m: GeneratorMap, shape: TorusShape) -> int:
     """
     if m.cols < m.rows:
         m = m.dagger()
+    return _rank(m, shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _rank(m: GeneratorMap, shape: TorusShape) -> int:
+    """Rank of a map no taller than wide; s and its dagger share one entry."""
     return instantiate(m, shape).rank()
 
 
@@ -186,6 +186,8 @@ def _per_cell(code: CodeSpec) -> int | None:
     redundancies of the generators against the local fields of their
     dagger.  Returns None when certification does not go through.
     """
+    from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
+
     if not code.css:
         return None
     if code.n_x_types > 0:
@@ -194,43 +196,21 @@ def _per_cell(code: CodeSpec) -> int | None:
         s = code.sigma_z
     else:
         return None
-    balance = _kernel_balance(s)
-    if balance is None:
-        return None
-    return code.q_per_site - s.cols + balance
-
-
-@functools.lru_cache(maxsize=64)
-def _kernel_balance(s: GeneratorMap) -> int | None:
-    """|ker s| - |ker s-dagger| from certified bounded kernels, or None."""
-    from .syzygy import bounded_kernel, certification_lengths, certify_on_torus
-
-    try:
-        ker_s = bounded_kernel(s)
-        ker_s_dag = bounded_kernel(s.dagger())
-    except ValueError:
-        return None
+    ker_s, ker_s_dag = bounded_kernel(s), bounded_kernel(s.dagger())
     # the dagger keeps the support extent, so either kernel gives these lengths
     lengths = certification_lengths(ker_s)
     if not (certify_on_torus(ker_s, lengths).passed
             and certify_on_torus(ker_s_dag, lengths).passed):
         return None
-    return len(ker_s.generators) - len(ker_s_dag.generators)
+    return code.q_per_site - s.cols + len(ker_s.generators) - len(ker_s_dag.generators)
 
 
-@functools.lru_cache(maxsize=64)
-def _verified(code: CodeSpec) -> None:
-    """Raise unless the code's translates commute; only a pass is cached."""
-    report = verify_stabilizer(code)
-    if not report.passed:
-        raise ValueError(f"code is not commuting: {report}")
-
-
-@functools.lru_cache(maxsize=256)
 def _sigma_rank(code: CodeSpec, shape: TorusShape) -> int:
     """Rank of the instantiated sigma of a commuting code; a CSS code ranks
     its two sectors apart, as the full sigma is block-diagonal."""
-    _verified(code)
+    report = verify_stabilizer(code)
+    if not report.passed:
+        raise ValueError(f"code is not commuting: {report}")
     if not code.css:
         return rank_on_torus(code.sigma, shape)
     return rank_on_torus(code.sigma_x, shape) + rank_on_torus(code.sigma_z, shape)

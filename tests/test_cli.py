@@ -15,7 +15,7 @@ from stabgauge import smallscale as smallscale_mod
 from stabgauge import torus as torus_mod
 from stabgauge.cli import COMMANDS, build_parser, cli_main, parse_plain
 from stabgauge.codebook import dumps_code, get_code, loads_code
-from stabgauge.pauli import CodeSpec, GeneratorMap, epsilon_of
+from stabgauge.pauli import CodeSpec, GeneratorMap
 from stabgauge.poly import LaurentPoly
 
 
@@ -469,25 +469,26 @@ def test_duality_check_on_anticommuting_css_code_exits_2(tmp_path, capsys):
 
 
 def test_logical_ranks_sigma_once(monkeypatch, capsys):
-    # a CSS code ranks sigma_x and sigma_z apart; neither the full sigma
-    # nor epsilon is ranked
-    torus_mod._sigma_rank.cache_clear()
-    torus_mod._kernel_balance.cache_clear()
+    # a CSS code ranks sigma_x and sigma_z apart, once each on the asked
+    # torus; neither the full sigma nor epsilon is ranked.  Each rank that
+    # misses the memo instantiates its map once, through the torus module
+    torus_mod._rank.cache_clear()
     code = get_code("cubic")
-    sigma = code.full_sigma()
-    rank_on_torus = torus_mod.rank_on_torus
+    instantiate = torus_mod.instantiate
     ranked = []
 
-    def counting_rank(m, shape):
-        ranked.append(m)
-        return rank_on_torus(m, shape)
+    def counting_instantiate(m, shape):
+        ranked.append((m, shape.lengths))
+        return instantiate(m, shape)
 
-    monkeypatch.setattr(torus_mod, "rank_on_torus", counting_rank)
+    monkeypatch.setattr(torus_mod, "instantiate", counting_instantiate)
     rc, out, _ = run(capsys, "logical", "cubic", "--lengths", "4,4,4", "--json")
     assert rc == 0
     assert json.loads(out)["logical_operator_gap"] == 28
-    assert ranked.count(code.sigma_x) == 1 and ranked.count(code.sigma_z) == 1
-    assert sum(m in (sigma, epsilon_of(sigma)) for m in ranked) == 0
+    sectors = [code.sigma_x.dagger(), code.sigma_z.dagger()]
+    assert [m for m, lengths in ranked if lengths == (4, 4, 4)] == sectors
+    # the certification torus, if its memo is cold, ranks sigma_x alone
+    assert all(m in sectors for m, _ in ranked)
 
 
 def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from naive_oracle import (
     naive_torus_column,
 )
 
-from stabgauge import smallscale
+from stabgauge import smallscale, syzygy
 from stabgauge.codebook import get_code
 from stabgauge.gauging import (
     NotSymmetricError,
@@ -382,38 +382,24 @@ def test_groundspace_no_constraints_trivially_spanned():
     assert rep.holonomy_sectors == 1
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    original = getattr(smallscale, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(smallscale, name, counted)
-    return calls
-
-
-def test_groundspace_certifies_each_model_once(ising_model, monkeypatch):
+def test_groundspace_certifies_each_model_once(ising_model):
     # the windowed exactness depends on the model alone, so lattices of one
     # model share one kernel search and one certificate
-    smallscale._certified_local_kernel.cache_clear()
-    kernels = _counting(monkeypatch, "bounded_kernel")
-    certificates = _counting(monkeypatch, "certify_on_torus")
+    syzygy._bounded_kernel.cache_clear()
+    syzygy._certify.cache_clear()
     for lengths in ((2, 2), (3, 2)):
         assert check_groundspace_span(DenseLattice(ising_model, shape_of(lengths))).passed
-    assert (len(kernels), len(certificates)) == (1, 1)
-    smallscale._certified_local_kernel.cache_clear()
+    assert syzygy._bounded_kernel.cache_info().misses == syzygy._certify.cache_info().misses == 1
 
 
-def test_groundspace_failed_certificate_is_not_cached(monkeypatch):
-    smallscale._certified_local_kernel.cache_clear()
-    certificates = _counting(monkeypatch, "certify_on_torus")
-    lat = DenseLattice(fold_model(), shape_of((2,)))
-    for _ in range(2):
+def test_groundspace_failed_certificate_is_computed_once():
+    # 1 + x^2 is not exact in windowed form: the failed certificate is
+    # memoized like a passed one and read as a failure on every call
+    syzygy._certify.cache_clear()
+    lat = DenseLattice(fold_model(), shape_of((3,)))
+    for _ in range(3):
         assert not check_groundspace_span(lat).local_exactness
-    assert len(certificates) == 2
-    smallscale._certified_local_kernel.cache_clear()
+    assert syzygy._certify.cache_info().misses == 1
 
 
 def test_groundspace_line_names_its_flags_only_on_failure():

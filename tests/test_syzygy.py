@@ -10,9 +10,15 @@ from naive_oracle import (
     naive_solve,
     naive_torus_column,
 )
+from stabgauge import syzygy as syzygy_mod
 from stabgauge.codebook import codebook_names, get_code
 from stabgauge.gauging import NotSymmetricError, symmetry_model_from_code
-from stabgauge.pauli import GeneratorMap, columns_equal_up_to_translation
+from stabgauge.pauli import (
+    CodeSpec,
+    GeneratorMap,
+    columns_equal_up_to_translation,
+    verify_stabilizer,
+)
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.syzygy import (
     KernelBasis,
@@ -205,10 +211,42 @@ def test_box_must_be_integers():
         bounded_kernel(sigma_z, (1.5, 1.9))
 
 
-def test_certify_lengths_must_be_integers():
+@pytest.mark.parametrize("lengths", [(6.7, 6.2, 6.9), ("6", "6", "6")])
+def test_certify_lengths_must_be_integers(lengths):
     kb = bounded_kernel(get_code("cubic").sigma_x)
     with pytest.raises(ValueError, match="integers"):
-        certify_on_torus(kb, (6.7, 6.2, 6.9))
+        certify_on_torus(kb, lengths)
+
+
+def test_list_arguments_share_the_memo_entry_of_tuples():
+    syzygy_mod._bounded_kernel.cache_clear()
+    syzygy_mod._certify.cache_clear()
+    m = get_code("cubic").sigma_x
+    kb = bounded_kernel(m, [1, 1, 1])
+    assert bounded_kernel(m, (1, 1, 1)) is kb
+    assert bounded_kernel(m) is kb  # the default box is m's extent, (1, 1, 1)
+    report = certify_on_torus(kb, [6, 6, 6])
+    assert certify_on_torus(kb, (6, 6, 6)) is report
+    assert certify_on_torus(kb, shape_of((6, 6, 6)).lengths) is report
+    assert syzygy_mod._bounded_kernel.cache_info().misses == 1
+    assert syzygy_mod._certify.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", ["cubic", "toric2d", "cluster_cubic"])
+def test_memoized_results_hash(name):
+    # a memo hands one object to every caller, so each result is immutable
+    code = get_code(name)
+    assert verify_stabilizer(code).passed
+    m = code.sigma_x if code.css else code.sigma
+    kb = bounded_kernel(m)
+    for value in (verify_stabilizer(code), kb, certify_on_torus(kb, certification_lengths(kb))):
+        hash(value)
+    one = LaurentPoly.one(1)
+    bad = CodeSpec(name="xz", css=True, sigma_x=GeneratorMap(1, ((one,),)),
+                   sigma_z=GeneratorMap(1, ((one,),)))
+    failed = verify_stabilizer(bad)
+    assert not failed.passed
+    hash(failed)
 
 
 def with_zero_column(m):

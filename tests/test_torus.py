@@ -361,76 +361,78 @@ def test_torus_shape_rejects_non_integer_lengths(make, lengths):
         make(lengths)
 
 
+MEMOS = (verify_stabilizer, torus_mod._rank, syzygy_mod._bounded_kernel, syzygy_mod._certify)
+
+
 @pytest.fixture
 def cold_caches():
-    torus_mod._verified.cache_clear()
-    torus_mod._sigma_rank.cache_clear()
-    torus_mod._kernel_balance.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
-def _count_calls(monkeypatch, module, attr):
-    original = getattr(module, attr)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, attr, counting)
-    return calls
+def misses(memo) -> int:
+    """Calls of a memoized primitive that did the work, since the last clear."""
+    return memo.cache_info().misses
 
 
-def test_count_certifies_once_per_sector_map(cold_caches, monkeypatch):
-    # the local kernels depend on the code only, so a k(L) scan certifies
-    # ker s and ker s-dagger once, not once per torus
-    certified = _count_calls(monkeypatch, syzygy_mod, "certify_on_torus")
+def test_count_certifies_once_per_sector_map(cold_caches):
+    # the local kernels depend on the code only, so a k(L) scan searches and
+    # certifies ker s and ker s-dagger once, not once per torus
     code = get_code("cubic")
     # k = 4L - 2 at L = 2^p; the L = 12 value is frozen from this code
     for L, k in [(4, 14), (8, 30), (12, 14)]:
         report = count_logical(code, shape_of((L, L, L)))
         assert (report.k_encoded, report.bulk_term) == (k, 0)
-    assert len(certified) == 2
+    assert misses(syzygy_mod._bounded_kernel) == misses(syzygy_mod._certify) == 2
 
 
 def test_count_and_gap_rank_each_sector_once(cold_caches, monkeypatch):
-    ranked = _count_calls(monkeypatch, torus_mod, "rank_on_torus")
-    verified = _count_calls(monkeypatch, torus_mod, "verify_stabilizer")
+    # each _rank miss instantiates its map once, through the torus module
+    ranked = []
+    instantiate = torus_mod.instantiate
+
+    def counting(m, shape):
+        ranked.append((m, shape.lengths))
+        return instantiate(m, shape)
+
+    monkeypatch.setattr(torus_mod, "instantiate", counting)
     code = get_code("cubic")
     shape = shape_of((4, 4, 4))
     report = count_logical(code, shape)
     assert logical_operator_gap(code, shape) == (
         2 * report.n_qubits - report.stab_rank, report.stab_rank, 2 * report.k_encoded)
-    assert ranked == [code.sigma_x, code.sigma_z]
-    assert len(verified) == 1
+    # both sectors on this torus, then s and s-dagger on the certification
+    # torus as one entry; all on the wide side
+    wide_x, wide_z = code.sigma_x.dagger(), code.sigma_z.dagger()
+    assert ranked == [(wide_x, (4, 4, 4)), (wide_z, (4, 4, 4)), (wide_x, (6, 6, 6))]
+    assert misses(verify_stabilizer) == 1
 
 
-def test_scan_verifies_each_code_once(cold_caches, monkeypatch):
+def test_scan_verifies_each_code_once(cold_caches):
     # whether a code commutes does not depend on the torus, so a k(L) scan
-    # verifies it once; a failed check raises on every call, not cached
-    verified = _count_calls(monkeypatch, torus_mod, "verify_stabilizer")
+    # verifies it once; a failed check is computed once and raised on every call
     code = get_code("cubic")
     for L in (2, 3, 4):
         count_logical(code, shape_of((L, L, L)))
-    assert verified == [code]
+    assert misses(verify_stabilizer) == 1
     one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
     bad = CodeSpec(name="xz", css=False, sigma=GeneratorMap(1, ((one, zero), (zero, one))))
     for L in (2, 3, 2):
         with pytest.raises(ValueError, match="code is not commuting"):
             count_logical(bad, shape_of((L,)))
-    assert verified == [code, bad, bad, bad]
+    assert misses(verify_stabilizer) == 2
 
 
-def test_mixed_code_ranks_its_sigma_once(cold_caches, monkeypatch):
-    ranked = _count_calls(monkeypatch, torus_mod, "rank_on_torus")
+def test_mixed_code_ranks_its_sigma_once(cold_caches):
     code = get_code("cluster_toric")
     shape = shape_of((3, 3))
     count_logical(code, shape)
     logical_operator_gap(code, shape)
-    assert ranked == [code.sigma]
+    # a mixed code has no certification, so this is sigma alone
+    assert (misses(torus_mod._rank), misses(syzygy_mod._certify)) == (1, 0)
 
 
-def test_renamed_code_reuses_the_certificate(cold_caches, monkeypatch):
-    certified = _count_calls(monkeypatch, syzygy_mod, "certify_on_torus")
+def test_renamed_code_reuses_the_certificate(cold_caches):
     code = get_code("cubic")
     data = json.loads(dumps_code(code))
     data["name"] = "cubic-reloaded"
@@ -438,11 +440,28 @@ def test_renamed_code_reuses_the_certificate(cold_caches, monkeypatch):
     assert reloaded.name != code.name and reloaded.sigma_x == code.sigma_x
     shape = shape_of((4, 4, 4))
     assert count_logical(reloaded, shape).bulk_term == count_logical(code, shape).bulk_term
-    assert len(certified) == 2
+    assert misses(syzygy_mod._certify) == 2
+
+
+def test_sector_kernels_rank_one_torus_matrix_once(cold_caches):
+    # ker s and ker s-dagger are certified on one torus, where s and its
+    # dagger share one rank entry
+    code = get_code("cubic")
+    assert torus_mod._per_cell(code) == 0
+    info = torus_mod._rank.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("name, lengths", [("toric2d", (6, 6)), ("cubic", (4, 4, 4))])
+@pytest.mark.parametrize("sector", ["sigma_x", "sigma_z"])
+def test_map_and_dagger_share_one_rank(cold_caches, name, lengths, sector):
+    m, shape = getattr(get_code(name), sector), shape_of(lengths)
+    assert rank_on_torus(m, shape) == rank_on_torus(m.dagger(), shape)
+    assert misses(torus_mod._rank) == 1
 
 
 def test_noncommuting_code_raises_on_every_call(cold_caches):
-    # a failed verification is raised, not cached, so a repeated call raises again
+    # the failed report is memoized, and every call raises from it again
     one = LaurentPoly.one(1)
     zero = LaurentPoly.zero(1)
     bad = CodeSpec(
@@ -455,3 +474,4 @@ def test_noncommuting_code_raises_on_every_call(cold_caches):
             count_logical(bad, shape)
         with pytest.raises(ValueError, match="code is not commuting"):
             logical_operator_gap(bad, shape)
+    assert misses(verify_stabilizer) == 1

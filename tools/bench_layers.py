@@ -17,7 +17,9 @@ Usage, from the root of a checkout:
     python3 tools/bench_layers.py --quick         # fewer, smaller layers
     python3 tools/bench_layers.py --base OTHER/src --out BENCH.json
 
-Each layer is timed best of REPEAT calls after one untimed call.  With
+Each layer is timed best of REPEAT calls after one untimed call, with
+every memo of the loaded `stabgauge` modules emptied before each timed
+call, so a memoized layer times its work and not a lookup.  With
 `--base`, both source trees are timed in fresh processes that alternate,
 ROUNDS times each, and the JSON written to `--out` holds both sides (each
 layer's best over all rounds), their ratio and each side's source line
@@ -96,6 +98,15 @@ def layers(quick: bool):
     return out
 
 
+def clear_memos() -> None:
+    """Empty every `cache_clear`-able object of the loaded stabgauge modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stabgauge."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def time_layers(quick: bool, repeat: int) -> dict[str, float]:
     """Best of `repeat` wall-clock times per layer, in seconds."""
     best = {}
@@ -104,6 +115,7 @@ def time_layers(quick: bool, repeat: int) -> dict[str, float]:
         call()  # first call outside the timing, as in a warm process
         times = []
         for _ in range(repeat):
+            clear_memos()
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
