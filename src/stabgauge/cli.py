@@ -103,19 +103,11 @@ def cmd_logical(args) -> int:
     code = _load(args.code)
     shape = shape_of(_parse_ints(args.lengths))
     report = count_logical(code, shape)
-    payload = {
-        "code": code.name,
-        "lengths": list(shape.lengths),
-        "n_qubits": report.n_qubits,
-        "n_generator_translates": report.n_generator_translates,
-        "stab_rank": report.stab_rank,
-        "k_encoded": report.k_encoded,
-        "bulk_term": report.bulk_term,
-        "c_constant": report.c_constant,
-        "logical_operator_gap": 2 * report.k_encoded,
-    }
     if args.json:
-        _emit(payload)
+        payload = report._asdict()
+        del payload["shape"]
+        _emit({**payload, "code": code.name, "lengths": list(shape.lengths),
+               "logical_operator_gap": 2 * report.k_encoded})
     else:
         print(
             f"{code.name} on {shape.lengths}: k = {report.k_encoded} "
@@ -184,13 +176,7 @@ def cmd_duality_check(args) -> int:
     code = _load(args.code)
     report = double_gauge_check(code)
     if args.json:
-        _emit({
-            "code": code.name,
-            "passed": report.passed,
-            "forward_match": report.forward_match,
-            "dual_match": report.dual_match,
-            "diff": report.diff,
-        })
+        _emit({"code": code.name, **report._asdict()})
     else:
         print(f"{code.name}: {report}")
     return PASS if report.passed else FAIL

@@ -14,60 +14,26 @@ from .poly import LaurentPoly, parse_poly
 _GEN_TORIC_RE = re.compile(r"^generalized_toric\((\d+),\s*(\d+)\)$")
 
 
-def _p(text: str, dim: int) -> LaurentPoly:
-    return parse_poly(text, dim)
+# name -> (dim, X-sector rows, Z-sector rows, notes): one list of polynomial
+# texts per qubit type, one text per generator type; [[]] is an empty sector
+_CSS = {
+    "toric2d": (2, [["x + x*y"], ["y + x*y"]], [["1 + x"], ["1 + y"]],
+                "2D toric code: vertex X stars and plaquette Z loops"),
+    "cubic": (3, [["x + y + z + x*y*z"], ["1 + y + x*y + y*z"]],
+              [["x + z + x*z + x*y*z"], ["1 + x*y + x*z + y*z"]],
+              "3D cubic code: two qubits per site, 8-corner X and Z generators"),
+    "ising2d": (2, [[]], [["1 + y", "1 + x"]],
+                "2D nearest-neighbour ZZ bond model; global X symmetry"),
+    "fractal_ising": (3, [[]], [["1 + x*y + x*z + y*z", "x + z + x*z + x*y*z"]],
+                      "four-body ZZZZ corner model with fractal X symmetries"),
+}
 
 
-def _toric2d() -> CodeSpec:
-    sigma_x = GeneratorMap.from_rows(2, [[_p("x + x*y", 2)], [_p("y + x*y", 2)]])
-    sigma_z = GeneratorMap.from_rows(2, [[_p("1 + x", 2)], [_p("1 + y", 2)]])
-    return CodeSpec(
-        name="toric2d",
-        css=True,
-        sigma_x=sigma_x,
-        sigma_z=sigma_z,
-        notes="2D toric code: vertex X stars and plaquette Z loops",
-    )
-
-
-def _cubic() -> CodeSpec:
-    sigma_x = GeneratorMap.from_rows(
-        3, [[_p("x + y + z + x*y*z", 3)], [_p("1 + y + x*y + y*z", 3)]]
-    )
-    sigma_z = GeneratorMap.from_rows(
-        3, [[_p("x + z + x*z + x*y*z", 3)], [_p("1 + x*y + x*z + y*z", 3)]]
-    )
-    return CodeSpec(
-        name="cubic",
-        css=True,
-        sigma_x=sigma_x,
-        sigma_z=sigma_z,
-        notes="3D cubic code: two qubits per site, 8-corner X and Z generators",
-    )
-
-
-def _ising2d() -> CodeSpec:
-    sigma_z = GeneratorMap.from_rows(2, [[_p("1 + y", 2), _p("1 + x", 2)]])
-    return CodeSpec(
-        name="ising2d",
-        css=True,
-        sigma_x=GeneratorMap.zero(2, 1, 0),
-        sigma_z=sigma_z,
-        notes="2D nearest-neighbour ZZ bond model; global X symmetry",
-    )
-
-
-def _fractal_ising() -> CodeSpec:
-    sigma_z = GeneratorMap.from_rows(
-        3, [[_p("1 + x*y + x*z + y*z", 3), _p("x + z + x*z + x*y*z", 3)]]
-    )
-    return CodeSpec(
-        name="fractal_ising",
-        css=True,
-        sigma_x=GeneratorMap.zero(3, 1, 0),
-        sigma_z=sigma_z,
-        notes="four-body ZZZZ corner model with fractal X symmetries",
-    )
+def _css_code(name: str) -> CodeSpec:
+    dim, x_rows, z_rows, notes = _CSS[name]
+    sigma_x, sigma_z = (GeneratorMap(dim, [[parse_poly(t, dim) for t in row] for row in rows])
+                        for rows in (x_rows, z_rows))
+    return CodeSpec(name, True, sigma_x, sigma_z, notes=notes)
 
 
 def generalized_toric(d: int, k: int) -> CodeSpec:
@@ -77,41 +43,25 @@ def generalized_toric(d: int, k: int) -> CodeSpec:
         raise ValueError("generalized toric codes are built for d in {2, 3}")
     if not (1 <= k <= d - 1):
         raise ValueError(f"k must satisfy 1 <= k <= d-1, got k={k} for d={d}")
-    axes = list(range(d))
-    k_cells = [frozenset(s) for s in itertools.combinations(axes, k)]
-    x_cells = [frozenset(s) for s in itertools.combinations(axes, k - 1)]
-    z_cells = [frozenset(s) for s in itertools.combinations(axes, k + 1)]
-    zero = LaurentPoly.zero(d)
 
-    def unit(axis: int, sign: int) -> LaurentPoly:
-        e = [0] * d
-        e[axis] = sign
-        return LaurentPoly.one(d) + LaurentPoly.monomial(tuple(e))
+    def cells(size: int) -> list[frozenset[int]]:
+        return [frozenset(c) for c in itertools.combinations(range(d), size)]
 
-    x_rows = []
-    z_rows = []
-    for cell in k_cells:
-        xrow = []
-        for r in x_cells:
-            if r <= cell:
-                (axis,) = tuple(cell - r)
-                xrow.append(unit(axis, -1))
-            else:
-                xrow.append(zero)
-        x_rows.append(tuple(xrow))
-        zrow = []
-        for w in z_cells:
-            if cell <= w:
-                (axis,) = tuple(w - cell)
-                zrow.append(unit(axis, +1))
-            else:
-                zrow.append(zero)
-        z_rows.append(tuple(zrow))
+    def incidence(sign: int) -> GeneratorMap:
+        # a k-cell and a (k + sign)-cell are incident when they differ in one
+        # axis a, with entry 1 + x_a^sign; other pairs differ in three or more
+        def entry(diff: frozenset[int]) -> LaurentPoly:
+            if len(diff) != 1:
+                return LaurentPoly.zero(d)
+            return LaurentPoly(d, {(0,) * d, tuple(sign * (a in diff) for a in range(d))})
+
+        return GeneratorMap(d, [[entry(c ^ w) for w in cells(k + sign)] for c in cells(k)])
+
     return CodeSpec(
         name=f"generalized_toric({d},{k})",
         css=True,
-        sigma_x=GeneratorMap(d, tuple(x_rows)),
-        sigma_z=GeneratorMap(d, tuple(z_rows)),
+        sigma_x=incidence(-1),
+        sigma_z=incidence(+1),
         notes=f"{d}-dimensional hypercubic code on {k}-cells",
     )
 
@@ -123,22 +73,20 @@ def _cluster_from(code_name: str, out_name: str) -> CodeSpec:
 
 
 _BUILDERS = {
-    "toric2d": _toric2d,
-    "cubic": _cubic,
-    "ising2d": _ising2d,
-    "fractal_ising": _fractal_ising,
     "cluster_toric": lambda: _cluster_from("ising2d", "cluster_toric"),
     "cluster_cubic": lambda: _cluster_from("fractal_ising", "cluster_cubic"),
 }
 
 
 def codebook_names() -> list[str]:
-    return sorted(_BUILDERS) + ["generalized_toric(d,k)"]
+    return sorted([*_CSS, *_BUILDERS]) + ["generalized_toric(d,k)"]
 
 
 def get_code(name: str) -> CodeSpec:
     """Look up a built-in code by name."""
     name = name.strip()
+    if name in _CSS:
+        return _css_code(name)
     if name in _BUILDERS:
         return _BUILDERS[name]()
     m = _GEN_TORIC_RE.match(name)

@@ -165,19 +165,14 @@ def double_gauge_check(code: CodeSpec) -> DualityReport:
     def round_trip(c: CodeSpec) -> tuple[bool, str]:
         model = ungauge_css(c)
         regauged, _ = gauge(model)
-        # regauging never yields an all-zero generator, which stabilizes nothing
-        ok_x, ok_z = (maps_equal_up_to_translation(_nonzero_columns(a), _nonzero_columns(b))
-                      for a, b in ((regauged.sigma_x, c.sigma_x), (regauged.sigma_z, c.sigma_z)))
-        if ok_x and ok_z:
-            return True, ""
         diff = []
-        if not ok_x:
-            diff.append(_describe_columns("expected X:", c.sigma_x))
-            diff.append(_describe_columns("regauged X:", regauged.sigma_x))
-        if not ok_z:
-            diff.append(_describe_columns("expected Z:", c.sigma_z))
-            diff.append(_describe_columns("regauged Z:", regauged.sigma_z))
-        return False, "\n".join(diff)
+        for sector, want, got in (("X", c.sigma_x, regauged.sigma_x),
+                                  ("Z", c.sigma_z, regauged.sigma_z)):
+            # regauging never yields an all-zero generator, which stabilizes nothing
+            if not maps_equal_up_to_translation(_nonzero_columns(got), _nonzero_columns(want)):
+                diff += [_describe_columns(f"expected {sector}:", want),
+                         _describe_columns(f"regauged {sector}:", got)]
+        return not diff, "\n".join(diff)
 
     fwd_ok, fwd_diff = round_trip(code)
     dual_ok, dual_diff = round_trip(_swap_sectors(code))

@@ -191,7 +191,9 @@ class Gf2Matrix:
         """Solve self @ x = b for one x, or return None when inconsistent.
 
         The solution is deterministic: free variables are set to zero, so x
-        is supported on pivot columns only.
+        is supported on pivot columns only.  It is read off the nullspace of
+        [A | b]: b's column, the last, is free exactly when the system is
+        consistent, and then the last nullspace vector is x plus b's bit.
 
         Args:
             b: right-hand side as a bitmask over rows.
@@ -201,12 +203,6 @@ class Gf2Matrix:
             self.cols + 1,
             [r | (((b >> i) & 1) << self.cols) for i, r in enumerate(self.data)],
         )
-        reduced, pivots = aug.row_reduce()
-        if pivots and pivots[-1] == self.cols:
-            return None
-        x = 0
-        for row, c in zip(reduced, pivots):
-            if (row >> self.cols) & 1:
-                x |= 1 << c
-        return x
+        last = (aug.nullspace() or [0])[-1]
+        return last ^ (1 << self.cols) if last >> self.cols else None
 

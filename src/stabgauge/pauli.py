@@ -38,10 +38,6 @@ class GeneratorMap(namedtuple("GeneratorMap", ("dim", "entries", "cols"))):
         return super().__new__(cls, dim, entries, width)
 
     @classmethod
-    def from_rows(cls, dim: int, rows) -> GeneratorMap:
-        return cls(dim, rows)
-
-    @classmethod
     def from_columns(cls, dim: int, rows: int, columns) -> GeneratorMap:
         """Build a map with `rows` rows whose columns are the given sequences."""
         columns = list(columns)
@@ -151,13 +147,11 @@ def symplectic_pair(a: PauliColumn, b: PauliColumn) -> LaurentPoly:
     pair, and the whole polynomial vanishes iff all translate pairs
     commute.
     """
+    # `apply` zips, so a mismatched pair would be cut short without this check
     if a.dim != b.dim or a.q != b.q:
         raise ValueError("shape mismatch in symplectic pairing")
-    acc = LaurentPoly.zero(a.dim)
-    for q in range(a.q):
-        acc = acc + a.z_block[q].antipode() * b.x_block[q]
-        acc = acc + a.x_block[q].antipode() * b.z_block[q]
-    return acc
+    pairing = epsilon_of(GeneratorMap.from_columns(a.dim, 2 * a.q, [a.entries()]))
+    return pairing.apply(b.entries())[0]
 
 
 def epsilon_of(sigma: GeneratorMap) -> GeneratorMap:
@@ -243,10 +237,17 @@ class VerifyReport(namedtuple("VerifyReport", ("passed", "witness"), defaults=(N
         return f"NOT commuting: generators {t} and {u} pair to {p}"
 
 
-@functools.lru_cache(maxsize=64)
 def verify_stabilizer(code: CodeSpec) -> VerifyReport:
-    """Check epsilon o sigma = 0 symbolically; on failure return the witness entry."""
-    sigma = code.full_sigma()
+    """Check epsilon o sigma = 0 symbolically; on failure return the witness entry.
+
+    The result is memoized on the full stabilizer map, so codes that differ
+    only in name or notes are checked once.
+    """
+    return _verify(code.full_sigma())
+
+
+@functools.lru_cache(maxsize=64)
+def _verify(sigma: GeneratorMap) -> VerifyReport:
     if sigma.cols == 0:
         return VerifyReport(True)
     product = epsilon_of(sigma).compose(sigma)
@@ -321,22 +322,14 @@ def render_diagram(op: PauliColumn | GeneratorMap) -> str:
         raise ValueError("diagrams are only rendered for dim <= 3")
     if op.is_identity():
         return "I" * op.q
-    lo, hi = support_box(op.entries())
-    if op.dim == 1:
-        return " ".join(_site_label(op, (x,)) for x in range(lo[0], hi[0] + 1))
-    if op.dim == 2:
-        lines = []
-        for y in range(hi[1], lo[1] - 1, -1):
-            lines.append(
-                " ".join(_site_label(op, (x, y)) for x in range(lo[0], hi[0] + 1))
-            )
-        return "\n".join(lines)
+    # an axis the column lacks spans the one value 0
+    lo, hi = (corner + (0,) * (3 - op.dim) for corner in support_box(op.entries()))
+    indent = "  " if op.dim == 3 else ""
     lines = []
     for z in range(lo[2], hi[2] + 1):
-        lines.append(f"z={z}:")
+        if op.dim == 3:
+            lines.append(f"z={z}:")
         for y in range(hi[1], lo[1] - 1, -1):
-            lines.append(
-                "  "
-                + " ".join(_site_label(op, (x, y, z)) for x in range(lo[0], hi[0] + 1))
-            )
+            sites = ((x, y, z)[:op.dim] for x in range(lo[0], hi[0] + 1))
+            lines.append(indent + " ".join(_site_label(op, site) for site in sites))
     return "\n".join(lines)

@@ -154,7 +154,7 @@ def parse_poly(text: str, dim: int) -> LaurentPoly:
     text = text.strip()
     if text in ("0", ""):
         return LaurentPoly.zero(dim)
-    terms: set[Monomial] = set()
+    terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -177,9 +177,5 @@ def parse_poly(text: str, dim: int) -> LaurentPoly:
                 if not 1 <= idx <= dim:
                     raise ValueError(f"variable index {idx} out of range for dim {dim}")
                 exps[idx - 1] += int(m.group(3)) if m.group(3) else 1
-        t = tuple(exps)
-        if t in terms:
-            terms.remove(t)
-        else:
-            terms.add(t)
-    return LaurentPoly(dim, frozenset(terms))
+        terms.append(exps)
+    return LaurentPoly.from_terms(dim, terms)

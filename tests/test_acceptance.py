@@ -180,7 +180,7 @@ def test_criterion_8_smallscale_suite():
     ground = check_groundspace_span(lat)
     deviations = [r.max_deviation for r in reports]
     ok = all(r.passed for r in reports) and ground.passed
-    ok &= max(deviations) <= 1e-10
+    ok &= max(deviations) == 0
     elapsed = time.perf_counter() - start
     report(
         "8 dense suite on ising2d (2,2): gram, intertwining, inversion, "

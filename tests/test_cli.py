@@ -472,7 +472,6 @@ def test_logical_ranks_sigma_once(monkeypatch, capsys):
     # a CSS code ranks sigma_x and sigma_z apart, once each on the asked
     # torus; neither the full sigma nor epsilon is ranked.  Each rank that
     # misses the memo instantiates its map once, through the torus module
-    torus_mod._rank.cache_clear()
     code = get_code("cubic")
     instantiate = torus_mod.instantiate
     ranked = []

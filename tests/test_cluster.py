@@ -168,7 +168,7 @@ def test_self_dual_is_a_generator_set_check():
     # eta = (1; 1): the dagger (1, 1) has the box-local kernel field (1, 1),
     # so the swapped doubly gauged code has other generators than the
     # cluster, yet with its extra kernel fields it spans the same translates
-    model = SymmetryModel(GeneratorMap.from_rows(1, [[LaurentPoly.one(1)], [LaurentPoly.one(1)]]))
+    model = SymmetryModel(GeneratorMap(1, [[LaurentPoly.one(1)], [LaurentPoly.one(1)]]))
     assert not cluster_self_dual(model)
     t = model.n_constraints
 
@@ -197,7 +197,7 @@ def test_extra_fields_redundant_when_terms_fold():
     # the extra kernel field is (1, 1 + x + x^2); on a length-2 circle its
     # terms 1 and x^2 land on one site and cancel, leaving a field in the span
     model = SymmetryModel(
-        GeneratorMap.from_rows(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]])
+        GeneratorMap(1, [[parse_poly("1 + x^3", 1), parse_poly("1 + x", 1)]])
     )
     assert extra_fields_redundant(model, shape_of((2,)))
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -171,6 +172,26 @@ def test_exponent_vector_length_checked():
     data["generators"][0]["x_block"][0] = [[1, 2, 3]]
     with pytest.raises(ValueError):
         code_from_dict(data)
+
+
+# no golden CLI case runs `codebook dump`, so the dumped text is pinned here
+DUMP_SHA256 = {
+    "toric2d": "88b1127099abf4768d606846ab4c8577dbbc16ca5907bf8e0d51ab22791a51cb",
+    "cubic": "ad02465e582a6ba2651f5726952adcf5240575a6e9d52a99410532079390c52d",
+    "ising2d": "ea1efe99d42f5e522dc649b4cf666c8148243f7ae101b37946880b6e0f4198be",
+    "fractal_ising": "1e78663ec24d5884376e39011f1279cbb5fbd33244d181519cb9ec1f5117b093",
+    "cluster_toric": "650784d060cb3ef1dccdf24cd86fced5d3c9b96109ea42ac2bebb5777da3ddee",
+    "cluster_cubic": "d2690b4060886c4efb1bbcfa84a4df3012aa3ac5a117cd9aa08d7bddab3c5dfe",
+    "generalized_toric(2,1)": "0014376a2cea114f46e1c1062081511d51448804d1b8ddbc4133e0e57a383d6e",
+    "generalized_toric(3,1)": "8e319279483ba607b69b59bf27e5987d530172cc97347a001fe5f3630e0d79ee",
+    "generalized_toric(3,2)": "d6f1dd86d5ce695628c38c204e6760e061ec69dcb2938e3f42e09892d6e00a69",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_dump_text_is_pinned(name):
+    text = dumps_code(get_code(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name]
 
 
 def test_dump_is_valid_json():

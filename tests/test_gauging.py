@@ -111,7 +111,7 @@ def test_double_gauge_round_trip(name):
 def free_matter_model():
     # ising2d bonds on matter type 0; matter type 1 is under no constraint
     zero = LaurentPoly.zero(2)
-    return SymmetryModel(GeneratorMap.from_rows(2, [[p("1 + x"), p("1 + y")], [zero, zero]]))
+    return SymmetryModel(GeneratorMap(2, [[p("1 + x"), p("1 + y")], [zero, zero]]))
 
 
 def test_double_gauge_round_trip_with_an_all_zero_generator():
@@ -129,7 +129,7 @@ def test_double_gauge_catches_corruption():
     # commutes but the regauged kernel generator no longer matches it
     cubic = get_code("cubic")
     fat = p("1 + x", 3)
-    bad_z = GeneratorMap.from_rows(
+    bad_z = GeneratorMap(
         3,
         [
             [cubic.sigma_z.entries[0][0] * fat],
@@ -156,7 +156,7 @@ def test_duality_diff_lists_columns_in_box_form():
     bad = CodeSpec(
         name="bad-toric", css=True,
         sigma_x=toric.sigma_x,
-        sigma_z=GeneratorMap.from_rows(2, [[q * fat for q in row] for row in toric.sigma_z.entries]),
+        sigma_z=GeneratorMap(2, [[q * fat for q in row] for row in toric.sigma_z.entries]),
     )
     report = double_gauge_check(bad)
     assert (report.forward_match, report.dual_match) == (False, True)

@@ -283,7 +283,7 @@ def small_maps(draw):
     exps = st.tuples(*[st.integers(-3, 3)] * dim)
     entries = [[LaurentPoly.from_terms(dim, draw(st.lists(exps, max_size=3))) for _ in range(cols)]
                for _ in range(rows)]
-    return GeneratorMap.from_rows(dim, entries), shape_of(lengths)
+    return GeneratorMap(dim, entries), shape_of(lengths)
 
 
 def naive_kernel_dim(m: GeneratorMap, shape) -> int:

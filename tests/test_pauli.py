@@ -53,7 +53,7 @@ def test_dagger_involution():
 
 
 def test_dagger_of_toric_star():
-    star = GeneratorMap.from_rows(2, [[p("x + x*y")], [p("y + x*y")]])
+    star = GeneratorMap(2, [[p("x + x*y")], [p("y + x*y")]])
     dag = star.dagger()
     assert dag.rows == 1 and dag.cols == 2
     assert dag.entries[0][0] == p("x^-1 + x^-1*y^-1")
@@ -139,7 +139,7 @@ def test_verify_catches_corruption():
         name="bad",
         css=True,
         sigma_x=get_code("toric2d").sigma_x,
-        sigma_z=GeneratorMap.from_rows(2, [[p("1 + x")], [p("1 + x")]]),
+        sigma_z=GeneratorMap(2, [[p("1 + x")], [p("1 + x")]]),
     )
     report = verify_stabilizer(bad)
     assert not report.passed
@@ -174,8 +174,8 @@ def test_compose_identity():
 
 
 def test_compose_char2_cancellation():
-    row = GeneratorMap.from_rows(2, [[p("1 + y"), p("1 + x")]])
-    col = GeneratorMap.from_rows(2, [[p("1 + x")], [p("1 + y")]])
+    row = GeneratorMap(2, [[p("1 + y"), p("1 + x")]])
+    col = GeneratorMap(2, [[p("1 + x")], [p("1 + y")]])
     assert is_zero_map(row.compose(col))
 
 
@@ -265,6 +265,23 @@ def test_render_two_qubit_example():
 
 def test_render_identity():
     assert render_diagram(identity_column(2, 2)) == "II"
+
+
+def test_render_one_dimensional_column():
+    # no golden CLI case renders a 1-D column: one row of sites, left to right
+    op = PauliColumn(1, 2, (p("x^-1 + x", 1), p("x", 1)), (p("1 + x", 1), p("0", 1)))
+    assert render_diagram(op) == "XI ZI YX"
+    op = PauliColumn(1, 1, (p("x^2", 1),), (p("x^2 + x^3", 1),))
+    assert render_diagram(op) == "Y Z"
+
+
+@pytest.mark.parametrize("a,b", [
+    (PauliColumn.single_x(2, 1, 0), PauliColumn.single_x(3, 1, 0)),
+    (PauliColumn.single_x(2, 1, 0), PauliColumn.single_x(2, 2, 0)),
+])
+def test_symplectic_pair_rejects_a_shape_mismatch(a, b):
+    with pytest.raises(ValueError, match="shape mismatch in symplectic pairing"):
+        symplectic_pair(a, b)
 
 
 def test_render_rejects_dim4():

@@ -68,7 +68,7 @@ def single_constraint_model():
 
 def fold_model():
     # the constraint 1 + x^2 folds to zero on a length-2 circle
-    return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x^2", 1)]]))
+    return SymmetryModel(GeneratorMap(1, [[parse_poly("1 + x^2", 1)]]))
 
 
 def expand(lat, state):
@@ -263,7 +263,7 @@ def test_no_constraint_model_reports(q, lengths):
 def test_lemma2_ising(ising_model):
     rep = check_lemma2(DenseLattice(ising_model, SHAPE))
     assert rep.passed
-    assert rep.max_deviation <= 1e-10
+    assert rep.max_deviation == 0
     assert rep.details["symmetry_dim"] == 1
 
 
@@ -277,7 +277,7 @@ def test_lemma2_no_symmetry_model_gram_is_identity():
 
 def repeated_bonds_model(count):
     # `count` Z constraints 1 + x on one matter type
-    return SymmetryModel(GeneratorMap.from_rows(1, [[parse_poly("1 + x", 1)] * count]))
+    return SymmetryModel(GeneratorMap(1, [[parse_poly("1 + x", 1)] * count]))
 
 
 def test_lattice_over_63_qubits_runs_within_the_cap():
@@ -302,7 +302,7 @@ def test_lemma3_single_x_bond_and_identity(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     for op in (single_x, bond, ident):
         rep = check_lemma3(lat, op)
-        assert rep.passed and rep.max_deviation <= 1e-10
+        assert rep.passed and rep.max_deviation == 0
 
 
 def test_lemma3_rejects_nonsymmetric(ising_model):
@@ -329,7 +329,7 @@ def test_claim1_recovers_operators(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     for op in (single_x, bond, ident):
         rep = check_claim1(lat, op)
-        assert rep.passed and rep.max_deviation <= 1e-10
+        assert rep.passed and rep.max_deviation == 0
         assert rep.details["region_injective"]
 
 
@@ -337,7 +337,7 @@ def test_matrix_elements_exhaustive(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
     for op in ops(ising_model):
         rep = check_matrix_elements(lat, op)
-        assert rep.passed and rep.max_deviation <= 1e-10
+        assert rep.passed and rep.max_deviation == 0
         assert rep.details == {"states": 16}
 
 
@@ -369,7 +369,7 @@ def test_groundspace_span_ising(ising_model):
 def test_groundspace_counts_kernel_of_mu_dagger_without_local_kernel():
     # the 1D Ising bond 1 + x has no local kernel, so mu has no columns and
     # mu-dagger no rows; the kernel of mu-dagger is then all 4 gauge qubits
-    eta = GeneratorMap.from_rows(1, [[parse_poly("1 + x", 1)]])
+    eta = GeneratorMap(1, [[parse_poly("1 + x", 1)]])
     model = SymmetryModel(eta)
     rep = check_groundspace_span(DenseLattice(model, shape_of((4,))))
     assert rep.kernel_mu_dagger_dim == 4
@@ -385,8 +385,6 @@ def test_groundspace_no_constraints_trivially_spanned():
 def test_groundspace_certifies_each_model_once(ising_model):
     # the windowed exactness depends on the model alone, so lattices of one
     # model share one kernel search and one certificate
-    syzygy._bounded_kernel.cache_clear()
-    syzygy._certify.cache_clear()
     for lengths in ((2, 2), (3, 2)):
         assert check_groundspace_span(DenseLattice(ising_model, shape_of(lengths))).passed
     assert syzygy._bounded_kernel.cache_info().misses == syzygy._certify.cache_info().misses == 1
@@ -395,7 +393,6 @@ def test_groundspace_certifies_each_model_once(ising_model):
 def test_groundspace_failed_certificate_is_computed_once():
     # 1 + x^2 is not exact in windowed form: the failed certificate is
     # memoized like a passed one and read as a failure on every call
-    syzygy._certify.cache_clear()
     lat = DenseLattice(fold_model(), shape_of((3,)))
     for _ in range(3):
         assert not check_groundspace_span(lat).local_exactness
@@ -630,7 +627,7 @@ def small_lattices(draw):
     lengths = [draw(st.integers(2, min(4, sites // (2 if dim == 2 else 1))))]
     if dim == 2:
         lengths.append(draw(st.integers(2, min(4, sites // lengths[0]))))
-    return DenseLattice(SymmetryModel(GeneratorMap.from_rows(dim, entries)), shape_of(lengths))
+    return DenseLattice(SymmetryModel(GeneratorMap(dim, entries)), shape_of(lengths))
 
 
 @given(small_lattices())

@@ -219,8 +219,6 @@ def test_certify_lengths_must_be_integers(lengths):
 
 
 def test_list_arguments_share_the_memo_entry_of_tuples():
-    syzygy_mod._bounded_kernel.cache_clear()
-    syzygy_mod._certify.cache_clear()
     m = get_code("cubic").sigma_x
     kb = bounded_kernel(m, [1, 1, 1])
     assert bounded_kernel(m, (1, 1, 1)) is kb
@@ -251,7 +249,7 @@ def test_memoized_results_hash(name):
 
 def with_zero_column(m):
     zero = LaurentPoly.zero(m.dim)
-    return GeneratorMap.from_rows(m.dim, [(zero,) + row for row in m.entries])
+    return GeneratorMap(m.dim, [(zero,) + row for row in m.entries])
 
 
 CONSTRAINT_MAPS = {

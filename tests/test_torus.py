@@ -11,6 +11,7 @@ from naive_oracle import (
     naive_torus_column,
     stabilizer_rows,
 )
+from stabgauge import pauli as pauli_mod
 from stabgauge import syzygy as syzygy_mod
 from stabgauge import torus as torus_mod
 from stabgauge.codebook import codebook_names, dumps_code, get_code, loads_code
@@ -217,12 +218,12 @@ def maps_on_tori(draw):
                 terms.append(tuple(e + lengths[axis] * (a == axis) for a, e in enumerate(terms[0])))
             row.append(LaurentPoly.from_terms(dim, terms))
         entries.append(row)
-    return GeneratorMap.from_rows(dim, entries), shape_of(lengths)
+    return GeneratorMap(dim, entries), shape_of(lengths)
 
 
 # x^3 and x land on one site of a length-2 circle and cancel
 @given(maps_on_tori())
-@example((GeneratorMap.from_rows(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
+@example((GeneratorMap(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
 @settings(max_examples=200, deadline=None)
 def test_instantiate_columns_match_term_placement(case):
     m, shape = case
@@ -255,7 +256,7 @@ def test_read_column_inverts_place_column(case):
 
 # x^3 and x land on one site of a length-2 circle and cancel
 @given(maps_on_tori())
-@example((GeneratorMap.from_rows(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
+@example((GeneratorMap(1, [[LaurentPoly.from_terms(1, [(3,), (1,)])]]), shape_of((2,))))
 @settings(max_examples=200, deadline=None)
 def test_placed_translate_is_row_of_instantiated_dagger(case):
     m, shape = case
@@ -361,21 +362,12 @@ def test_torus_shape_rejects_non_integer_lengths(make, lengths):
         make(lengths)
 
 
-MEMOS = (verify_stabilizer, torus_mod._rank, syzygy_mod._bounded_kernel, syzygy_mod._certify)
-
-
-@pytest.fixture
-def cold_caches():
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 def misses(memo) -> int:
-    """Calls of a memoized primitive that did the work, since the last clear."""
+    """Calls of a memoized primitive that did the work in this test."""
     return memo.cache_info().misses
 
 
-def test_count_certifies_once_per_sector_map(cold_caches):
+def test_count_certifies_once_per_sector_map():
     # the local kernels depend on the code only, so a k(L) scan searches and
     # certifies ker s and ker s-dagger once, not once per torus
     code = get_code("cubic")
@@ -386,7 +378,7 @@ def test_count_certifies_once_per_sector_map(cold_caches):
     assert misses(syzygy_mod._bounded_kernel) == misses(syzygy_mod._certify) == 2
 
 
-def test_count_and_gap_rank_each_sector_once(cold_caches, monkeypatch):
+def test_count_and_gap_rank_each_sector_once(monkeypatch):
     # each _rank miss instantiates its map once, through the torus module
     ranked = []
     instantiate = torus_mod.instantiate
@@ -405,25 +397,25 @@ def test_count_and_gap_rank_each_sector_once(cold_caches, monkeypatch):
     # torus as one entry; all on the wide side
     wide_x, wide_z = code.sigma_x.dagger(), code.sigma_z.dagger()
     assert ranked == [(wide_x, (4, 4, 4)), (wide_z, (4, 4, 4)), (wide_x, (6, 6, 6))]
-    assert misses(verify_stabilizer) == 1
+    assert misses(pauli_mod._verify) == 1
 
 
-def test_scan_verifies_each_code_once(cold_caches):
+def test_scan_verifies_each_code_once():
     # whether a code commutes does not depend on the torus, so a k(L) scan
     # verifies it once; a failed check is computed once and raised on every call
     code = get_code("cubic")
     for L in (2, 3, 4):
         count_logical(code, shape_of((L, L, L)))
-    assert misses(verify_stabilizer) == 1
+    assert misses(pauli_mod._verify) == 1
     one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
     bad = CodeSpec(name="xz", css=False, sigma=GeneratorMap(1, ((one, zero), (zero, one))))
     for L in (2, 3, 2):
         with pytest.raises(ValueError, match="code is not commuting"):
             count_logical(bad, shape_of((L,)))
-    assert misses(verify_stabilizer) == 2
+    assert misses(pauli_mod._verify) == 2
 
 
-def test_mixed_code_ranks_its_sigma_once(cold_caches):
+def test_mixed_code_ranks_its_sigma_once():
     code = get_code("cluster_toric")
     shape = shape_of((3, 3))
     count_logical(code, shape)
@@ -432,7 +424,7 @@ def test_mixed_code_ranks_its_sigma_once(cold_caches):
     assert (misses(torus_mod._rank), misses(syzygy_mod._certify)) == (1, 0)
 
 
-def test_renamed_code_reuses_the_certificate(cold_caches):
+def test_renamed_code_reuses_the_certificate():
     code = get_code("cubic")
     data = json.loads(dumps_code(code))
     data["name"] = "cubic-reloaded"
@@ -441,9 +433,11 @@ def test_renamed_code_reuses_the_certificate(cold_caches):
     shape = shape_of((4, 4, 4))
     assert count_logical(reloaded, shape).bulk_term == count_logical(code, shape).bulk_term
     assert misses(syzygy_mod._certify) == 2
+    # commutation is memoized on the stabilizer map, which the name is not part of
+    assert misses(pauli_mod._verify) == 1
 
 
-def test_sector_kernels_rank_one_torus_matrix_once(cold_caches):
+def test_sector_kernels_rank_one_torus_matrix_once():
     # ker s and ker s-dagger are certified on one torus, where s and its
     # dagger share one rank entry
     code = get_code("cubic")
@@ -454,13 +448,13 @@ def test_sector_kernels_rank_one_torus_matrix_once(cold_caches):
 
 @pytest.mark.parametrize("name, lengths", [("toric2d", (6, 6)), ("cubic", (4, 4, 4))])
 @pytest.mark.parametrize("sector", ["sigma_x", "sigma_z"])
-def test_map_and_dagger_share_one_rank(cold_caches, name, lengths, sector):
+def test_map_and_dagger_share_one_rank(name, lengths, sector):
     m, shape = getattr(get_code(name), sector), shape_of(lengths)
     assert rank_on_torus(m, shape) == rank_on_torus(m.dagger(), shape)
     assert misses(torus_mod._rank) == 1
 
 
-def test_noncommuting_code_raises_on_every_call(cold_caches):
+def test_noncommuting_code_raises_on_every_call():
     # the failed report is memoized, and every call raises from it again
     one = LaurentPoly.one(1)
     zero = LaurentPoly.zero(1)
@@ -474,4 +468,4 @@ def test_noncommuting_code_raises_on_every_call(cold_caches):
             count_logical(bad, shape)
         with pytest.raises(ValueError, match="code is not commuting"):
             logical_operator_gap(bad, shape)
-    assert misses(verify_stabilizer) == 1
+    assert misses(pauli_mod._verify) == 1

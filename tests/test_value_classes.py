@@ -20,8 +20,8 @@ from stabgauge.torus import CountReport, TorusShape
 
 ONE = LaurentPoly.one(2)
 X = LaurentPoly.monomial((1, 0))
-BOND = GeneratorMap.from_rows(2, [[ONE + X]])
-PLAIN = GeneratorMap.from_rows(2, [[ONE]])
+BOND = GeneratorMap(2, [[ONE + X]])
+PLAIN = GeneratorMap(2, [[ONE]])
 MODEL = SymmetryModel(BOND)
 SHAPE = TorusShape((2, 2))
 
