@@ -248,7 +248,7 @@ COMMANDS = {
     "duality-check": ("ungauge then regauge, both orders", [_JSON, _CODE]),
     "cluster": ("build the cluster model of a matter model",
                 [_CODE, ("--gauge-sublattice", {"choices": ["matter", "gauge", "both"]})]),
-    "smallscale": ("dense state-vector checks on a tiny torus",
+    "smallscale": ("the paper's gauging lemmas as exact GF(2) checks on a torus",
                    [_JSON, ("--model", {"required": True, "help": "code file or codebook name"}),
                     ("--lengths", {"required": True}),
                     ("--check", {"default": "all", "choices": [

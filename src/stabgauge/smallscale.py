@@ -1,25 +1,29 @@
-"""Exact state-level verification of the gauging map on tiny tori.
+"""Exact verification of the gauging map's lemmas on a finite torus.
 
 Every Gauss-law generator is the disentangler image of one single-site
-matter X: a pure X mask W_i holding matter bit i and gauge bits only.
-Projecting a matter basis state onto their common +1 space leaves a state
-uniform on one Gauss-law coset, the affine-subspace form of stabilizer
-states (Dehaene and De Moor, quant-ph/0304125).  So a state of the
-enlarged lattice is held exactly as a `CosetState`: column j is signs[j]
-times one magnitude on every basis state reps[j] ^ W(u), for a gauge-only
-rep, every matter pattern u and W(u) the product of the W_i over the bits
-of u (`DenseLattice.coset_rows`).  A Pauli moves reps and signs columns,
-and a Gauss-law projector keeps or zeroes a column.  The gauging map is
-normalized by an exact power of two so that its Gram matrix is a
-projector; the power is reported, never fudged.  Every state is the
-gauging map or a Pauli or projector image of it, so the magnitude,
-2^-((n_matter + dim K)/2) for the symmetry group K, is the lattice's.
+matter X: a pure X mask W_i holding matter bit i and the gauge bits A e_i,
+for A the linear map from matter patterns to gauge patterns that the
+masks define.  Projecting matter basis state u onto their common +1 space
+leaves a state uniform on one Gauss-law coset, the coset of basis states
+r ^ W(v) for the gauge-only rep r = A u and every matter pattern v, where
+W(v) is the product of the W_i over the bits of v.  The gauging map G and
+every Pauli or projector image of it is therefore a stabilizer state in
+affine form (Dehaene and De Moor, quant-ph/0304125), held as a
+`CosetState` (rep, sigma, sign): column u lies on the coset of rep ^ A u
+with sign * (-1)^(u . sigma) times one magnitude, 2^-((n_matter + dim K)/2)
+for the symmetry group K.  G is (0, 0, 1): it is scaled by an exact power
+of two so that its Gram matrix is a projector; the power is reported,
+never fudged.  Every operator here is real, so a Pauli moves rep and
+sigma and flips the sign by parities, and no phase tableau is needed
+(Aaronson and Gottesman, quant-ph/0406196).
 
-Matrices on the matter space alone are `MatterMatrix` values, one dict
-{column: numerator} per row over one power-of-two denominator, so every
-check compares exactly and turns its largest deviation into a float only
-to report it.  No check draws random states: `check_matrix_elements`
-covers every pair of a symmetric basis state and a basis state.
+Each check decides its report from rank and span facts on the n_matter
+Gauss-law masks (`gf2.Gf2Basis` on Python ints): ker A, A(K), the kernel
+of A on a twirl region.  Its largest deviation is the one an entry-by-entry
+comparison of the states or matrices gives, read off in closed form, so no
+check enumerates matter patterns or twirls.  `tests/naive_oracle.py` keeps
+the enumerated implementation as the oracle these reports must equal,
+repr for repr.
 
 On a closed torus the flat-connection fields generated by the box-local
 kernel leave the wrapping (holonomy) sectors degenerate, so the span of
@@ -28,12 +32,10 @@ constraint projectors together with the full torus kernel of the
 constraint map; the holonomy sector count is reported alongside.
 
 Every check takes one `DenseLattice` (and the operator it checks, where it
-has one), which holds the qubit cap, the coset coordinates and the
-gauging map, each built once.  Its qubit bits are the torus bit layout of
-the `torus` module, matter types first and gauge types after them, so
-matter basis state u is bit pattern u; one operator's Pauli masks are
-placed by `place_column` and all Gauss-law translates are read off
-`instantiate`.
+has one).  Its qubit bits are the torus bit layout of the `torus` module,
+matter types first and gauge types after them, so matter basis state u is
+bit pattern u; one operator's Pauli masks are placed by `place_column` and
+all Gauss-law translates are read off `instantiate`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ DEFAULT_QUBIT_CAP = 20
 
 
 class QubitCapExceeded(ValueError):
-    """Raised when a dense lattice would exceed the configured qubit cap."""
+    """Raised when a lattice would exceed the configured qubit cap."""
 
 
 def _sign(bits: int) -> int:
@@ -65,7 +67,9 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
     Matter qubit (q, site) is bit q*N + site; gauge qubit (t, site) is bit
-    n_matter + t*N + site, the torus layout of the enlarged lattice.
+    n_matter + t*N + site, the torus layout of the enlarged lattice.  No
+    check enumerates states, so the cap bounds no work; it stays the size
+    refusal of the CLI.
     """
 
     # no __slots__: an instance __dict__ holds the cached properties
@@ -119,54 +123,44 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
         ops = pi_generators(self.model)
         m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
         n = self.n_total
-        return tuple((v & ((1 << n) - 1), v >> n) for v in instantiate(m.dagger(), self.shape).data)
+        masks = tuple((v & ((1 << n) - 1), v >> n) for v in instantiate(m.dagger(), self.shape).data)
+        assert all(zm == 0 and xm & self.matter_mask == 1 << i
+                   for i, (xm, zm) in enumerate(masks)), "Gauss-law mask is not a matter X"
+        return masks
 
     @property
     def matter_mask(self) -> int:
         """The bits of all matter qubits."""
         return (1 << self.n_matter) - 1
 
-    @cached_property
-    def coset_rows(self) -> tuple[int, ...]:
-        """W(u) for every matter pattern u: the product of the Gauss-law X
-        masks of the matter bits set in u, so W(1 << i) is generator i.  Its
-        matter bits are u."""
-        rows = [0]
-        for i, (xm, zm) in enumerate(self.constraint_masks):
-            assert zm == 0 and xm & self.matter_mask == 1 << i, "Gauss-law mask is not a matter X"
-            rows += [r ^ xm for r in rows]
-        return tuple(rows)
+    def coset_rep(self, xmask: int) -> int:
+        """The gauge-only rep xmask ^ W(u) of an X mask's coset, for u its
+        matter bits; for a matter pattern u it is A u."""
+        for i, (xm, _) in enumerate(self.constraint_masks):
+            if (xmask >> i) & 1:
+                xmask ^= xm
+        return xmask
 
     @cached_property
-    def symmetry_group(self) -> tuple[int, ...]:
-        """Every element of the symmetry group K, as a mask over matter
-        bits: the span of the torus kernel of the dagger of the constraint map."""
-        group = [0]
-        for v in instantiate(self.model.constraint_map.dagger(), self.shape).nullspace():
-            group += [k ^ v for k in group]
-        return tuple(group)
+    def symmetry_basis(self) -> list[int]:
+        """A basis of the symmetry group K, as masks over matter bits: the
+        torus kernel of the dagger of the constraint map."""
+        return instantiate(self.model.constraint_map.dagger(), self.shape).nullspace()
 
     @property
     def symmetry_dim(self) -> int:
         """dim K, the number of independent symmetry generators."""
-        return len(self.symmetry_group).bit_length() - 1
+        return len(self.symmetry_basis)
 
     @property
     def norm_exponent(self) -> int:
         """The gauging map is scaled by 2^(norm_exponent / 2)."""
         return self.n_matter - self.symmetry_dim
 
-    def split_mask(self, xmask: int) -> tuple[int, int]:
-        """(rep, u) of an X mask: u is its matter bits and rep = xmask ^ W(u)
-        is gauge-only."""
-        u = xmask & self.matter_mask
-        return xmask ^ self.coset_rows[u], u
-
     def keeps_gauss_law(self, zmask: int) -> bool:
         """Whether Z(zmask) commutes with every Gauss-law generator: then it
         has even overlap with every W(u), and leaves each coset state uniform."""
-        return not any((zmask & self.coset_rows[1 << i]).bit_count() & 1
-                       for i in range(self.n_matter))
+        return not any((zmask & xm).bit_count() & 1 for xm, _ in self.constraint_masks)
 
     @cached_property
     def gauging_map(self) -> CosetState:
@@ -174,11 +168,11 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
         return build_G(self)
 
 
-class CosetState(namedtuple("CosetState", ("reps", "signs"))):
-    """States of the enlarged lattice, one per column, each uniform on one
-    Gauss-law coset: column j is signs[j] (+1, -1 or 0) times the lattice's
-    magnitude 2^-((n_matter + dim K)/2) on every basis state reps[j] ^ W(u),
-    for W = `DenseLattice.coset_rows`, and zero everywhere else."""
+class CosetState(namedtuple("CosetState", ("rep", "sigma", "sign"))):
+    """A state of the enlarged lattice with one column per matter pattern u:
+    column u is sign * (-1)^(u . sigma) (sign +1, -1 or 0) times the
+    lattice's magnitude 2^-((n_matter + dim K)/2) on every basis state of
+    the coset with gauge-only rep rep ^ A u, and zero everywhere else."""
 
     __slots__ = ()
 
@@ -186,133 +180,62 @@ class CosetState(namedtuple("CosetState", ("reps", "signs"))):
 def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) -> CosetState:
     """X(xmask) Z(zmask) on a coset state, Z acting first.
 
-    With xmask = rep ^ W(ux), every column's rep moves by rep, and the sum
-    over u absorbs W(ux).  A Z mask that keeps the Gauss law gives column j
-    the sign of reps[j] & zmask; any other Z mask would leave the columns
-    non-uniform on their cosets (ValueError).
+    The X mask moves every column's rep by its coset rep.  A Z mask that
+    keeps the Gauss law has matter part A^T of its gauge part, so column u
+    gains the sign (-1)^((rep ^ A u) . z) = (-1)^(rep . z + u . z_matter);
+    any other Z mask would leave the columns non-uniform on their cosets
+    (ValueError).
     """
     if not lat.keeps_gauss_law(zmask):
         raise ValueError(f"Z mask {zmask:#x} anticommutes with a Gauss-law generator")
-    rep, _ = lat.split_mask(xmask)
-    signs = tuple(s * _sign(r & zmask) for r, s in zip(state.reps, state.signs))
-    return CosetState(tuple(r ^ rep for r in state.reps), signs)
+    return CosetState(state.rep ^ lat.coset_rep(xmask), state.sigma ^ (zmask & lat.matter_mask),
+                      state.sign * _sign(state.rep & zmask))
+
+
+def _gauss_kernel(lat: DenseLattice, bits) -> list[int]:
+    """A basis of the patterns p on the given matter bits whose Gauss-law
+    product W(p) has no gauge part; over all bits, of ker A.  The masks are
+    independent, each holding its own matter bit below every gauge bit, so
+    in their echelon basis these are the rows with a matter pivot."""
+    rows = Gf2Basis(lat.constraint_masks[i][0] for i in bits).rows
+    return [r for r in rows[1:lat.n_matter + 1] if r]
 
 
 def _max_deviation(lat: DenseLattice, a: CosetState, b: CosetState) -> float:
     """Largest |a - b| over all basis states.
 
-    A column pair on one coset deviates by |s_a - s_b| times the lattice's
-    magnitude; a pair on different cosets has disjoint supports, so by the
-    larger of |s_a| and |s_b| times it.
+    Column u of a and of b lie on one coset for every u or for none, as
+    rep_a ^ A u and rep_b ^ A u differ by rep_a ^ rep_b alone.  On one coset two nonzero columns
+    differ by |s_a - s_b| times the lattice's magnitude, and, when the
+    sigmas differ, some column pair has opposite signs and differs by 2;
+    on different cosets, or with a zero side, they deviate by the larger
+    of |s_a| and |s_b|.
     """
-    worst = max((abs(sa - sb) if ra == rb else max(abs(sa), abs(sb))
-                 for ra, sa, rb, sb in zip(a.reps, a.signs, b.reps, b.signs, strict=True)),
-                default=0)
+    if a.sign and b.sign and a.rep == b.rep:
+        worst = abs(a.sign - b.sign) if a.sigma == b.sigma else 2
+    else:
+        worst = max(abs(a.sign), abs(b.sign))
     return worst * 2.0 ** (-(lat.n_matter + lat.symmetry_dim) / 2)
-
-
-def coset_rank(state: CosetState) -> int:
-    """Rank of a coset state's columns: columns on one coset are parallel
-    and columns on different cosets orthogonal, so it counts the cosets of
-    its nonzero columns."""
-    return len({r for r, s in zip(state.reps, state.signs) if s})
-
-
-class MatterMatrix(namedtuple("MatterMatrix", ("rows", "den_exp"))):
-    """An exact matrix on the matter space: row r is the dict rows[r]
-    {column: numerator}, every numerator over 2^den_exp.  Equal rows may be
-    one shared dict; no row is mutated once built."""
-
-    __slots__ = ()
-
-
-def _matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
-    """Largest |a - b| over all entries, exact up to the final float."""
-    den = max(a.den_exp, b.den_exp)
-    scale_a, scale_b = 1 << (den - a.den_exp), 1 << (den - b.den_exp)
-    worst = 0
-    for ra, rb in zip(a.rows, b.rows, strict=True):
-        for col in ra.keys() | rb.keys():
-            worst = max(worst, abs(ra.get(col, 0) * scale_a - rb.get(col, 0) * scale_b))
-    return math.ldexp(float(worst), -den)
-
-
-def _matter_masks(lat: DenseLattice, op: PauliColumn) -> tuple[int, int]:
-    if op.q != lat.model.matter_q:
-        raise ValueError("operator does not live on the matter lattice")
-    return lat.masks(op)
-
-
-def matter_operator(lat: DenseLattice, op: PauliColumn) -> MatterMatrix:
-    """A matter-layout Pauli column X(x) Z(z) on the matter space: it maps
-    basis state c to sign(c & z) times basis state c ^ x."""
-    xm, zm = _matter_masks(lat, op)
-    return MatterMatrix(tuple({r ^ xm: _sign((r ^ xm) & zm)} for r in range(1 << lat.n_matter)), 0)
-
-
-def symmetrize(lat: DenseLattice, m: MatterMatrix) -> MatterMatrix:
-    """P_sym @ m, for P_sym the average of the symmetry group's X products.
-
-    Row r is the sum of m's rows r ^ k over k in K, over a denominator
-    2^dim K times m's.  Rows whose indices differ by an element of K are
-    therefore equal, so each is summed once per coset of K and shared.
-    """
-    group = lat.symmetry_group
-    out: list[dict[int, int] | None] = [None] * len(m.rows)
-    for r in range(len(out)):
-        if out[r] is None:
-            acc: dict[int, int] = {}
-            for k in group:
-                for col, v in m.rows[r ^ k].items():
-                    acc[col] = acc.get(col, 0) + v
-            for k in group:
-                out[r ^ k] = acc
-    return MatterMatrix(tuple(out), m.den_exp + lat.symmetry_dim)
-
-
-def symmetric_projector(lat: DenseLattice) -> MatterMatrix:
-    """Average of the symmetry group's X products on the matter space."""
-    identity = MatterMatrix(tuple({r: 1} for r in range(1 << lat.n_matter)), 0)
-    return symmetrize(lat, identity)
-
-
-def gram(lat: DenseLattice, a: CosetState, b: CosetState) -> MatterMatrix:
-    """a^T b exactly: two columns on one coset overlap on all 2^n_matter of
-    its basis states, each with the squared magnitude 2^-(n_matter + dim K),
-    and columns on different cosets nowhere."""
-    by_rep: dict[int, dict[int, int]] = {}
-    for k, (r, s) in enumerate(zip(b.reps, b.signs)):
-        if s:
-            by_rep.setdefault(r, {})[k] = s
-    rows = []
-    for r, s in zip(a.reps, a.signs):
-        row = by_rep.get(r, {})
-        rows.append(row if s == 1 else {k: s * v for k, v in row.items()})
-    return MatterMatrix(tuple(rows), lat.symmetry_dim)
 
 
 def build_G(lat: DenseLattice) -> CosetState:
     """State gauging map: project each matter basis state u adjoined with
     all-zero gauge qubits onto the Gauss-law subspace.
 
-    Basis state u is pattern u of the coset with gauge-only rep u ^ W(u),
-    so the projection is that coset with every amplitude 2^-n_matter.  The
-    map is scaled by 2^(norm_exponent/2) = 2^((n_matter - dim K)/2) so its
-    Gram matrix is exactly the symmetric-subspace projector; K is the
-    symmetry group of the model on this torus.  Checks read it from
+    Basis state u is pattern u of the coset with gauge-only rep A u, so the
+    projection is that coset with every amplitude 2^-n_matter.  The map is
+    scaled by 2^(norm_exponent/2) = 2^((n_matter - dim K)/2) so its Gram
+    matrix is exactly the symmetric-subspace projector; K is the symmetry
+    group of the model on this torus.  Checks read it from
     `DenseLattice.gauging_map`.
     """
-    reps = tuple(w ^ u for u, w in enumerate(lat.coset_rows))
-    return CosetState(reps, (1,) * len(reps))
+    return CosetState(0, 0, 1)
 
 
-def _times_matter_pauli(lat: DenseLattice, state: CosetState, op: PauliColumn) -> CosetState:
-    """state @ O for a matter Pauli O = X(x) Z(z): column k is the state's
-    column k ^ x times sign(k & z)."""
-    xm, zm = _matter_masks(lat, op)
-    cols = range(len(state.reps))
-    return CosetState(tuple(state.reps[k ^ xm] for k in cols),
-                      tuple(state.signs[k ^ xm] * _sign(k & zm) for k in cols))
+def _matter_masks(lat: DenseLattice, op: PauliColumn) -> tuple[int, int]:
+    if op.q != lat.model.matter_q:
+        raise ValueError("operator does not live on the matter lattice")
+    return lat.masks(op)
 
 
 def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
@@ -323,21 +246,17 @@ def _gauged_image(lat: DenseLattice, op: PauliColumn) -> PauliColumn:
     return PauliColumn(op.dim, op.q + image.q, no_matter + image.x_block, no_matter + image.z_block)
 
 
-def gauged_operator_action(lat: DenseLattice, op: PauliColumn):
-    """Return a function applying the gauged image of a symmetric matter
-    operator to a coset state: the disentangler-conjugated image followed by
-    the Gauss-law projector.  The projector keeps every column when the
-    image's Z mask keeps the Gauss law, and otherwise zeroes every column,
-    as the average of a nontrivial character over the matter patterns."""
+def gauged_state(lat: DenseLattice, op: PauliColumn) -> CosetState:
+    """The gauged image of a symmetric matter operator applied to G: the
+    disentangler-conjugated image followed by the Gauss-law projector.  The
+    projector keeps every column when the image's Z mask keeps the Gauss
+    law, and otherwise zeroes every column, as the average of a nontrivial
+    character over the matter patterns."""
     xmask, zmask = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
-    kept = lat.keeps_gauss_law(zmask)
-
-    def act(state: CosetState) -> CosetState:
-        if kept:
-            return apply_pauli(lat, state, xmask, zmask)
-        return CosetState(state.reps, (0,) * len(state.signs))
-
-    return act
+    g = lat.gauging_map
+    if lat.keeps_gauss_law(zmask):
+        return apply_pauli(lat, g, xmask, zmask)
+    return g._replace(sign=0)
 
 
 class CheckReport(namedtuple("CheckReport", ("name", "passed", "max_deviation", "details"))):
@@ -350,18 +269,26 @@ class CheckReport(namedtuple("CheckReport", ("name", "passed", "max_deviation", 
 
 
 def check_lemma2(lat: DenseLattice) -> CheckReport:
-    """Gram matrix of the gauging map versus the symmetric-subspace projector:
-    columns j and j' must share a coset exactly when j ^ j' lies in K."""
-    g = lat.gauging_map
-    dev = _matrix_deviation(gram(lat, g, g), symmetric_projector(lat))
+    """Gram matrix of the gauging map versus the symmetric-subspace projector.
+
+    Columns j and j' of G share a coset exactly when j ^ j' lies in ker A,
+    with overlap 2^-dim K, and the projector's entry (j, j') is 2^-dim K
+    exactly when j ^ j' lies in K: the two agree iff ker A = K, and
+    otherwise differ by 2^-dim K somewhere.
+    """
+    symmetries, kernel = lat.symmetry_basis, _gauss_kernel(lat, range(lat.n_matter))
+    same = len(symmetries) == len(kernel) and not any(lat.coset_rep(v) for v in symmetries)
+    dev = 0.0 if same else math.ldexp(1.0, -len(symmetries))
     return CheckReport("gram-vs-symmetric-projector", dev == 0, dev,
                        {"norm_exponent": lat.norm_exponent, "symmetry_dim": lat.symmetry_dim})
 
 
 def check_lemma3(lat: DenseLattice, op: PauliColumn) -> CheckReport:
-    """Intertwining identity: gauged operator after gauging equals gauging after op."""
-    g = lat.gauging_map
-    dev = _max_deviation(lat, _times_matter_pauli(lat, g, op), gauged_operator_action(lat, op)(g))
+    """Intertwining identity: gauged operator after gauging equals gauging
+    after op.  G O for O = X(x) Z(z) has column u equal to G's column u ^ x
+    times (-1)^(u . z), the coset state (A x, z, 1)."""
+    x, z = _matter_masks(lat, op)
+    dev = _max_deviation(lat, CosetState(lat.coset_rep(x), z, 1), gauged_state(lat, op))
     return CheckReport("intertwining", dev == 0, dev, {})
 
 
@@ -369,63 +296,40 @@ def _claim1_region(lat: DenseLattice, op: PauliColumn, image: PauliColumn):
     """Minimal twirl region: the matter qubits under the operator, and the
     gauge qubits that their Gauss-law generators flip or the Z-part
     preimage of its gauged image acts on, read off the XOR masks on the
-    torus: the matter bits, the mask of the gauge bits, and the (xmask,
-    zmask) of each of those Gauss-law generators."""
+    torus: the matter bits and the mask of the gauge bits."""
     op_x, op_z = lat.masks(op)
     gamma_m = [i for i in range(lat.n_matter) if ((op_x | op_z) >> i) & 1]
-    pis = [lat.constraint_masks[i] for i in gamma_m]
     _, gauge = lat.masks(image)
-    for xm, _ in pis:
-        gauge |= xm
-    return gamma_m, gauge & ~lat.matter_mask, pis
+    for i in gamma_m:
+        gauge |= lat.constraint_masks[i][0]
+    return gamma_m, gauge & ~lat.matter_mask
 
 
 def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Partial-trace inversion: gauging then restricting the gauge qubits to
     the all-zero state recovers a symmetric operator exactly.
 
-    The operator is twirled over Gauss-law generators of the matter qubits
-    it touches, with the all-zero projector on the adjacent gauge qubits;
-    the region is small enough that no nonzero X pattern inside it is
-    silent on all its gauge checks, which is verified and reported.  Each
-    input is a matter basis state, so every term is one basis state with an
-    integer coefficient, summed in a dict.
+    The operator X(x) Z(z) is twirled over the products W(p) of the
+    Gauss-law generators of the matter qubits gamma it touches, with the
+    all-zero projector on the adjacent gauge qubits, which hold every gauge
+    bit of every W(p).  A twirl survives the projector iff A p = 0, and
+    maps matter basis state u to u ^ x with sign (-1)^(u . z + p . z), so
+    the result is O times the sum S of (-1)^(p . z) over N, the kernel of A
+    on gamma: S = |N| when z is orthogonal to N and 0 otherwise, and the
+    deviation is |S - 1|.  The region is injective when N is 0, which is
+    reported.
     """
-    gamma_m, proj_mask, pis = _claim1_region(lat, op, _gauged_image(lat, op))
-    nm = lat.n_matter
-
-    # every gauge X bit of the region's Gauss-law generators lies in the
-    # region, so their gauge patterns must be independent
-    region_ok = len(Gf2Basis(xm >> nm for xm, _ in pis)) == len(gamma_m)
-    # the twirls: the Gauss-law products over every subset of gamma_m
-    patterns = [0]
-    for i in gamma_m:
-        patterns += [p | 1 << i for p in patterns]
-    twirls = [lat.coset_rows[p] for p in patterns]
-
-    op_x, op_z = lat.masks(op)
-    terms: dict[tuple[int, int], int] = {}
-    # matter basis state u with all-zero gauge qubits is bit pattern u
-    for u in range(1 << nm):
-        for t in twirls:
-            moved = u ^ t
-            sign = _sign(moved & op_z)
-            moved ^= op_x
-            if not moved & proj_mask:
-                key = (u, moved ^ t)
-                terms[key] = terms.get(key, 0) + sign
-    # read off at each matter basis state with all-zero gauge qubits
-    rows: list[dict[int, int]] = [{} for _ in range(1 << nm)]
-    for (u, basis_state), c in terms.items():
-        if c and not basis_state >> nm:
-            rows[basis_state][u] = c
-    dev = _matrix_deviation(MatterMatrix(tuple(rows), 0), matter_operator(lat, op))
+    gamma_m, proj_mask = _claim1_region(lat, op, _gauged_image(lat, op))
+    region_kernel = _gauss_kernel(lat, gamma_m)
+    _, op_z = lat.masks(op)
+    orthogonal = not any((p & op_z).bit_count() & 1 for p in region_kernel)
+    dev = float(abs((1 << len(region_kernel) if orthogonal else 0) - 1))
     return CheckReport(
         name="partial-trace-inversion",
-        passed=dev == 0 and region_ok,
+        passed=dev == 0 and not region_kernel,
         max_deviation=dev,
         details={"region_matter": len(gamma_m), "region_gauge": proj_mask.bit_count(),
-                 "region_injective": region_ok},
+                 "region_injective": not region_kernel},
     )
 
 
@@ -433,13 +337,31 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     """Matrix elements of a symmetric operator between a symmetric state and an
     arbitrary state survive the gauging sandwich.
 
-    Both sides are bilinear, so comparing proj @ O with proj @ G^T O~ G, for
-    the symmetric projector proj over every symmetric basis state and every
-    basis state, covers every pair of states at once.
+    Both sides are bilinear, so comparing P O with P G^T O~ G, for the
+    symmetric projector P, covers every pair of states at once.  With O =
+    X(x) Z(z) and O~ G = (rep, sigma, s), over the denominator 2^(2 dim K)
+    entry (r, c) of the first is 2^dim K (-1)^(c . z) when d = r ^ c lies
+    in x ^ K, and of the second s (-1)^(c . sigma) |K & ker A| when A d ^
+    rep lies in A(K).  Both sets of d are unions of cosets of K: they
+    overlap iff A x ^ rep lies in A(K), and the second then holds more
+    than x ^ K iff ker A is not inside K.
     """
-    g = lat.gauging_map
-    sandwich = gram(lat, g, gauged_operator_action(lat, op)(g))
-    dev = _matrix_deviation(symmetrize(lat, matter_operator(lat, op)), symmetrize(lat, sandwich))
+    x, z = _matter_masks(lat, op)
+    # a Pauli image of G, whose rep is 0, has sign 1 unless it is zeroed
+    rep, sigma, s = gauged_state(lat, op)
+    k = lat.symmetry_dim
+    image = Gf2Basis(lat.coset_rep(v) for v in lat.symmetry_basis)
+    overlap = 1 << (k - len(image))  # |K & ker A|
+    if s and image.contains(lat.coset_rep(x) ^ rep):
+        # c runs over every pattern, so differing characters meet with both signs
+        worst = (1 << k) + overlap if sigma != z else (1 << k) - overlap
+        symmetries = Gf2Basis(lat.symmetry_basis)
+        kernel = _gauss_kernel(lat, range(lat.n_matter))
+        if not all(symmetries.contains(v) for v in kernel):
+            worst = max(worst, overlap)
+    else:
+        worst = 1 << k
+    dev = math.ldexp(float(worst), -2 * k)
     return CheckReport("matrix-elements", dev == 0, dev, {"states": 1 << lat.n_matter})
 
 
@@ -488,11 +410,11 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     # space has dimension 2^(n_gauge - rank of its fields)
     dim_flat, dim_local = 1 << im_eta_dag, 1 << ker_mu_dag
 
-    g = lat.gauging_map
-    fields = ((0, v << lat.n_matter) for v in flat)
-    contained = all(lat.keeps_gauss_law(zm) and apply_pauli(lat, g, xm, zm) == g
-                    for xm, zm in (*lat.constraint_masks, *fields))
-    g_rank = coset_rank(g)
+    # G is fixed by every Gauss-law generator, and by a flat field v exactly
+    # when it keeps the Gauss law (A^T v = 0); its columns lie on the 2^rank A
+    # cosets of im A, one dimension each
+    contained = all(lat.keeps_gauss_law(v << lat.n_matter) for v in flat)
+    g_rank = 1 << (lat.n_matter - len(_gauss_kernel(lat, range(lat.n_matter))))
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(
         passed=passed,

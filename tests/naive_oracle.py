@@ -1,15 +1,26 @@
 """Independent brute-force reference implementations used only by tests.
 
-Deliberately avoids the library's packed GF(2) matrices and torus
-instantiation: arithmetic is dense numpy uint8, and stabilizer translates
-are enumerated directly with modular coordinate arithmetic.
+The GF(2) and torus oracles deliberately avoid the library's packed GF(2)
+matrices and torus instantiation: arithmetic is dense numpy uint8, and
+stabilizer translates are enumerated directly with modular coordinate
+arithmetic.  The smallscale report oracle at the end enumerates every
+state and matrix entry of the paper's lemmas, in exact integers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections import namedtuple
 
 import numpy as np
+
+from stabgauge.gauging import conjugate_by_disentangler
+from stabgauge.gf2 import Gf2Basis
+from stabgauge.smallscale import CheckReport, GroundspaceReport, _gauged_image
+from stabgauge.syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
+from stabgauge.torus import instantiate, rank_on_torus
 
 
 def naive_rank(mat: np.ndarray) -> int:
@@ -220,3 +231,275 @@ def naive_symmetric_projector(n_matter: int, gauss_xmasks) -> np.ndarray:
             group.append(g)
     total = sum(naive_pauli_matrix(n_matter, g, 0) for g in group)
     return total / len(group)
+
+
+# ---------------------------------------------------------------------------
+# The smallscale report oracle: the lemmas checked by enumeration.
+#
+# Every state is held column by column, as one gauge-only coset rep and one
+# sign per matter basis state, and every matter-space matrix as integer dict
+# rows over one power-of-two denominator; the checks compare them entry by
+# entry over all 2^n_matter columns and all 2^|gamma| twirls.  The lattice's
+# masks, the symmetry group K and the ground dimensions come from the library
+# (`DenseLattice.masks`, `constraint_masks`, the torus kernel of eta-dagger);
+# only the states and matrices are enumerated here.  Reports are the
+# library's `CheckReport` and `GroundspaceReport`, so they compare repr for
+# repr with `stabgauge.smallscale`'s.
+# ---------------------------------------------------------------------------
+
+
+def _parity_sign(bits: int) -> int:
+    return -1 if bits.bit_count() & 1 else 1
+
+
+class CosetColumns(namedtuple("CosetColumns", ("reps", "signs"))):
+    """Column j is signs[j] (+1, -1 or 0) times the lattice's magnitude
+    2^-((n_matter + dim K)/2) on every basis state reps[j] ^ W(u), for W =
+    `coset_rows`, and zero everywhere else."""
+
+    __slots__ = ()
+
+
+class MatterMatrix(namedtuple("MatterMatrix", ("rows", "den_exp"))):
+    """An exact matrix on the matter space: row r is the dict rows[r]
+    {column: numerator}, every numerator over 2^den_exp."""
+
+    __slots__ = ()
+
+
+@functools.cache
+def coset_rows(lat) -> tuple[int, ...]:
+    """W(u) for every matter pattern u: the product of the Gauss-law X masks
+    of the matter bits set in u.  Its matter bits are u."""
+    rows = [0]
+    for i, (xm, zm) in enumerate(lat.constraint_masks):
+        assert zm == 0 and xm & lat.matter_mask == 1 << i, "Gauss-law mask is not a matter X"
+        rows += [r ^ xm for r in rows]
+    return tuple(rows)
+
+
+@functools.cache
+def symmetry_group(lat) -> tuple[int, ...]:
+    """Every element of K, the span of the torus kernel of eta-dagger."""
+    group = [0]
+    for v in instantiate(lat.model.constraint_map.dagger(), lat.shape).nullspace():
+        group += [k ^ v for k in group]
+    return tuple(group)
+
+
+def _symmetry_dim(lat) -> int:
+    return len(symmetry_group(lat)).bit_length() - 1
+
+
+def split_mask(lat, xmask: int) -> tuple[int, int]:
+    """(rep, u) of an X mask: u is its matter bits and rep = xmask ^ W(u)."""
+    u = xmask & lat.matter_mask
+    return xmask ^ coset_rows(lat)[u], u
+
+
+def keeps_gauss_law(lat, zmask: int) -> bool:
+    rows = coset_rows(lat)
+    return not any((zmask & rows[1 << i]).bit_count() & 1 for i in range(lat.n_matter))
+
+
+def build_G(lat) -> CosetColumns:
+    """Column u of the scaled gauging map: the coset of basis state u."""
+    reps = tuple(w ^ u for u, w in enumerate(coset_rows(lat)))
+    return CosetColumns(reps, (1,) * len(reps))
+
+
+def apply_pauli(lat, state: CosetColumns, xmask: int, zmask: int) -> CosetColumns:
+    """X(xmask) Z(zmask), Z first, column by column."""
+    if not keeps_gauss_law(lat, zmask):
+        raise ValueError(f"Z mask {zmask:#x} anticommutes with a Gauss-law generator")
+    rep, _ = split_mask(lat, xmask)
+    signs = tuple(s * _parity_sign(r & zmask) for r, s in zip(state.reps, state.signs))
+    return CosetColumns(tuple(r ^ rep for r in state.reps), signs)
+
+
+def max_deviation(lat, a: CosetColumns, b: CosetColumns) -> float:
+    """Largest |a - b| over all basis states, column pair by column pair."""
+    worst = max((abs(sa - sb) if ra == rb else max(abs(sa), abs(sb))
+                 for ra, sa, rb, sb in zip(a.reps, a.signs, b.reps, b.signs, strict=True)),
+                default=0)
+    return worst * 2.0 ** (-(lat.n_matter + _symmetry_dim(lat)) / 2)
+
+
+def coset_rank(state: CosetColumns) -> int:
+    """The number of cosets holding a nonzero column."""
+    return len({r for r, s in zip(state.reps, state.signs) if s})
+
+
+def matrix_deviation(a: MatterMatrix, b: MatterMatrix) -> float:
+    den = max(a.den_exp, b.den_exp)
+    scale_a, scale_b = 1 << (den - a.den_exp), 1 << (den - b.den_exp)
+    worst = 0
+    for ra, rb in zip(a.rows, b.rows, strict=True):
+        for col in ra.keys() | rb.keys():
+            worst = max(worst, abs(ra.get(col, 0) * scale_a - rb.get(col, 0) * scale_b))
+    return math.ldexp(float(worst), -den)
+
+
+def _matter_masks(lat, op) -> tuple[int, int]:
+    if op.q != lat.model.matter_q:
+        raise ValueError("operator does not live on the matter lattice")
+    return lat.masks(op)
+
+
+def matter_operator(lat, op) -> MatterMatrix:
+    """X(x) Z(z) maps basis state c to sign(c & z) times basis state c ^ x."""
+    xm, zm = _matter_masks(lat, op)
+    return MatterMatrix(tuple({r ^ xm: _parity_sign((r ^ xm) & zm)}
+                              for r in range(1 << lat.n_matter)), 0)
+
+
+def symmetrize(lat, m: MatterMatrix) -> MatterMatrix:
+    """P_sym @ m: row r is the sum of m's rows r ^ k over k in K."""
+    group = symmetry_group(lat)
+    out: list[dict[int, int] | None] = [None] * len(m.rows)
+    for r in range(len(out)):
+        if out[r] is None:
+            acc: dict[int, int] = {}
+            for k in group:
+                for col, v in m.rows[r ^ k].items():
+                    acc[col] = acc.get(col, 0) + v
+            for k in group:
+                out[r ^ k] = acc
+    return MatterMatrix(tuple(out), m.den_exp + _symmetry_dim(lat))
+
+
+def symmetric_projector(lat) -> MatterMatrix:
+    identity = MatterMatrix(tuple({r: 1} for r in range(1 << lat.n_matter)), 0)
+    return symmetrize(lat, identity)
+
+
+def gram(lat, a: CosetColumns, b: CosetColumns) -> MatterMatrix:
+    """a^T b: columns on one coset overlap with the squared magnitude on
+    each of its 2^n_matter basis states, columns on different cosets nowhere."""
+    by_rep: dict[int, dict[int, int]] = {}
+    for k, (r, s) in enumerate(zip(b.reps, b.signs)):
+        if s:
+            by_rep.setdefault(r, {})[k] = s
+    rows = []
+    for r, s in zip(a.reps, a.signs):
+        row = by_rep.get(r, {})
+        rows.append(row if s == 1 else {k: s * v for k, v in row.items()})
+    return MatterMatrix(tuple(rows), _symmetry_dim(lat))
+
+
+def times_matter_pauli(lat, state: CosetColumns, op) -> CosetColumns:
+    """state @ O: column k is the state's column k ^ x times sign(k & z)."""
+    xm, zm = _matter_masks(lat, op)
+    cols = range(len(state.reps))
+    return CosetColumns(tuple(state.reps[k ^ xm] for k in cols),
+                        tuple(state.signs[k ^ xm] * _parity_sign(k & zm) for k in cols))
+
+
+def gauged_operator_action(lat, op):
+    """The disentangled gauged image followed by the Gauss-law projector,
+    which keeps every column or zeroes every column."""
+    xmask, zmask = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
+    kept = keeps_gauss_law(lat, zmask)
+
+    def act(state: CosetColumns) -> CosetColumns:
+        if kept:
+            return apply_pauli(lat, state, xmask, zmask)
+        return CosetColumns(state.reps, (0,) * len(state.signs))
+
+    return act
+
+
+def check_lemma2(lat) -> CheckReport:
+    g = build_G(lat)
+    dev = matrix_deviation(gram(lat, g, g), symmetric_projector(lat))
+    dim_k = _symmetry_dim(lat)
+    return CheckReport("gram-vs-symmetric-projector", dev == 0, dev,
+                       {"norm_exponent": lat.n_matter - dim_k, "symmetry_dim": dim_k})
+
+
+def check_lemma3(lat, op) -> CheckReport:
+    g = build_G(lat)
+    dev = max_deviation(lat, times_matter_pauli(lat, g, op), gauged_operator_action(lat, op)(g))
+    return CheckReport("intertwining", dev == 0, dev, {})
+
+
+def check_claim1(lat, op) -> CheckReport:
+    """Twirl over the Gauss-law generators of the operator's matter qubits,
+    project the adjacent gauge qubits onto all-zero, and read the result off
+    every matter basis state."""
+    op_x, op_z = lat.masks(op)
+    nm = lat.n_matter
+    gamma_m = [i for i in range(nm) if ((op_x | op_z) >> i) & 1]
+    pis = [lat.constraint_masks[i] for i in gamma_m]
+    _, proj_mask = lat.masks(_gauged_image(lat, op))
+    for xm, _ in pis:
+        proj_mask |= xm
+    proj_mask &= ~lat.matter_mask
+    region_ok = len(Gf2Basis(xm >> nm for xm, _ in pis)) == len(gamma_m)
+    patterns = [0]
+    for i in gamma_m:
+        patterns += [p | 1 << i for p in patterns]
+    rows_w = coset_rows(lat)
+    twirls = [rows_w[p] for p in patterns]
+
+    terms: dict[tuple[int, int], int] = {}
+    for u in range(1 << nm):
+        for t in twirls:
+            moved = u ^ t
+            sign = _parity_sign(moved & op_z)
+            moved ^= op_x
+            if not moved & proj_mask:
+                key = (u, moved ^ t)
+                terms[key] = terms.get(key, 0) + sign
+    rows: list[dict[int, int]] = [{} for _ in range(1 << nm)]
+    for (u, basis_state), c in terms.items():
+        if c and not basis_state >> nm:
+            rows[basis_state][u] = c
+    dev = matrix_deviation(MatterMatrix(tuple(rows), 0), matter_operator(lat, op))
+    return CheckReport(
+        name="partial-trace-inversion",
+        passed=dev == 0 and region_ok,
+        max_deviation=dev,
+        details={"region_matter": len(gamma_m), "region_gauge": proj_mask.bit_count(),
+                 "region_injective": region_ok},
+    )
+
+
+def check_matrix_elements(lat, op) -> CheckReport:
+    """proj @ O against proj @ G^T O~ G, entry by entry."""
+    g = build_G(lat)
+    sandwich = gram(lat, g, gauged_operator_action(lat, op)(g))
+    dev = matrix_deviation(symmetrize(lat, matter_operator(lat, op)), symmetrize(lat, sandwich))
+    return CheckReport("matrix-elements", dev == 0, dev, {"states": 1 << lat.n_matter})
+
+
+def check_groundspace_span(lat) -> GroundspaceReport:
+    """Containment by applying every Gauss-law generator and flat field to
+    every column of G, and the rank of G as its count of cosets."""
+    eta = lat.model.constraint_map
+    mu_map = bounded_kernel(eta).matrix()
+    eta_dag = eta.dagger()
+    exact = KernelBasis(mu_map.dagger(), eta_dag.support_extent(),
+                        [eta_dag.column(j) for j in range(eta_dag.cols)])
+    local_ok = certify_on_torus(exact, certification_lengths(exact)).passed
+    ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, lat.shape)
+    flat = instantiate(eta, lat.shape).nullspace()
+    im_eta_dag = lat.n_gauge - len(flat)
+    dim_flat, dim_local = 1 << im_eta_dag, 1 << ker_mu_dag
+
+    g = build_G(lat)
+    fields = ((0, v << lat.n_matter) for v in flat)
+    contained = all(keeps_gauss_law(lat, zm) and apply_pauli(lat, g, xm, zm) == g
+                    for xm, zm in (*lat.constraint_masks, *fields))
+    g_rank = coset_rank(g)
+    return GroundspaceReport(
+        passed=local_ok and contained and g_rank == dim_flat,
+        ground_dim_flat=dim_flat,
+        ground_dim_local_fields=dim_local,
+        holonomy_sectors=dim_local // dim_flat,
+        g_rank=g_rank,
+        contained=contained,
+        local_exactness=local_ok,
+        kernel_mu_dagger_dim=ker_mu_dag,
+        image_eta_dagger_dim=im_eta_dag,
+    )

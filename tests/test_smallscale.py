@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import naive_oracle as oracle
 from naive_oracle import (
+    CosetColumns,
     naive_gauging_map,
     naive_pauli_matrix,
     naive_symmetric_projector,
@@ -25,7 +27,6 @@ from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     CosetState,
     DenseLattice,
-    MatterMatrix,
     QubitCapExceeded,
     _gauged_image,
     _max_deviation,
@@ -36,11 +37,6 @@ from stabgauge.smallscale import (
     check_lemma2,
     check_lemma3,
     check_matrix_elements,
-    coset_rank,
-    gram,
-    matter_operator,
-    symmetric_projector,
-    symmetrize,
 )
 from stabgauge.syzygy import KernelBasis, bounded_kernel, certify_on_torus
 from stabgauge.torus import count_logical, instantiate, shape_of
@@ -71,17 +67,35 @@ def fold_model():
     return SymmetryModel(GeneratorMap(1, [[parse_poly("1 + x^2", 1)]]))
 
 
-def expand(lat, state):
-    """A coset state as a (2^n_total, columns) array: column j holds
-    signs[j] * 2^-((n_matter + dim K)/2) at basis state reps[j] ^ W(u) for
-    every matter pattern u, where W(u) is the XOR of the Gauss-law X masks
-    of the matter bits of u, enumerated here bit by bit."""
+def gauss_products(lat):
+    """W(u) for every matter pattern u, the XOR of the Gauss-law X masks of
+    the matter bits of u, enumerated here bit by bit."""
     masks = [xm for xm, _ in lat.constraint_masks]
     w = np.zeros(1 << lat.n_matter, dtype=np.int64)
     for u in range(len(w)):
         for i, xm in enumerate(masks):
             if (u >> i) & 1:
                 w[u] ^= xm
+    return w
+
+
+def as_columns(lat, state):
+    """An affine coset state column by column, in the oracle's form: column
+    u has rep rep ^ A u, where A u = W(u) ^ u, and sign
+    sign * (-1)^(u . sigma)."""
+    u = np.arange(1 << lat.n_matter)
+    reps = state.rep ^ gauss_products(lat) ^ u
+    signs = state.sign * (1 - 2 * (np.bitwise_count(u & state.sigma).astype(np.int64) & 1))
+    return CosetColumns(tuple(int(r) for r in reps), tuple(int(v) for v in signs))
+
+
+def expand(lat, state):
+    """A coset state, affine or column by column, as a (2^n_total, columns)
+    array: column j holds signs[j] * 2^-((n_matter + dim K)/2) at basis
+    state reps[j] ^ W(u) for every matter pattern u."""
+    if isinstance(state, CosetState):
+        state = as_columns(lat, state)
+    w = gauss_products(lat)
     reps = np.array(state.reps, dtype=np.int64)
     vals = np.array(state.signs, dtype=float) * 2.0 ** (-(lat.n_matter + lat.symmetry_dim) / 2)
     out = np.zeros((1 << lat.n_total, len(reps)))
@@ -89,7 +103,7 @@ def expand(lat, state):
     return out
 
 
-def dense(matrix: MatterMatrix):
+def dense(matrix: oracle.MatterMatrix):
     """An exact matter-space matrix as a float array."""
     out = np.zeros((len(matrix.rows), len(matrix.rows)))
     for r, row in enumerate(matrix.rows):
@@ -121,13 +135,13 @@ def flat_zmasks(lat):
     return [v << lat.n_matter for v in flat]
 
 
-def random_state(lat, columns, seed):
-    """Random signs (+1, -1 or 0) on random cosets of the gauging map."""
+def random_states(lat, count, seed):
+    """Affine coset states with a random gauge-only rep, a random character
+    sigma and a random sign (+1 or -1)."""
     rng = np.random.default_rng(seed)
-    g = lat.gauging_map
-    reps = tuple(g.reps[int(i)] for i in rng.integers(0, len(g.reps), columns))
-    signs = tuple(int(s) for s in rng.integers(-1, 2, columns))
-    return CosetState(reps, signs)
+    return [CosetState(int(rng.integers(0, 1 << lat.n_gauge)) << lat.n_matter,
+                       int(rng.integers(0, 1 << lat.n_matter)), int(rng.choice([-1, 1])))
+            for _ in range(count)]
 
 
 def ops(model):
@@ -168,10 +182,10 @@ def test_cap_refuses_cubic_matter_model():
 
 def test_pauli_products_are_involutions(ising_model):
     lat = DenseLattice(ising_model, SHAPE)
-    state = random_state(lat, 16, 0)
     pairs = [*lat.constraint_masks, *((0, z) for z in flat_zmasks(lat)), *gauged_masks(lat)]
-    for xm, zm in pairs:
-        assert apply_pauli(lat, apply_pauli(lat, state, xm, zm), xm, zm) == state
+    for state in random_states(lat, 16, 0):
+        for xm, zm in pairs:
+            assert apply_pauli(lat, apply_pauli(lat, state, xm, zm), xm, zm) == state
 
 
 def test_gauss_projector_keeps_or_zeroes_whole_columns(ising_model):
@@ -179,7 +193,7 @@ def test_gauss_projector_keeps_or_zeroes_whole_columns(ising_model):
     # commuting) keep every column when the Z mask keeps the Gauss law, and
     # zero every column otherwise
     lat = DenseLattice(ising_model, SHAPE)
-    state = random_state(lat, 6, 1)
+    state = random_states(lat, 1, 1)[0]
     full = expand(lat, state)
     assert np.array_equal(gauss_project(lat, full), full)
     matter_z = 0b1
@@ -208,16 +222,13 @@ def test_raw_gauging_map_norm_pattern(ising_model):
 
 
 def test_cached_gauging_map_is_read_only(ising_model):
+    # G is the affine state (0, 0, 1): three ints, whatever the lattice size
     lat = DenseLattice(ising_model, SHAPE)
     g = lat.gauging_map
     assert lat.gauging_map is g
-    signs = g.signs
     with pytest.raises(AttributeError):
-        g.signs = ()
-    assert g.signs is signs
-    with pytest.raises(TypeError):
-        g.reps[0] = 1
-    assert g == build_G(lat)
+        g.sign = 0
+    assert g == build_G(lat) == CosetState(0, 0, 1)
 
 
 def test_normalization_exponent_is_integer(ising_model):
@@ -232,13 +243,13 @@ def test_no_constraint_model_gauges_to_symmetric_projector():
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
     full = expand(lat, build_G(lat))
     assert np.array_equal(full, np.full((8, 8), 2.0**-3))
-    assert np.array_equal(full, dense(symmetric_projector(lat)))
+    assert np.array_equal(full, dense(oracle.symmetric_projector(lat)))
     assert (lat.norm_exponent, lat.symmetry_dim) == (0, 3)
 
 
 def test_no_constraint_model_symmetric_projector_averages_every_x_pattern():
     lat = DenseLattice(trivial_model(q=1), shape_of((3,)))
-    assert np.array_equal(dense(symmetric_projector(lat)), np.full((8, 8), 2.0**-3))
+    assert np.array_equal(dense(oracle.symmetric_projector(lat)), np.full((8, 8), 2.0**-3))
     assert check_lemma2(lat).max_deviation == 0.0
 
 
@@ -316,8 +327,8 @@ def test_lemma3_fails_for_a_wrong_gauged_operator(ising_model, monkeypatch):
     # column pair lies in different cosets and deviates by its larger magnitude
     lat = DenseLattice(ising_model, SHAPE)
     single_x, bond = ops(ising_model)
-    action = smallscale.gauged_operator_action
-    monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
+    image = smallscale.gauged_state
+    monkeypatch.setattr(smallscale, "gauged_state", lambda lat, op: image(lat, bond))
     rep = check_lemma3(lat, single_x)
     assert not rep.passed
     assert rep.max_deviation == np.max(np.abs(expand(lat, lat.gauging_map))) > 0
@@ -345,8 +356,8 @@ def test_matrix_elements_fail_for_a_wrong_gauged_operator(ising_model, monkeypat
     # single X sandwiched with the gauged bond in its place must not pass
     lat = DenseLattice(ising_model, SHAPE)
     single_x, bond = ops(ising_model)
-    action = smallscale.gauged_operator_action
-    monkeypatch.setattr(smallscale, "gauged_operator_action", lambda lat, op: action(lat, bond))
+    image = smallscale.gauged_state
+    monkeypatch.setattr(smallscale, "gauged_state", lambda lat, op: image(lat, bond))
     rep = check_matrix_elements(lat, single_x)
     assert not rep.passed
     assert rep.max_deviation == 0.5
@@ -504,28 +515,28 @@ def test_claim1_region_holds_no_untouched_gauge_qubit():
 
 
 def test_apply_pauli_acts_column_by_column(ising_model):
+    # the affine update of rep, sigma and sign is the oracle's column-by-column action
     lat = DenseLattice(ising_model, SHAPE)
-    state = random_state(lat, 5, 3)
     x_only, _ = lat.constraint_masks[0]
     z_only = flat_zmasks(lat)[0]
     gauge_x, gauge_z = gauged_masks(lat)[1]
-    for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (gauge_x, gauge_z ^ z_only)):
-        whole = apply_pauli(lat, state, xm, zm)
-        for j in range(5):
-            column = CosetState(state.reps[j:j + 1], state.signs[j:j + 1])
-            moved = apply_pauli(lat, column, xm, zm)
-            assert (moved.reps[0], moved.signs[0]) == (whole.reps[j], whole.signs[j])
+    for state in random_states(lat, 5, 3):
+        for xm, zm in ((0, 0), (x_only, 0), (0, z_only), (gauge_x, gauge_z ^ z_only)):
+            moved = oracle.apply_pauli(lat, as_columns(lat, state), xm, zm)
+            assert as_columns(lat, apply_pauli(lat, state, xm, zm)) == moved
 
 
-def test_eighteen_qubit_ising_stores_one_coset_per_column():
-    # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: G has 64
-    # columns in 32 cosets that cover 2^11 of the 2^18 basis states, and
-    # holds one rep and one sign per column
+def test_eighteen_qubit_ising_holds_three_ints():
+    # 6 matter bits and a rank-5 space of Gauss-law gauge patterns: G's 64
+    # columns lie in 32 cosets that cover 2^11 of the 2^18 basis states, and
+    # the affine form holds them as three ints
     lat = DenseLattice(symmetry_model_from_code(get_code("ising2d")), shape_of((3, 2)))
     assert lat.n_total == 18
-    g = lat.gauging_map
-    assert len(g.reps) == len(g.signs) == 64 and len(set(g.reps)) == 32
-    assert len({r ^ w for r in g.reps for w in lat.coset_rows}) == 2048
+    assert lat.gauging_map == CosetState(0, 0, 1)
+    columns = oracle.build_G(lat)
+    assert len(columns.reps) == 64 and len(set(columns.reps)) == 32
+    assert len({r ^ w for r in columns.reps for w in oracle.coset_rows(lat)}) == 2048
+    assert check_groundspace_span(lat).g_rank == 32
 
 
 def test_apply_pauli_rejects_z_mask_that_breaks_the_gauss_law(ising_model):
@@ -545,22 +556,22 @@ def test_coset_pauli_action_matches_full_space_action(ising_model):
     # random columns over several cosets, against the action on all 2^12
     # basis states; Z masks that break the Gauss law are refused
     lat = DenseLattice(ising_model, SHAPE)
-    state = random_state(lat, 4, 5)
     gauge_x = gauged_masks(lat)[0][0]
     z_flat = flat_zmasks(lat)[0]
     z_mixed = 0b101 << lat.n_matter | 0b11
     pairs = [*lat.constraint_masks, *gauged_masks(lat),
              (gauge_x, 0), (0, z_flat), (gauge_x ^ 1, z_flat), (0, z_mixed), (gauge_x ^ 1, z_mixed)]
     refused = 0
-    for xm, zm in pairs:
-        if lat.keeps_gauss_law(zm):
-            moved = apply_pauli(lat, state, xm, zm)
-            assert np.array_equal(expand(lat, moved), full_pauli(expand(lat, state), xm, zm))
-        else:
-            refused += 1
-            with pytest.raises(ValueError):
-                apply_pauli(lat, state, xm, zm)
-    assert refused == 2
+    for state in random_states(lat, 4, 5):
+        for xm, zm in pairs:
+            if lat.keeps_gauss_law(zm):
+                moved = apply_pauli(lat, state, xm, zm)
+                assert np.array_equal(expand(lat, moved), full_pauli(expand(lat, state), xm, zm))
+            else:
+                refused += 1
+                with pytest.raises(ValueError):
+                    apply_pauli(lat, state, xm, zm)
+    assert refused == 8
 
 
 def _oracle_lattices():
@@ -582,7 +593,7 @@ def test_matter_operators_match_kronecker_products(lat):
     mixed = PauliColumn(dim, 1, (LaurentPoly.one(dim),), (LaurentPoly.one(dim),))
     for op in (single_x, bond, mixed, identity_column(dim, 1)):
         expected = naive_pauli_matrix(lat.n_matter, *lat.masks(op))
-        assert np.array_equal(dense(matter_operator(lat, op)), expected)
+        assert np.array_equal(dense(oracle.matter_operator(lat, op)), expected)
 
 
 def assert_matches_oracle(lat):
@@ -601,14 +612,15 @@ def test_gauging_map_matches_coset_form(lat):
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
 def test_exact_matrices_match_dense_products(lat):
-    # the Gram matrix of two coset states and its symmetrized form, against
-    # float products of their expansions
-    g = lat.gauging_map
-    for other in (g, random_state(lat, len(g.reps), 7)):
+    # the oracle's Gram matrix of two coset states and its symmetrized form,
+    # against float products of their expansions
+    g = oracle.build_G(lat)
+    for other in (g, as_columns(lat, random_states(lat, 1, 7)[0])):
         product = expand(lat, g).T @ expand(lat, other)
-        assert np.max(np.abs(dense(gram(lat, g, other)) - product)) <= 1e-12
-        proj = dense(symmetric_projector(lat))
-        assert np.max(np.abs(dense(symmetrize(lat, gram(lat, g, other))) - proj @ product)) <= 1e-12
+        assert np.max(np.abs(dense(oracle.gram(lat, g, other)) - product)) <= 1e-12
+        proj = dense(oracle.symmetric_projector(lat))
+        symmetrized = dense(oracle.symmetrize(lat, oracle.gram(lat, g, other)))
+        assert np.max(np.abs(symmetrized - proj @ product)) <= 1e-12
 
 
 @st.composite
@@ -634,9 +646,8 @@ def small_lattices(draw):
 @settings(max_examples=40, deadline=None)
 def test_coset_form_matches_oracle_and_full_rank_on_random_models(lat):
     assert_matches_oracle(lat)
-    g = lat.gauging_map
-    svals = np.linalg.svd(expand(lat, g), compute_uv=False)
-    assert coset_rank(g) == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
+    svals = np.linalg.svd(expand(lat, lat.gauging_map), compute_uv=False)
+    assert check_groundspace_span(lat).g_rank == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
     assert check_lemma2(lat).passed
 
 
@@ -661,6 +672,115 @@ def test_reports_invariant_under_axis_permutation_and_translation_on_random_mode
     assert _all_reports(relabeled(lat, axes, shift)) == _all_reports(lat)
 
 
+def _oracle_reports(lat):
+    # the enumerated reports, in the order of `_all_reports`
+    single_x, bond = ops(lat.model)
+    return [oracle.check_lemma2(lat), oracle.check_lemma3(lat, single_x),
+            oracle.check_lemma3(lat, bond), oracle.check_claim1(lat, single_x),
+            oracle.check_claim1(lat, bond), oracle.check_matrix_elements(lat, single_x),
+            oracle.check_groundspace_span(lat)]
+
+
+def assert_reports_match_oracle(lat):
+    """Every report equals the enumerated one repr for repr, deviations
+    included: the seven of `--check all`, matrix elements of the bond, and
+    lemma3 and matrix elements of each operator with the other operator's
+    gauged image swapped in."""
+    single_x, bond = ops(lat.model)
+    assert repr(_all_reports(lat)) == repr(_oracle_reports(lat))
+    assert repr(check_matrix_elements(lat, bond)) == repr(oracle.check_matrix_elements(lat, bond))
+    image, action = smallscale.gauged_state, oracle.gauged_operator_action
+    for op, other in ((single_x, bond), (bond, single_x)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smallscale, "gauged_state", lambda lat, _: image(lat, other))
+            mp.setattr(oracle, "gauged_operator_action", lambda lat, _: action(lat, other))
+            for check, enumerated in ((check_lemma3, oracle.check_lemma3),
+                                      (check_matrix_elements, oracle.check_matrix_elements)):
+                assert repr(check(lat, op)) == repr(enumerated(lat, op))
+
+
+@given(small_lattices())
+@settings(max_examples=40, deadline=None)
+def test_reports_match_enumerated_oracle_on_random_models(lat):
+    assert_reports_match_oracle(lat)
+
+
+@given(small_lattices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_reports_match_enumerated_oracle_with_another_symmetry_group(lat, data):
+    # ker A equals K on every lattice, so lemma2 cannot fail; the forms for
+    # ker A != K are reached with another group put in K's place on both sides
+    vectors = data.draw(st.lists(st.integers(0, lat.matter_mask), max_size=3))
+    basis = [r for r in Gf2Basis(vectors).rows if r]
+    group = [0]
+    for v in basis:
+        group += [g ^ v for g in group]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DenseLattice, "symmetry_basis", property(lambda _: basis))
+        mp.setattr(oracle, "symmetry_group", lambda _: tuple(group))
+        assert_reports_match_oracle(lat)
+
+
+def pauli_column(lat, q, xmask, zmask):
+    """The Pauli column over q qubit types of the lattice with the given masks."""
+    def block(mask):
+        return tuple(LaurentPoly.from_terms(lat.model.dim, [
+            lat.shape.site(s) for s in range(lat.n_sites) if (mask >> (ty * lat.n_sites + s)) & 1])
+            for ty in range(q))
+    return PauliColumn(lat.model.dim, q, block(xmask), block(zmask))
+
+
+@given(small_lattices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_operator_reports_match_enumerated_oracle_on_any_operator_and_image(lat, data):
+    # a symmetric operator's Z part is orthogonal to K, so the claim-1 twirl
+    # sum cannot vanish, and its gauged image keeps the Gauss law; any masks,
+    # with any column of the enlarged lattice as the image on both sides,
+    # reach the other forms
+    q = lat.model.matter_q + lat.model.n_constraints
+    masks = [data.draw(st.integers(0, (1 << n) - 1))
+             for n in (lat.n_matter, lat.n_matter, lat.n_total, lat.n_total)]
+    op, image = pauli_column(lat, lat.model.matter_q, *masks[:2]), pauli_column(lat, q, *masks[2:])
+    assert (*lat.masks(op), *lat.masks(image)) == tuple(masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smallscale, "_gauged_image", lambda lat, op: image)
+        mp.setattr(oracle, "_gauged_image", lambda lat, op: image)
+        for check in ("check_lemma3", "check_claim1", "check_matrix_elements"):
+            assert repr(getattr(smallscale, check)(lat, op)) == repr(getattr(oracle, check)(lat, op))
+
+
+TIER1_LATTICES = [("ising2d", (2, 2), 20), ("toric2d", (2, 2), 20), ("ising2d", (3, 2), 20),
+                  ("ising2d", (3, 3), 27), ("toric2d", (3, 3), 27), ("ising2d", (4, 3), 36),
+                  ("toric2d", (4, 3), 36), ("fractal_ising", (2, 2, 2), 24)]
+
+
+@pytest.mark.parametrize("name,lengths,cap", TIER1_LATTICES)
+def test_reports_match_enumerated_oracle_on_tier1_lattices(name, lengths, cap):
+    lat = DenseLattice(symmetry_model_from_code(get_code(name)), shape_of(lengths), cap)
+    assert_reports_match_oracle(lat)
+    axes = tuple(reversed(range(len(lengths))))
+    assert_reports_match_oracle(relabeled(lat, axes, (1, -2, 3)[:len(lengths)]))
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+def test_reports_match_enumerated_oracle_on_fold_model(length):
+    # 1 + x^2 folds to zero at L = 2 and is not exact in windowed form
+    assert_reports_match_oracle(DenseLattice(fold_model(), shape_of((length,))))
+
+
+@pytest.mark.parametrize("name,lengths,cap", [("fractal_ising", (4, 4, 4), 192),
+                                              ("generalized_toric(3,2)", (2, 2, 2), 60)])
+def test_reports_pass_on_lattices_beyond_enumeration(name, lengths, cap):
+    # 2^64 and 2^24 matter patterns: no report enumerates them
+    model = symmetry_model_from_code(get_code(name))
+    shape = shape_of(lengths)
+    reports = _all_reports(DenseLattice(model, shape, cap))
+    assert all(r.passed for r in reports)
+    if name == "fractal_ising":
+        k = count_logical(gauge(model)[0], shape).k_encoded
+        assert reports[-1].holonomy_sectors == 2 ** k == 2 ** 14
+
+
 def packed_ground_dims(lat):
     """(flat, local-field) ground-space dimensions as 2^(n_total - rank) of
     the Gauss-law masks with Z fields, each mask packed as xm | zm << n_total:
@@ -680,23 +800,28 @@ def test_ground_dims_match_packed_mask_ranks(lat):
 
 
 def test_coset_rank_counts_cosets_of_nonzero_columns(ising_model):
-    # columns on one coset are parallel whatever their signs, a zero column
-    # adds nothing, and columns on different cosets are orthogonal
+    # the oracle's rank: columns on one coset are parallel whatever their
+    # signs, a zero column adds nothing, and columns on different cosets are
+    # orthogonal
     lat = DenseLattice(ising_model, SHAPE)
-    a, b, c = sorted(set(lat.gauging_map.reps))[:3]
-    state = CosetState((a, b, a, b, c), (1, -1, -1, 1, 0))
-    assert coset_rank(state) == 2 == np.linalg.matrix_rank(expand(lat, state))
+    a, b, c = sorted(set(oracle.build_G(lat).reps))[:3]
+    state = CosetColumns((a, b, a, b, c), (1, -1, -1, 1, 0))
+    assert oracle.coset_rank(state) == 2 == np.linalg.matrix_rank(expand(lat, state))
 
 
 def test_max_deviation_matches_full_space_difference(ising_model):
-    # columns on one coset differ by their signs; columns on different
-    # cosets have disjoint supports and deviate by the larger magnitude
+    # states on one coset differ by their signs and characters; states on
+    # different cosets, or with a zero side, deviate by the larger magnitude
     lat = DenseLattice(ising_model, SHAPE)
     for seed in range(4):
-        a, b = random_state(lat, 8, seed), random_state(lat, 8, seed + 10)
-        b = CosetState(a.reps[:4] + b.reps[4:], b.signs)
-        want = np.max(np.abs(expand(lat, a) - expand(lat, b)))
-        assert _max_deviation(lat, a, b) == want
+        a, b = random_states(lat, 2, seed)
+        pairs = [(a, b), (a, b._replace(rep=a.rep)), (a, a._replace(sign=-a.sign)),
+                 (a, b._replace(rep=a.rep, sigma=a.sigma)), (a, a._replace(sign=0)),
+                 (a._replace(sign=0), b._replace(sign=0))]
+        for x, y in pairs:
+            want = np.max(np.abs(expand(lat, x) - expand(lat, y)))
+            assert _max_deviation(lat, x, y) == want
+            assert oracle.max_deviation(lat, as_columns(lat, x), as_columns(lat, y)) == want
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
@@ -705,22 +830,24 @@ def test_cosets_closed_under_gauss_law_and_gauged_operator_masks(lat):
     # operator's X mask moves a coset of G onto another coset of G: its
     # remainder is gauge-only and one of the Gauss-law gauge patterns
     matter = lat.matter_mask
-    rows = lat.coset_rows
+    rows = oracle.coset_rows(lat)
     assert len(set(rows)) == len(rows)
     assert [r & matter for r in rows] == list(range(len(rows)))
     for i, (xm, _) in enumerate(lat.constraint_masks):
-        assert lat.split_mask(xm) == (0, 1 << i)
+        assert oracle.split_mask(lat, xm) == (0, 1 << i)
+        assert lat.coset_rep(xm) == 0
     for xm, _ in gauged_masks(lat):
-        rep, u = lat.split_mask(xm)
+        rep, u = oracle.split_mask(lat, xm)
         assert rep & matter == 0 and rep ^ rows[u] == xm
         assert rep in {r & ~matter for r in rows}
+        assert lat.coset_rep(xm) == rep
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
 def test_symmetric_projector_matches_group_average(lat):
     masks = [xm for xm, _ in lat.constraint_masks]
     expected = naive_symmetric_projector(lat.n_matter, masks)
-    assert np.array_equal(dense(symmetric_projector(lat)), expected)
+    assert np.array_equal(dense(oracle.symmetric_projector(lat)), expected)
 
 
 def test_masks_match_term_placement_on_fold_model():

@@ -13,7 +13,6 @@ from stabgauge.smallscale import (
     CosetState,
     DenseLattice,
     GroundspaceReport,
-    MatterMatrix,
 )
 from stabgauge.syzygy import CertifyReport, KernelBasis
 from stabgauge.torus import CountReport, TorusShape
@@ -42,8 +41,7 @@ FROZEN = [
     (DualityReport, lambda: (True, True, True, ""), lambda: (False, True, False, "diff")),
     (SymmetryReport, lambda: (TorusShape((2, 2)), 1, 2, True, True),
      lambda: (TorusShape((2, 2)), 1, 2, True, False)),
-    (CosetState, lambda: ((0, 3), (1, -1)), lambda: ((0, 3), (1, 1))),
-    (MatterMatrix, lambda: (({0: 1}, {1: -1}), 0), lambda: (({0: 1}, {1: 1}), 0)),
+    (CosetState, lambda: (48, 3, -1), lambda: (48, 3, 1)),
     (KernelBasis, lambda: (BOND, (1, 1), ((ONE,),)), lambda: (BOND, (1, 1), ((X,),))),
     (DenseLattice, lambda: (MODEL, SHAPE), lambda: (MODEL, SHAPE, 12)),
     (CheckReport, lambda: ("intertwining", True, 0.0, {}), lambda: ("intertwining", False, 0.5, {})),
@@ -105,8 +103,7 @@ REPRS = {
     SymmetryReport: "SymmetryReport(shape=TorusShape(lengths=(2, 2)), matter_dim=1, gauge_dim=2, "
                     "matter_matches_constraint_cokernel=True, "
                     "gauge_matches_constraint_kernel=True)",
-    CosetState: "CosetState(reps=(0, 3), signs=(1, -1))",
-    MatterMatrix: "MatterMatrix(rows=({0: 1}, {1: -1}), den_exp=0)",
+    CosetState: "CosetState(rep=48, sigma=3, sign=-1)",
     KernelBasis: "KernelBasis(parent=GeneratorMap(dim=2, entries=((LaurentPoly(2, '1 + x1'),),), "
                  "cols=1), box=(1, 1), generators=((LaurentPoly(2, '1'),),))",
     DenseLattice: "DenseLattice(model=SymmetryModel(constraint_map=GeneratorMap(dim=2, "
@@ -121,7 +118,7 @@ REPRS = {
 
 
 def test_reprs_name_every_field():
-    assert len(REPRS) == len(FROZEN) == 17
+    assert len(REPRS) == len(FROZEN) == 16
     for cls, fields, _ in FROZEN:
         assert repr(cls(*fields())) == REPRS[cls]
 
