@@ -7,8 +7,8 @@ Exit codes: 0 = success / check passed, 1 = a check failed,
 The CLI's surface is one table, `COMMANDS`: each command's help and its
 `add_argument` specs, `--json` included where the command takes it.  Two
 parsers read it.  `parse_plain` handles a plain command line (exact
-command and option names, no value starting with "-", every choice and
-`int` valid, every required argument given) and returns the namespace
+command and option names, no value starting with "-", every choice
+valid, every required argument given) and returns the namespace
 argparse would give, or None for anything else.  On None, `cli_main`
 falls back to `build_parser()`, which builds the argparse parser from the
 same table, once per process, and imports `argparse` inside itself: help,
@@ -201,7 +201,7 @@ def cmd_smallscale(args) -> int:
     single_x = PauliColumn.single_x(model.dim, model.matter_q, 0)
     bond = PauliColumn(model.dim, model.matter_q, single_x.z_block,
                        model.constraint_map.column(0))
-    lat = smallscale_mod.DenseLattice(model, shape, args.cap)
+    lat = smallscale_mod.DenseLattice(model, shape)
     reports = []
     which = args.check
     if which in ("all", "lemma2"):
@@ -252,8 +252,7 @@ COMMANDS = {
                    [_JSON, ("--model", {"required": True, "help": "code file or codebook name"}),
                     ("--lengths", {"required": True}),
                     ("--check", {"default": "all", "choices": [
-                        "all", "lemma2", "lemma3", "claim1", "elements", "groundspace"]}),
-                    ("--cap", {"type": int, "default": smallscale_mod.DEFAULT_QUBIT_CAP})]),
+                        "all", "lemma2", "lemma3", "claim1", "elements", "groundspace"]})]),
 }
 
 
@@ -278,8 +277,8 @@ def parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
     A plain line is an exact command name, then exact long options (each
     at most once, each value not starting with "-"), flags and positionals
-    not starting with "-", with every choice and type valid and every
-    required argument given.
+    not starting with "-", with every choice valid and every required
+    argument given.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -303,13 +302,9 @@ def parse_plain(argv: list[str]) -> SimpleNamespace | None:
                 return None
         else:
             return None
-        try:
-            value = spec[name].get("type", str)(word)
-        except ValueError:
+        if word not in spec[name].get("choices", (word,)):
             return None
-        if value not in spec[name].get("choices", (value,)):
-            return None
-        given[name] = value
+        given[name] = word
     values = {"command": argv[0]}
     for name, kwargs in specs:
         positional = not name.startswith("-")

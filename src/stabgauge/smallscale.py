@@ -19,9 +19,11 @@ sigma and flips the sign by parities, and no phase tableau is needed
 
 Each check decides its report from rank and span facts on the n_matter
 Gauss-law masks (`gf2.Gf2Basis` on Python ints): ker A, A(K), the kernel
-of A on a twirl region.  Its largest deviation is the one an entry-by-entry
+of A on a twirl region, the masks' gauge parts against the row space of
+the constraint map.  Its largest deviation is the one an entry-by-entry
 comparison of the states or matrices gives, read off in closed form, so no
-check enumerates matter patterns or twirls.  `tests/naive_oracle.py` keeps
+check enumerates matter patterns, twirls or fields, and no qubit count is
+refused: the lattice size is bounded by memory.  `tests/naive_oracle.py` keeps
 the enumerated implementation as the oracle these reports must equal,
 repr for repr.
 
@@ -51,41 +53,30 @@ from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate, place_column, rank_on_torus
 
-DEFAULT_QUBIT_CAP = 20
-
-
-class QubitCapExceeded(ValueError):
-    """Raised when a lattice would exceed the configured qubit cap."""
-
-
 def _sign(bits: int) -> int:
     """(-1) to the parity of bits."""
     return -1 if bits.bit_count() & 1 else 1
 
 
-class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
+class DenseLattice(namedtuple("DenseLattice", ("model", "shape"))):
     """Explicit qubit indexing for a symmetry model on a finite torus.
 
     Matter qubit (q, site) is bit q*N + site; gauge qubit (t, site) is bit
     n_matter + t*N + site, the torus layout of the enlarged lattice.  No
-    check enumerates states, so the cap bounds no work; it stays the size
-    refusal of the CLI.
+    check enumerates states, so no qubit count is refused: the lattice size
+    is bounded by memory, as for `count_logical`.
     """
 
     # no __slots__: an instance __dict__ holds the cached properties
 
-    # the benchmark tracer's build_G key still reads `perm`; a read-only
-    # None until that key is mended (ROADMAP item 1)
-    perm = property(lambda self: None)
+    # the benchmark tracer's build_G key still reads `cap` and `perm`;
+    # read-only None until that key is mended (ROADMAP item 1)
+    cap = perm = property(lambda self: None)
 
-    def __new__(cls, model: SymmetryModel, shape: TorusShape,
-                cap: int = DEFAULT_QUBIT_CAP) -> DenseLattice:
+    def __new__(cls, model: SymmetryModel, shape: TorusShape) -> DenseLattice:
         if shape.dim != model.dim:
             raise ValueError("shape dimension does not match model")
-        self = super().__new__(cls, model, shape, cap)
-        if self.n_total > cap:
-            raise QubitCapExceeded(f"{self.n_total} qubits exceeds the cap of {cap}")
-        return self
+        return super().__new__(cls, model, shape)
 
     @property
     def n_sites(self) -> int:
@@ -162,11 +153,6 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape", "cap"))):
         has even overlap with every W(u), and leaves each coset state uniform."""
         return not any((zmask & xm).bit_count() & 1 for xm, _ in self.constraint_masks)
 
-    @cached_property
-    def gauging_map(self) -> CosetState:
-        """`build_G` of this lattice, built once."""
-        return build_G(self)
-
 
 class CosetState(namedtuple("CosetState", ("rep", "sigma", "sign"))):
     """A state of the enlarged lattice with one column per matter pattern u:
@@ -226,8 +212,8 @@ def build_G(lat: DenseLattice) -> CosetState:
     projection is that coset with every amplitude 2^-n_matter.  The map is
     scaled by 2^(norm_exponent/2) = 2^((n_matter - dim K)/2) so its Gram
     matrix is exactly the symmetric-subspace projector; K is the symmetry
-    group of the model on this torus.  Checks read it from
-    `DenseLattice.gauging_map`.
+    group of the model on this torus.  It is the same three ints on every
+    lattice; `gauged_state` starts from it.
     """
     return CosetState(0, 0, 1)
 
@@ -253,7 +239,7 @@ def gauged_state(lat: DenseLattice, op: PauliColumn) -> CosetState:
     law, and otherwise zeroes every column, as the average of a nontrivial
     character over the matter patterns."""
     xmask, zmask = lat.masks(conjugate_by_disentangler(lat.model, _gauged_image(lat, op)))
-    g = lat.gauging_map
+    g = build_G(lat)
     if lat.keeps_gauss_law(zmask):
         return apply_pauli(lat, g, xmask, zmask)
     return g._replace(sign=0)
@@ -402,18 +388,20 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
                         [eta_dag.column(j) for j in range(eta_dag.cols)])
     local_ok = certify_on_torus(exact, certification_lengths(exact)).passed
     ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, lat.shape)
-    # the flat fields are the torus kernel of eta, whose rank is the dagger's
-    flat = instantiate(eta, lat.shape).nullspace()
-    im_eta_dag = lat.n_gauge - len(flat)
+    # the flat fields are the torus kernel of eta, the vectors orthogonal to
+    # its rows, so the rank of eta (the dagger's) is that of its row space
+    eta_rows = Gf2Basis(instantiate(eta, lat.shape).data)
+    im_eta_dag = len(eta_rows)
     # the n_matter Gauss-law masks are independent pure X, each holding its
     # own matter bit, and the fields are pure Z on gauge qubits, so a ground
     # space has dimension 2^(n_gauge - rank of its fields)
     dim_flat, dim_local = 1 << im_eta_dag, 1 << ker_mu_dag
 
-    # G is fixed by every Gauss-law generator, and by a flat field v exactly
-    # when it keeps the Gauss law (A^T v = 0); its columns lie on the 2^rank A
-    # cosets of im A, one dimension each
-    contained = all(lat.keeps_gauss_law(v << lat.n_matter) for v in flat)
+    # G is fixed by every Gauss-law generator, and by every flat field exactly
+    # when each mask's gauge part has even overlap with all of them, that is,
+    # lies in eta's row space; its columns lie on the 2^rank A cosets of im A,
+    # one dimension each
+    contained = all(eta_rows.contains(xm >> lat.n_matter) for xm, _ in lat.constraint_masks)
     g_rank = 1 << (lat.n_matter - len(_gauss_kernel(lat, range(lat.n_matter))))
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(

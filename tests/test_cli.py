@@ -75,7 +75,8 @@ def test_commands_without_json_output_reject_the_flag(capsys, command):
     assert "unrecognized arguments: --json" in err
 
 
-# help, usage errors, valid commands and a refused cap, with repeats
+# help, usage errors (an unknown command, a missing required option, an
+# unrecognized `--cap`), valid commands, with repeats
 MIXED = [
     ["--help"],
     ["nonsense"],
@@ -207,10 +208,19 @@ def test_fallback_lines_answer_as_their_plain_form(capsys, fallback, plain):
     assert run(capsys, *fallback) == run(capsys, *plain)
 
 
-def test_negative_cap_reaches_the_command_through_argparse(capsys):
-    argv = ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--cap", "-5"]
+def test_negative_lengths_reach_the_command_through_argparse(capsys):
+    argv = ["logical", "toric2d", "--lengths", "-5"]
     assert parse_plain(argv) is None
-    assert run(capsys, *argv) == (2, "", "error: 12 qubits exceeds the cap of -5\n")
+    assert run(capsys, *argv) == (2, "", "error: all torus lengths must be >= 2\n")
+
+
+def test_smallscale_takes_no_qubit_cap(capsys):
+    # no check enumerates states, so no option bounds the lattice size
+    code, out, _ = run(capsys, "smallscale", "--help")
+    assert code == 0 and "--cap" not in out
+    code, out, err = run(capsys, "smallscale", "--model", "fractal_ising", "--lengths", "2,2,2",
+                         "--cap", "24")
+    assert (code, out) == (2, "") and "unrecognized arguments: --cap 24" in err
 
 
 def test_codebook_dump_without_a_name_exits_2(capsys):
@@ -386,16 +396,16 @@ def _write_code(tmp_path, generators, dim=1, q=1):
     return str(path)
 
 
-def test_smallscale_over_63_qubits_runs_within_the_cap(tmp_path, capsys):
+def test_smallscale_over_63_qubits_runs(tmp_path, capsys):
     # Z constraints 1 + x on one qubit type: 15 of them on a length-4 circle
     # need 64 qubits, 20 on a length-3 circle need 63
     bond = {"x_block": [[]], "z_block": [[[0], [1]]]}
     code, out, err = run(capsys, "smallscale", "--model", _write_code(tmp_path, [bond] * 15),
-                         "--lengths", "4", "--cap", "80", "--check", "lemma2")
+                         "--lengths", "4", "--check", "lemma2")
     assert code == 0 and err == ""
     assert out.startswith("gram-vs-symmetric-projector: pass")
     code, out, _ = run(capsys, "smallscale", "--model", _write_code(tmp_path, [bond] * 20),
-                       "--lengths", "3", "--cap", "80", "--check", "lemma2")
+                       "--lengths", "3", "--check", "lemma2")
     assert code == 0 and out.startswith("gram-vs-symmetric-projector: pass")
 
 
@@ -490,7 +500,9 @@ def test_logical_ranks_sigma_once(monkeypatch, capsys):
     assert all(m in sectors for m, _ in ranked)
 
 
-def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
+def test_smallscale_all_builds_each_gauged_image_on_one_lattice(monkeypatch, capsys):
+    # G is three ints, so each gauged image (two intertwining reports and one
+    # matrix-elements report) starts from its own build_G; all share one lattice
     build_G = smallscale_mod.build_G
     built = []
 
@@ -501,7 +513,7 @@ def test_smallscale_all_builds_one_gauging_map(monkeypatch, capsys):
     monkeypatch.setattr(smallscale_mod, "build_G", counting_build)
     code, _, _ = run(capsys, "smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", "all")
     assert code == 0
-    assert len(built) == 1
+    assert len(built) == 3 and all(lat is built[0] for lat in built)
 
 
 def test_cli_never_imports_numpy():

@@ -2,16 +2,19 @@
 
 The data file was recorded before the library's duplicated helpers were
 merged (the 18-qubit `smallscale` case before the dense checks were
-restricted to the reachable basis rows; the per-check `smallscale` cases,
-its cap refusal and the `duality-check` and `logical` cases before every
-dense check took one shared lattice; the `kernel --certify` cases before
+restricted to the reachable basis rows; the per-check `smallscale` cases
+and the `duality-check` and `logical` cases before every dense check took
+one shared lattice; the `kernel --certify` cases before
 the certificate restricted its window by a column mask and stopped
 recording certified tori on the kernel basis; the `kernel` and `gauge` cases
 with boxes wider than the default before kernel search placed each candidate
 once instead of instantiating all its translates), so any change to what the CLI
 prints shows up here.  The exit-0 `cluster --gauge-sublattice` cases were
 re-recorded once, when their output `name` changed from
-`cluster-<which>-gauged` to `cluster_<code>-<which>-gauged`.  Cases that take longer than about half a second
+`cluster-<which>-gauged` to `cluster_<code>-<which>-gauged`.  When
+`smallscale` dropped its qubit cap, the case that pinned the cap's refusal
+(`--cap 5`, exit 2) gave way to `fractal_ising` on (2,2,2) with default
+arguments, recorded then; every other case kept its record.  Cases that take longer than about half a second
 (such as `gauge` on the 3D codes) are left out to keep the suite fast.  The floating-point `max deviation`
 figures of `smallscale` are masked before hashing.
 
@@ -56,7 +59,7 @@ CASES = [
     ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--check", check, "--json"]
     for check in ("lemma2", "lemma3", "claim1", "elements", "groundspace")
 ] + [
-    ["smallscale", "--model", "ising2d", "--lengths", "2,2", "--cap", "5"],
+    ["smallscale", "--model", "fractal_ising", "--lengths", "2,2,2", "--check", "all", "--json"],
 ] + [
     case for code in CODES for case in (
         ["duality-check", code, "--json"],

@@ -27,7 +27,6 @@ from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
     CosetState,
     DenseLattice,
-    QubitCapExceeded,
     _gauged_image,
     _max_deviation,
     apply_pauli,
@@ -163,21 +162,17 @@ def test_lattice_has_twelve_qubits(ising_model):
     assert lat.n_matter == 4 and lat.n_gauge == 8
 
 
-def test_lattice_takes_model_shape_and_cap(ising_model):
-    # qubit bits are torus bits; `perm` is a read-only None kept for the
-    # benchmark tracer's key
+def test_lattice_takes_model_and_shape(ising_model):
+    # qubit bits are torus bits and no qubit count is refused; `cap` and
+    # `perm` are read-only None kept for the benchmark tracer's key
     lat = DenseLattice(ising_model, SHAPE)
-    assert lat._fields == ("model", "shape", "cap") and lat.perm is None
+    assert lat._fields == ("model", "shape") and lat.cap is None and lat.perm is None
     with pytest.raises(AttributeError):
         lat.perm = tuple(range(lat.n_total))
+    with pytest.raises(AttributeError):
+        lat.cap = 20
     with pytest.raises(TypeError):
-        DenseLattice(ising_model, SHAPE, 20, None)
-
-
-def test_cap_refuses_cubic_matter_model():
-    model = symmetry_model_from_code(get_code("fractal_ising"))
-    with pytest.raises(QubitCapExceeded):
-        DenseLattice(model, shape_of((2, 2, 2)))
+        DenseLattice(ising_model, SHAPE, 20)
 
 
 def test_pauli_products_are_involutions(ising_model):
@@ -219,16 +214,6 @@ def test_raw_gauging_map_norm_pattern(ising_model):
     norms = np.sum(full * full, axis=0)
     scale = 2.0 ** (lat.norm_exponent / 2.0)
     assert np.allclose(norms, 2.0 ** (-len(lat.constraint_masks)) * scale**2)
-
-
-def test_cached_gauging_map_is_read_only(ising_model):
-    # G is the affine state (0, 0, 1): three ints, whatever the lattice size
-    lat = DenseLattice(ising_model, SHAPE)
-    g = lat.gauging_map
-    assert lat.gauging_map is g
-    with pytest.raises(AttributeError):
-        g.sign = 0
-    assert g == build_G(lat) == CosetState(0, 0, 1)
 
 
 def test_normalization_exponent_is_integer(ising_model):
@@ -291,20 +276,12 @@ def repeated_bonds_model(count):
     return SymmetryModel(GeneratorMap(1, [[parse_poly("1 + x", 1)] * count]))
 
 
-def test_lattice_over_63_qubits_runs_within_the_cap():
-    # masks are Python ints, so 4 matter and 60 gauge qubits run once the
-    # cap allows them; the cap is the one size bound
-    with pytest.raises(QubitCapExceeded, match="64 qubits exceeds the cap of 63"):
-        DenseLattice(repeated_bonds_model(15), shape_of((4,)), cap=63)
-    lat = DenseLattice(repeated_bonds_model(15), shape_of((4,)), cap=80)
+def test_lattice_over_63_qubits_runs():
+    # masks are Python ints, so 64 qubits (4 matter, 60 gauge) are no
+    # special case
+    lat = DenseLattice(repeated_bonds_model(15), shape_of((4,)))
     assert lat.n_total == 64
     assert check_lemma2(lat).passed
-
-
-def test_lemma2_cap_guard():
-    model = symmetry_model_from_code(get_code("fractal_ising"))
-    with pytest.raises(QubitCapExceeded):
-        check_lemma2(DenseLattice(model, shape_of((2, 2, 2))))
 
 
 def test_lemma3_single_x_bond_and_identity(ising_model):
@@ -331,7 +308,7 @@ def test_lemma3_fails_for_a_wrong_gauged_operator(ising_model, monkeypatch):
     monkeypatch.setattr(smallscale, "gauged_state", lambda lat, op: image(lat, bond))
     rep = check_lemma3(lat, single_x)
     assert not rep.passed
-    assert rep.max_deviation == np.max(np.abs(expand(lat, lat.gauging_map))) > 0
+    assert rep.max_deviation == np.max(np.abs(expand(lat, build_G(lat)))) > 0
 
 
 def test_claim1_recovers_operators(ising_model):
@@ -439,7 +416,7 @@ def relabeled(lat, axes, shift):
     eta = lat.model.constraint_map
     moved = GeneratorMap(eta.dim, [[move(p) for p in row] for row in eta.entries], eta.cols)
     lengths = [lat.shape.lengths[a] for a in axes]
-    return DenseLattice(SymmetryModel(moved), shape_of(lengths), lat.cap)
+    return DenseLattice(SymmetryModel(moved), shape_of(lengths))
 
 
 @pytest.mark.parametrize("name,lengths", [("ising2d", (2, 2)), ("toric2d", (2, 2)),
@@ -453,7 +430,7 @@ def test_reports_invariant_under_axis_permutation_and_translation(name, lengths)
 
 def test_fractal_ising_pair_at_24_qubits():
     # the paper's fractal pair on (2,2,2): 8 matter and 16 gauge qubits
-    lat = DenseLattice(symmetry_model_from_code(get_code("fractal_ising")), shape_of((2, 2, 2)), cap=24)
+    lat = DenseLattice(symmetry_model_from_code(get_code("fractal_ising")), shape_of((2, 2, 2)))
     reports = _all_reports(lat)
     assert all(r.passed for r in reports)
     lemma2, _, _, claim_x, claim_bond, elements, ground = reports
@@ -465,24 +442,24 @@ def test_fractal_ising_pair_at_24_qubits():
             ground.ground_dim_local_fields) == (32, 32, 64, 2048)
 
 
-@pytest.mark.parametrize("name,lengths,cap,sectors,k", [
-    ("ising2d", (2, 2), 20, 4, 2),
-    ("ising2d", (3, 2), 20, 4, 2),
-    ("ising2d", (3, 3), 27, 4, 2),
-    ("ising2d", (4, 3), 36, 4, 2),
-    ("toric2d", (2, 2), 20, 4, 2),
-    ("toric2d", (3, 3), 27, 4, 2),
-    ("toric2d", (4, 3), 36, 4, 2),
-    ("fractal_ising", (2, 2, 2), 24, 64, 6),
+@pytest.mark.parametrize("name,lengths,sectors,k", [
+    ("ising2d", (2, 2), 4, 2),
+    ("ising2d", (3, 2), 4, 2),
+    ("ising2d", (3, 3), 4, 2),
+    ("ising2d", (4, 3), 4, 2),
+    ("toric2d", (2, 2), 4, 2),
+    ("toric2d", (3, 3), 4, 2),
+    ("toric2d", (4, 3), 4, 2),
+    ("fractal_ising", (2, 2, 2), 64, 6),
 ])
-def test_holonomy_sectors_count_logical_qubits_of_the_gauged_code(name, lengths, cap, sectors, k):
+def test_holonomy_sectors_count_logical_qubits_of_the_gauged_code(name, lengths, sectors, k):
     # three layers of the paper's relation give one number: the wrapping
     # sectors the local fields leave degenerate, 2^k of the gauged code, and,
     # where the torus opens a window, 2 to the wrapping classes of the
     # certificate that the columns of eta-dagger span the kernel of mu-dagger
     model = symmetry_model_from_code(get_code(name))
     shape = shape_of(lengths)
-    rep = check_groundspace_span(DenseLattice(model, shape, cap=cap))
+    rep = check_groundspace_span(DenseLattice(model, shape))
     k_encoded = count_logical(gauge(model)[0], shape).k_encoded
     assert (rep.holonomy_sectors, k_encoded) == (sectors, k)
     assert rep.holonomy_sectors == 2 ** k_encoded
@@ -532,7 +509,7 @@ def test_eighteen_qubit_ising_holds_three_ints():
     # the affine form holds them as three ints
     lat = DenseLattice(symmetry_model_from_code(get_code("ising2d")), shape_of((3, 2)))
     assert lat.n_total == 18
-    assert lat.gauging_map == CosetState(0, 0, 1)
+    assert build_G(lat) == CosetState(0, 0, 1)
     columns = oracle.build_G(lat)
     assert len(columns.reps) == 64 and len(set(columns.reps)) == 32
     assert len({r ^ w for r in columns.reps for w in oracle.coset_rows(lat)}) == 2048
@@ -543,7 +520,7 @@ def test_apply_pauli_rejects_z_mask_that_breaks_the_gauss_law(ising_model):
     # a matter Z anticommutes with its own Gauss-law generator: the image of
     # a coset state would not be uniform on its coset
     lat = DenseLattice(ising_model, SHAPE)
-    g = lat.gauging_map
+    g = build_G(lat)
     with pytest.raises(ValueError, match="anticommutes"):
         apply_pauli(lat, g, 0, 1)
     with pytest.raises(ValueError):
@@ -602,7 +579,7 @@ def assert_matches_oracle(lat):
     # the oracle is unnormalized; scaling both by the same float keeps equality exact
     expected = naive_gauging_map(lat.n_matter, lat.n_total, [xm for xm, _ in masks])
     expected *= 2.0 ** (lat.norm_exponent / 2.0)
-    assert np.array_equal(expand(lat, lat.gauging_map), expected)
+    assert np.array_equal(expand(lat, build_G(lat)), expected)
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=ORACLE_IDS)
@@ -646,7 +623,7 @@ def small_lattices(draw):
 @settings(max_examples=40, deadline=None)
 def test_coset_form_matches_oracle_and_full_rank_on_random_models(lat):
     assert_matches_oracle(lat)
-    svals = np.linalg.svd(expand(lat, lat.gauging_map), compute_uv=False)
+    svals = np.linalg.svd(expand(lat, build_G(lat)), compute_uv=False)
     assert check_groundspace_span(lat).g_rank == int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
     assert check_lemma2(lat).passed
 
@@ -660,6 +637,20 @@ def test_holonomy_sectors_count_logical_qubits_on_random_models(lat):
     rep = check_groundspace_span(lat)
     assert rep.holonomy_sectors == 2 ** k
     assert (rep.ground_dim_flat, rep.ground_dim_local_fields) == packed_ground_dims(lat)
+
+
+@given(small_lattices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_groundspace_containment_is_the_flat_field_scan_on_any_masks(lat, data):
+    # a model's Gauss-law masks always pass; masks with arbitrary gauge parts
+    # reach `contained=False`, which must agree with the scan of every flat
+    # field against every mask
+    gauge_parts = [data.draw(st.integers(0, (1 << lat.n_gauge) - 1)) for _ in range(lat.n_matter)]
+    masks = tuple((1 << i | g << lat.n_matter, 0) for i, g in enumerate(gauge_parts))
+    scan = all(not (xm & z).bit_count() & 1 for xm, _ in masks for z in flat_zmasks(lat))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DenseLattice, "constraint_masks", property(lambda _: masks))
+        assert check_groundspace_span(lat).contained == scan
 
 
 @given(small_lattices(), st.data())
@@ -749,14 +740,14 @@ def test_operator_reports_match_enumerated_oracle_on_any_operator_and_image(lat,
             assert repr(getattr(smallscale, check)(lat, op)) == repr(getattr(oracle, check)(lat, op))
 
 
-TIER1_LATTICES = [("ising2d", (2, 2), 20), ("toric2d", (2, 2), 20), ("ising2d", (3, 2), 20),
-                  ("ising2d", (3, 3), 27), ("toric2d", (3, 3), 27), ("ising2d", (4, 3), 36),
-                  ("toric2d", (4, 3), 36), ("fractal_ising", (2, 2, 2), 24)]
+TIER1_LATTICES = [("ising2d", (2, 2)), ("toric2d", (2, 2)), ("ising2d", (3, 2)),
+                  ("ising2d", (3, 3)), ("toric2d", (3, 3)), ("ising2d", (4, 3)),
+                  ("toric2d", (4, 3)), ("fractal_ising", (2, 2, 2))]
 
 
-@pytest.mark.parametrize("name,lengths,cap", TIER1_LATTICES)
-def test_reports_match_enumerated_oracle_on_tier1_lattices(name, lengths, cap):
-    lat = DenseLattice(symmetry_model_from_code(get_code(name)), shape_of(lengths), cap)
+@pytest.mark.parametrize("name,lengths", TIER1_LATTICES)
+def test_reports_match_enumerated_oracle_on_tier1_lattices(name, lengths):
+    lat = DenseLattice(symmetry_model_from_code(get_code(name)), shape_of(lengths))
     assert_reports_match_oracle(lat)
     axes = tuple(reversed(range(len(lengths))))
     assert_reports_match_oracle(relabeled(lat, axes, (1, -2, 3)[:len(lengths)]))
@@ -768,17 +759,18 @@ def test_reports_match_enumerated_oracle_on_fold_model(length):
     assert_reports_match_oracle(DenseLattice(fold_model(), shape_of((length,))))
 
 
-@pytest.mark.parametrize("name,lengths,cap", [("fractal_ising", (4, 4, 4), 192),
-                                              ("generalized_toric(3,2)", (2, 2, 2), 60)])
-def test_reports_pass_on_lattices_beyond_enumeration(name, lengths, cap):
-    # 2^64 and 2^24 matter patterns: no report enumerates them
+@pytest.mark.parametrize("name,lengths,k", [("fractal_ising", (4, 4, 4), 14),
+                                            ("fractal_ising", (12, 12, 12), 14),
+                                            ("generalized_toric(3,2)", (2, 2, 2), 3)])
+def test_reports_pass_on_lattices_beyond_enumeration(name, lengths, k):
+    # 2^64, 2^1728 and 2^24 matter patterns: no report enumerates them, and
+    # no qubit count is refused; the holonomy sectors are 2^k of the gauged code
     model = symmetry_model_from_code(get_code(name))
     shape = shape_of(lengths)
-    reports = _all_reports(DenseLattice(model, shape, cap))
+    reports = _all_reports(DenseLattice(model, shape))
     assert all(r.passed for r in reports)
-    if name == "fractal_ising":
-        k = count_logical(gauge(model)[0], shape).k_encoded
-        assert reports[-1].holonomy_sectors == 2 ** k == 2 ** 14
+    k_encoded = count_logical(gauge(model)[0], shape).k_encoded
+    assert reports[-1].holonomy_sectors == 2 ** k_encoded == 2 ** k
 
 
 def packed_ground_dims(lat):

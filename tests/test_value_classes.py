@@ -43,7 +43,7 @@ FROZEN = [
      lambda: (TorusShape((2, 2)), 1, 2, True, False)),
     (CosetState, lambda: (48, 3, -1), lambda: (48, 3, 1)),
     (KernelBasis, lambda: (BOND, (1, 1), ((ONE,),)), lambda: (BOND, (1, 1), ((X,),))),
-    (DenseLattice, lambda: (MODEL, SHAPE), lambda: (MODEL, SHAPE, 12)),
+    (DenseLattice, lambda: (MODEL, SHAPE), lambda: (MODEL, TorusShape((3, 2)))),
     (CheckReport, lambda: ("intertwining", True, 0.0, {}), lambda: ("intertwining", False, 0.5, {})),
     (GroundspaceReport, lambda: (True, 4, 16, 4, 4, True, True, 4, 3),
      lambda: (False, 4, 16, 4, 2, True, True, 4, 3)),
@@ -108,7 +108,7 @@ REPRS = {
                  "cols=1), box=(1, 1), generators=((LaurentPoly(2, '1'),),))",
     DenseLattice: "DenseLattice(model=SymmetryModel(constraint_map=GeneratorMap(dim=2, "
                   "entries=((LaurentPoly(2, '1 + x1'),),), cols=1), notes=''), "
-                  "shape=TorusShape(lengths=(2, 2)), cap=20)",
+                  "shape=TorusShape(lengths=(2, 2)))",
     CheckReport: "CheckReport(name='intertwining', passed=True, max_deviation=0.0, details={})",
     GroundspaceReport: "GroundspaceReport(passed=True, ground_dim_flat=4, "
                        "ground_dim_local_fields=16, holonomy_sectors=4, g_rank=4, "
