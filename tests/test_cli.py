@@ -478,6 +478,13 @@ def test_duality_check_on_anticommuting_css_code_exits_2(tmp_path, capsys):
     assert "code is not commuting" in err
 
 
+@pytest.mark.parametrize("lengths", ["4,4", "40,40"])
+def test_logical_on_a_torus_of_another_dimension_exits_2(capsys, lengths):
+    # 40 x 40 has more than SPLIT_SITES sites, so it reaches the block ranks
+    assert run(capsys, "logical", "cubic", "--lengths", lengths) == (
+        2, "", "error: map dimension does not match torus dimension\n")
+
+
 def test_logical_ranks_sigma_once(monkeypatch, capsys):
     # a CSS code ranks sigma_x and sigma_z apart, once each on the asked
     # torus; neither the full sigma nor epsilon is ranked.  Each rank that

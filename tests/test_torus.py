@@ -294,6 +294,67 @@ def test_rank_on_torus_matches_rank(case):
     assert rank_on_torus(m, shape) == instantiate(m, shape).rank()
 
 
+@st.composite
+def maps_on_split_tori(draw):
+    """Small maps with exponents in [-12, 12] on tori whose lengths have odd
+    parts, so x^L + 1 has several factors per axis; 11 keeps its axis whole."""
+    lengths = draw(st.sampled_from([
+        (15,), (21,), (11, 6), (36, 45), (3, 5, 6), (12, 5, 9), (6, 10, 14)]))
+    dim = len(lengths)
+    exps = st.tuples(*[st.integers(-12, 12)] * dim)
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = [[LaurentPoly.from_terms(dim, draw(st.lists(exps, max_size=3)))
+                for _ in range(cols)] for _ in range(rows)]
+    return GeneratorMap(dim, entries), shape_of(lengths)
+
+
+@given(maps_on_split_tori())
+@settings(max_examples=40, deadline=None)
+def test_block_ranks_add_up_to_the_rank(case):
+    # the block sum is called directly, so tori below SPLIT_SITES exercise it too
+    m, shape = case
+    assert torus_mod._block_rank(m, shape) == instantiate(m, shape).rank()
+
+
+def clmul(a: int, b: int) -> int:
+    """Product of two bit polynomials over GF(2)."""
+    out = 0
+    while b:
+        k = b.bit_length() - 1
+        b ^= 1 << k
+        out ^= a << k
+    return out
+
+
+def clgcd(a: int, b: int) -> int:
+    """Greatest common divisor of two bit polynomials over GF(2)."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << a.bit_length() - b.bit_length()
+        a, b = b, a
+    return a
+
+
+@pytest.mark.parametrize("L", range(2, 65))
+def test_axis_factors_are_a_coprime_factorization(L):
+    factors = torus_mod._axis_factors(L)
+    product = 1
+    for g in factors:
+        product = clmul(product, g)
+    assert product == 1 << L | 1
+    for i, g in enumerate(factors):
+        for h in factors[i + 1:]:
+            assert clgcd(g, h) == 1
+
+
+@pytest.mark.parametrize("name, L, k", [("cubic", 24, 30), ("cubic", 27, 2), ("toric2d", 48, 2)])
+def test_counts_on_split_tori(name, L, k):
+    code = get_code(name)
+    shape = shape_of((L,) * code.dim)
+    assert shape.n_sites >= torus_mod.SPLIT_SITES
+    assert count_logical(code, shape).k_encoded == k
+
+
 def test_map_without_columns_instantiates_to_no_columns():
     m = GeneratorMap.zero(2, 3, 0)
     shape = shape_of((2, 3))
@@ -398,6 +459,34 @@ def test_count_and_gap_rank_each_sector_once(monkeypatch):
     wide_x, wide_z = code.sigma_x.dagger(), code.sigma_z.dagger()
     assert ranked == [(wide_x, (4, 4, 4)), (wide_z, (4, 4, 4)), (wide_x, (6, 6, 6))]
     assert misses(pauli_mod._verify) == 1
+
+
+def test_split_torus_ranks_each_sector_once(monkeypatch):
+    # a torus of at least SPLIT_SITES sites is ranked block by block, with no
+    # instantiation of the whole torus; each sector misses _rank once
+    ranked, instantiated = [], []
+    block_rank, instantiate = torus_mod._block_rank, torus_mod.instantiate
+
+    def counting_blocks(m, shape):
+        ranked.append((m, shape.lengths))
+        return block_rank(m, shape)
+
+    def counting_instantiate(m, shape):
+        instantiated.append(shape.lengths)
+        return instantiate(m, shape)
+
+    monkeypatch.setattr(torus_mod, "_block_rank", counting_blocks)
+    monkeypatch.setattr(torus_mod, "instantiate", counting_instantiate)
+    code = get_code("cubic")
+    shape = shape_of((12, 12, 12))
+    report = count_logical(code, shape)
+    assert logical_operator_gap(code, shape) == (
+        2 * report.n_qubits - report.stab_rank, report.stab_rank, 2 * report.k_encoded)
+    wide_x, wide_z = code.sigma_x.dagger(), code.sigma_z.dagger()
+    assert ranked == [(wide_x, (12, 12, 12)), (wide_z, (12, 12, 12))]
+    # the third miss is the certification torus, below the split
+    assert misses(torus_mod._rank) == 3
+    assert (12, 12, 12) not in instantiated
 
 
 def test_scan_verifies_each_code_once():

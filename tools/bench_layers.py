@@ -4,8 +4,10 @@ Each layer is one call, timed after its inputs are built:
 
 - `Gf2Matrix.rank` of cubic sigma_X and sigma_Z instantiated at L = 12
   and 16, on the side `rank_on_torus` picks;
-- `rank_on_torus` of both toric2d sectors at L = 48, instantiation
-  included;
+- `rank_on_torus` of both toric2d sectors at L = 48, and of both cubic
+  sectors at L = 12, 24 and 27, instantiation included (tori of at least
+  `torus.SPLIT_SITES` sites are ranked block by block);
+- `instantiate` of both cubic sectors at (6, 6, 6);
 - the certification-window `nullspace` and the whole `certify_on_torus`
   of the two kernels torus counting certifies for cubic and for
   generalized_toric(3,1), those of sigma_X and of its dagger, at
@@ -23,7 +25,9 @@ call, so a memoized layer times its work and not a lookup.  With
 `--base`, both source trees are timed in fresh processes that alternate,
 ROUNDS times each, and the JSON written to `--out` holds both sides (each
 layer's best over all rounds), their ratio and each side's source line
-count (`wc -l src/stabgauge/*.py`).
+count (`wc -l src/stabgauge/*.py`).  It also holds each side's reach:
+`count_logical(cubic)` at L = 24 and 27, run once per round in a fresh
+process, with k, the best wall time and the largest peak RSS.
 """
 
 from __future__ import annotations
@@ -61,11 +65,18 @@ def layers(quick: bool):
             return instantiate(m, shape_of((length,) * 3)).rank
         return f"gf2.rank cubic {sector} L={length}", build
 
-    def torus_rank(length):
+    def torus_rank(name, length):
         def build():
-            code, shape = get_code("toric2d"), shape_of((length, length))
+            code = get_code(name)
+            shape = shape_of((length,) * code.dim)
             return lambda: rank_on_torus(code.sigma_x, shape) + rank_on_torus(code.sigma_z, shape)
-        return f"torus.rank_on_torus toric2d both sectors L={length}", build
+        return f"torus.rank_on_torus {name} both sectors L={length}", build
+
+    def instantiate_both(length):
+        def build():
+            code, shape = get_code("cubic"), shape_of((length,) * 3)
+            return lambda: (instantiate(code.sigma_x, shape), instantiate(code.sigma_z, shape))
+        return f"torus.instantiate cubic both sectors L={length}", build
 
     def kernel(m):
         kb = bounded_kernel(m)
@@ -89,7 +100,9 @@ def layers(quick: bool):
     out = [rank(s, 12) for s in ("sigma_x", "sigma_z")]
     if not quick:
         out += [rank(s, 16) for s in ("sigma_x", "sigma_z")]
-    out.append(torus_rank(24 if quick else 48))
+    out.append(torus_rank("toric2d", 24 if quick else 48))
+    out += [torus_rank("cubic", length) for length in ((12,) if quick else (12, 24, 27))]
+    out.append(instantiate_both(6))
     for name, code in (("cubic", get_code("cubic")),
                        ("generalized_toric(3,1)", generalized_toric(3, 1))):
         for label, m in ((f"{name} sigma_x", code.sigma_x),
@@ -151,6 +164,25 @@ def run_side(src: Path, quick: bool) -> dict[str, float]:
     return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
 
 
+REACH_LENGTHS = (24, 27)
+REACH = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from stabgauge.codebook import get_code
+from stabgauge.torus import count_logical, shape_of
+start = time.perf_counter()
+k = count_logical(get_code("cubic"), shape_of((int(sys.argv[2]),) * 3)).k_encoded
+print(json.dumps({"k": k, "s": time.perf_counter() - start,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def run_reach(src: Path, length: int) -> dict:
+    """k, wall time and peak RSS of count_logical(cubic) at L in a fresh process."""
+    argv = [sys.executable, "-c", REACH, str(src), str(length)]
+    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=HEAD_SRC, help="source tree to time")
@@ -171,11 +203,20 @@ def main(argv=None) -> int:
 
     sides = {"base": args.base, "head": args.src}
     runs = {side: [] for side in sides}
+    reach_runs = {side: {length: [] for length in REACH_LENGTHS} for side in sides}
     for r in range(ROUNDS):
         for side in ("base", "head") if r % 2 == 0 else ("head", "base"):
             runs[side].append(run_side(sides[side], args.quick))
+            for length in REACH_LENGTHS:
+                reach_runs[side][length].append(run_reach(sides[side], length))
     best = {side: {n: min(run[n] for run in runs[side]) for n in runs[side][0]} for side in sides}
+    reach = {side: {f"count_logical cubic L={length}": {
+                 "k": sorted({run["k"] for run in rs}),
+                 "best_s": min(run["s"] for run in rs),
+                 "peak_rss_mb": max(run["peak_rss_mb"] for run in rs)}
+                 for length, rs in reach_runs[side].items()} for side in sides}
     print(table(best))
+    print(json.dumps(reach, indent=2))
     report = {
         "command": "python3 tools/bench_layers.py --base BASE/src --out FILE"
                    + " --quick" * args.quick,
@@ -183,7 +224,8 @@ def main(argv=None) -> int:
         "statistic": f"best of {repeat} calls in each of {ROUNDS} alternating processes per side",
         "python": platform.python_version(),
         "cpu": f"{cpu_model()}, {os.cpu_count()} logical CPUs",
-        "sides": {side: {"src_lines": src_lines(sides[side]), "layers": best[side]}
+        "sides": {side: {"src_lines": src_lines(sides[side]), "layers": best[side],
+                         "reach": reach[side]}
                   for side in sides},
         "ratio_head_to_base": {n: round(best["head"][n] / best["base"][n], 3)
                                for n in best["head"]},
