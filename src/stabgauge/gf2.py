@@ -191,18 +191,17 @@ class Gf2Matrix:
         """Solve self @ x = b for one x, or return None when inconsistent.
 
         The solution is deterministic: free variables are set to zero, so x
-        is supported on pivot columns only.  It is read off the nullspace of
-        [A | b]: b's column, the last, is free exactly when the system is
-        consistent, and then the last nullspace vector is x plus b's bit.
+        is supported on pivot columns only.  Both are read off one reduction
+        of [A | b]: the system is inconsistent exactly when b's column, the
+        last, is a pivot, and otherwise x has the pivot of every reduced row
+        that holds b's bit.
 
         Args:
             b: right-hand side as a bitmask over rows.
         """
-        aug = Gf2Matrix(
-            self.rows,
-            self.cols + 1,
-            [r | (((b >> i) & 1) << self.cols) for i, r in enumerate(self.data)],
-        )
-        last = (aug.nullspace() or [0])[-1]
-        return last ^ (1 << self.cols) if last >> self.cols else None
-
+        n = self.cols
+        aug = Gf2Matrix(self.rows, n + 1, [r | (b >> i & 1) << n for i, r in enumerate(self.data)])
+        reduced, pivots = aug.row_reduce()
+        if pivots and pivots[-1] == n:
+            return None
+        return sum(1 << c for r, c in zip(reduced, pivots) if r >> n)

@@ -2,11 +2,12 @@
 
 Every Gauss-law generator is the disentangler image of one single-site
 matter X: a pure X mask W_i holding matter bit i and the gauge bits A e_i,
-for A the linear map from matter patterns to gauge patterns that the
-masks define.  Projecting matter basis state u onto their common +1 space
-leaves a state uniform on one Gauss-law coset, the coset of basis states
-r ^ W(v) for the gauge-only rep r = A u and every matter pattern v, where
-W(v) is the product of the W_i over the bits of v.  The gauging map G and
+row i of the instantiated constraint map eta, for A the linear map from
+matter patterns to gauge patterns that these rows define.  Projecting
+matter basis state u onto their common +1 space leaves a state uniform
+on one Gauss-law coset, the coset of basis states r ^ W(v) for the
+gauge-only rep r = A u and every matter pattern v, where W(v) is the
+product of the W_i over the bits of v.  The gauging map G and
 every Pauli or projector image of it is therefore a stabilizer state in
 affine form (Dehaene and De Moor, quant-ph/0304125), held as a
 `CosetState` (rep, sigma, sign): column u lies on the coset of rep ^ A u
@@ -36,8 +37,9 @@ constraint map; the holonomy sector count is reported alongside.
 Every check takes one `DenseLattice` (and the operator it checks, where it
 has one).  Its qubit bits are the torus bit layout of the `torus` module,
 matter types first and gauge types after them, so matter basis state u is
-bit pattern u; one operator's Pauli masks are placed by `place_column` and
-all Gauss-law translates are read off `instantiate`.
+bit pattern u; one operator's Pauli masks are placed by `place_column`, and
+all Gauss-law masks are read off the rows of `instantiate(eta)`, which is
+instantiated once per lattice.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator, pi_generators
+from .gauging import SymmetryModel, conjugate_by_disentangler, gauge_operator
 from .gf2 import Gf2Basis
-from .pauli import GeneratorMap, PauliColumn
+from .pauli import PauliColumn
 from .poly import LaurentPoly
 from .syzygy import KernelBasis, bounded_kernel, certification_lengths, certify_on_torus
 from .torus import TorusShape, instantiate, place_column, rank_on_torus
@@ -108,16 +110,19 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape"))):
         return bits & ((1 << split) - 1), bits >> split
 
     @cached_property
+    def eta_rows(self) -> list[int]:
+        """The rows of `instantiate(eta, shape)`, over gauge bits: row q * N + s
+        holds the constraints that matter qubit (q, s) enters."""
+        return instantiate(self.model.constraint_map, self.shape).data
+
+    @cached_property
     def constraint_masks(self) -> tuple[tuple[int, int], ...]:
         """All Gauss-law generator translates as (xmask, zmask) pairs, indexed
-        by the matter bit q * N + s that each one flips."""
-        ops = pi_generators(self.model)
-        m = GeneratorMap.from_columns(self.shape.dim, 2 * ops[0].q, [op.entries() for op in ops])
-        n = self.n_total
-        masks = tuple((v & ((1 << n) - 1), v >> n) for v in instantiate(m.dagger(), self.shape).data)
-        assert all(zm == 0 and xm & self.matter_mask == 1 << i
-                   for i, (xm, zm) in enumerate(masks)), "Gauss-law mask is not a matter X"
-        return masks
+        by the matter bit i = q * N + s that each one flips: the disentangler
+        image of matter X_i is X on bit i and on the gauge bits of row i of
+        `eta_rows`."""
+        n = self.n_matter
+        return tuple((1 << i | row << n, 0) for i, row in enumerate(self.eta_rows))
 
     @property
     def matter_mask(self) -> int:
@@ -390,8 +395,8 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, lat.shape)
     # the flat fields are the torus kernel of eta, the vectors orthogonal to
     # its rows, so the rank of eta (the dagger's) is that of its row space
-    eta_rows = Gf2Basis(instantiate(eta, lat.shape).data)
-    im_eta_dag = len(eta_rows)
+    row_space = Gf2Basis(lat.eta_rows)
+    im_eta_dag = len(row_space)
     # the n_matter Gauss-law masks are independent pure X, each holding its
     # own matter bit, and the fields are pure Z on gauge qubits, so a ground
     # space has dimension 2^(n_gauge - rank of its fields)
@@ -401,7 +406,7 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     # when each mask's gauge part has even overlap with all of them, that is,
     # lies in eta's row space; its columns lie on the 2^rank A cosets of im A,
     # one dimension each
-    contained = all(eta_rows.contains(xm >> lat.n_matter) for xm, _ in lat.constraint_masks)
+    contained = all(row_space.contains(xm >> lat.n_matter) for xm, _ in lat.constraint_masks)
     g_rank = 1 << (lat.n_matter - len(_gauss_kernel(lat, range(lat.n_matter))))
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(

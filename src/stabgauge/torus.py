@@ -1,17 +1,17 @@
 """Finite-torus instantiation of polynomial maps and encoded-qubit counting.
 
-Bit layout on a torus of N sites, used by every module: `place_column`
-is the only code that sends polynomial terms to torus bits, and its
-inverse `read_column` the only one that reads them back.  The term x^e
-in entry t of a column is bit `t * N + site_index(e)`, sites in
-row-major order (`TorusShape.sites`; `TorusShape.site` inverts
-`site_index`), and terms that fold onto one site cancel mod 2, as in
-R/(x^L - 1).  Row r of a map at site s is row `r * N + s` of
-`instantiate`, which places each row at site 0 through the antipode and
-translates it by s inside every N-bit column block.  Row t * N + s of
-`instantiate(m.dagger(), shape)`, the transpose, is column t placed
-after a shift by s, so no torus matrix is ever transposed.  To get one
-translate, place it; to get all of them, instantiate the dagger.
+Bit layout on a torus of N sites, used by every module: `_place` is the
+only code that sends polynomial terms to bits, `place_column` its
+whole-torus case, and `read_column` the one reader back.  The term x^e in
+entry t of a column is bit `t * N + site_index(e)`, sites in row-major
+order (`TorusShape.sites`; `TorusShape.site` inverts `site_index`), and
+terms that fold onto one site cancel mod 2, as in R/(x^L - 1).  Row r of
+a map at site s is row `r * N + s` of `instantiate`, which places each
+row at site 0 through the antipode and translates it by s inside every
+N-bit column block.  Row t * N + s of `instantiate(m.dagger(), shape)`,
+the transpose, is column t placed after a shift by s, so no torus matrix
+is ever transposed.  To get one translate, place it; to get all of them,
+instantiate the dagger.
 
 Counting reads four pure primitives that are memoized by value where they
 are defined (`verify_stabilizer`, `rank_on_torus`, `bounded_kernel` and
@@ -23,8 +23,8 @@ matrix.  Over GF(2), x^L + 1 is the product of the pairwise coprime
 factors Phi_d(x^(2^p)), for L = 2^p * m with m odd and d | m, so by the
 Chinese remainder theorem the torus ring is a product of blocks, one per
 choice of factor g on each axis with prod(deg g) sites, and the rank is
-the sum of the block ranks (`_block_rank`).  `instantiate` is the
-one-block case, with g = x^L + 1 on every axis.
+the sum of the block ranks (`_block_rank`).  `_block_rows` builds every
+block's rows through `_place`; `instantiate` is its one-block case.
 """
 
 from __future__ import annotations
@@ -88,40 +88,31 @@ def shape_of(lengths) -> TorusShape:
 
 
 def instantiate(m: GeneratorMap, shape: TorusShape) -> Gf2Matrix:
-    """Instantiate a polynomial map as a binary matrix on the torus.
-
-    Entry (r * N + s, t * N + j) is the coefficient of x^(s - j) in
-    m[r][t], in the bit layout of the module docstring.  Row (r, 0) is
-    built from the terms, and row (r, s) is its translate by s inside
-    every N-bit column block: the one-block case of `_translates`.
-    """
-    if m.dim != shape.dim:
-        raise ValueError("map dimension does not match torus dimension")
+    """Instantiate a polynomial map as a binary matrix on the torus: entry
+    (r * N + s, t * N + j) is the coefficient of x^(s - j) in m[r][t], the
+    rows of `_block_rows` in the one block of g = x^L + 1 on every axis."""
     n = shape.n_sites
-    # bit t * N + j of row (r, 0) is the coefficient of x^-j in m[r][t]
-    placed = [place_column([p.antipode() for p in row], shape) for row in m.entries]
-    # g = x^L + 1 on every axis: a step carries coordinate L - 1 to 0
-    data = _translates(placed, shape.lengths, (1,) * shape.dim, m.cols)
-    return Gf2Matrix(m.rows * n, m.cols * n, data)
+    return Gf2Matrix(m.rows * n, m.cols * n, _block_rows(m, shape.lengths, _whole(shape.lengths)))
 
 
-def _translates(placed, dims, lows, n_cols: int) -> list[int]:
-    """Every translate of each placed row over a block of row-major sites.
-
-    Axis i holds the residues modulo g = x^D + lows[i], with D = dims[i],
-    as the coordinates 0 .. D - 1 (the monomials below x^D); lows[i] is a
-    bit polynomial of degree below D.  A step along the axis multiplies by
-    x, so coordinate D - 1 lands on each term of lows[i]: with g = x^L + 1,
-    the torus wrap to 0.  Returns the translates of placed[0], then of
-    placed[1], and so on, each in row-major order of its shift.
-    """
-    n = math.prod(dims)
-    full = (1 << n_cols * n) - 1
+def _block_rows(m: GeneratorMap, lengths, factors) -> list[int]:
+    """Rows (r, s) of m in the block of one factor g = x^D + low of x^L + 1
+    per axis, whose sites are the monomials below x^D in row-major order:
+    row (r, 0) places each term x^e of m[r][t] at x^-e, and row (r, s) is
+    its product by site s.  A step along an axis multiplies by x, so
+    coordinate D - 1 lands on each term of low: with g = x^L + 1, the torus
+    wrap to 0.  Rows come by r, then by s in row-major order."""
+    if m.dim != len(lengths):
+        raise ValueError("map dimension does not match torus dimension")
+    translates = [_place([p.antipode() for p in row], lengths, factors) for row in m.entries]
+    n = math.prod(g.bit_length() - 1 for g in factors)
+    full = (1 << m.cols * n) - 1
     # each translate expands in place into its steps along the next axis, so taking
     # the axes slowest first keeps every row's translates together in row-major order
-    translates = placed
     stride = n
-    for length, terms in zip(dims, lows):
+    for g in factors:
+        length = g.bit_length() - 1
+        terms = g ^ 1 << length
         stride //= length
         # `low` selects the bits whose coordinate on the axis is below D - 1, tiled
         # over every column block; the slab at D - 1 moves down by `wrap` to 0
@@ -136,8 +127,8 @@ def _translates(placed, dims, lows, n_cols: int) -> list[int]:
                     u = ((u & low) << stride) | ((u & high) >> wrap)
                     steps.append(u)
         else:
-            # times `spread` the slab lands on every term of lows[i] at once, as
-            # its copies never overlap
+            # times `spread` the slab lands on every term of g's low part at
+            # once, as its copies never overlap
             spread = _spread(terms, stride)
             for u in translates:
                 steps.append(u)
@@ -160,13 +151,52 @@ def _spread(poly: int, step: int) -> int:
 
 def place_column(col, shape: TorusShape) -> int:
     """Torus bits of a polynomial column at site 0: the term x^e in entry t
-    is bit t * N + site_index(e).  Terms that fold onto one site cancel."""
-    n = shape.n_sites
+    is bit t * N + site_index(e).  Terms that fold onto one site cancel.
+    The whole-torus case of `_place`, with g = x^L + 1 on every axis."""
+    return _place(col, shape.lengths, _whole(shape.lengths))
+
+
+@functools.cache
+def _whole(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """x^L + 1 on every axis: the factors whose one block is the torus."""
+    return tuple(1 << l | 1 for l in lengths)
+
+
+def _place(col, lengths, factors) -> int:
+    """Bits of a polynomial column in the block of one factor g of x^L + 1
+    per axis: the term x^e in entry t is the product over the axes of
+    x^(e mod L) mod g, shifted to column block t.  With g = x^L + 1 each
+    residue is one monomial.  Terms that land on one bit cancel mod 2."""
+    n, tables = _residues(lengths, factors)
     bits = 0
     for t, p in enumerate(col):
         for e in p.terms:
-            bits ^= 1 << (t * n + shape.site_index(e))
+            # the axes' residues occupy disjoint digits of the row-major
+            # index, so their integer product is their polynomial product
+            v = 1
+            for table, c in zip(tables, e):
+                v *= table[c % len(table)]
+            bits ^= v << t * n
     return bits
+
+
+@functools.cache
+def _residues(lengths: tuple[int, ...], factors: tuple[int, ...]):
+    """(n, tables) for the block of one factor g per axis: its n = prod(deg g)
+    sites, and per axis x^a mod g for each a < L, with x^i at bit i times
+    the number of sites of the later axes (row-major order)."""
+    tables, n = [], 1
+    for length, g in zip(reversed(lengths), reversed(factors)):
+        top, spread = (g.bit_length() - 1) * n, _spread(g, n)
+        table, r = [], 1
+        for _ in range(length):
+            table.append(r)
+            r <<= n
+            if r >> top:
+                r ^= spread
+        tables.append(tuple(table))
+        n = top
+    return n, tuple(reversed(tables))
 
 
 def read_column(bits: int, shape: TorusShape, n_entries: int) -> tuple[LaurentPoly, ...]:
@@ -226,54 +256,20 @@ def _block_rank(m: GeneratorMap, shape: TorusShape) -> int:
     the pairwise coprime factors g of `_axis_factors`, so by the Chinese
     remainder theorem the ring is the product of one block per choice of
     g on each axis, and the submodule's dimension is the sum of its
-    images' dimensions.  A block has prod(deg g) sites, the monomials
-    below deg g on each axis: row (r, 0) places x^e as x^(e mod L) reduced
-    modulo g on each axis, and `_translates` multiplies it by each site.
-    An axis whose largest factor has degree above 7/8 of its length L is
-    kept whole (g = x^L + 1): such a block is barely smaller, and its
-    dense wrap makes it slower to eliminate (cubic code at prime L = 11
-    to 23: 1.2-1.6 times the one-block time).
+    images' dimensions, the ranks of the blocks' rows (`_block_rows`,
+    placed as in `instantiate`).  An axis whose largest factor has degree
+    above 7/8 of its length L is kept whole (g = x^L + 1): such a block is
+    barely smaller, and its dense wrap makes it slower to eliminate (cubic
+    code at prime L = 11 to 23: 1.2-1.6 times the one-block time).
     """
-    if m.dim != shape.dim:
-        raise ValueError("map dimension does not match torus dimension")
-    # per axis, per factor g = x^D + low: (D, low, x^a mod g for each a < L)
     axes = []
     for length in shape.lengths:
         factors = _axis_factors(length)
         if 8 * (max(factors).bit_length() - 1) > 7 * length:
             factors = (1 << length | 1,)
-        blocks = []
-        for g in factors:
-            degree = g.bit_length() - 1
-            residues, r = [], 1
-            for _ in range(length):
-                residues.append(r)
-                r <<= 1
-                if r >> degree:
-                    r ^= g
-            blocks.append((degree, g ^ 1 << degree, residues))
-        axes.append(blocks)
-    # the term x^e of m[r][t] sits at x^-e in row (r, 0), as in `instantiate`
-    rows = [[[tuple(-c % l for c, l in zip(e, shape.lengths)) for e in p.terms] for p in row]
-            for row in m.entries]
-    rank = 0
-    for block in itertools.product(*axes):
-        dims = [degree for degree, _, _ in block]
-        n = math.prod(dims)
-        placed = []
-        for row in rows:
-            bits = 0
-            for t, terms in enumerate(row):
-                for e in terms:
-                    # the tensor product of the axes' residues in row-major order,
-                    # one product per axis as the copies never overlap
-                    v = 1
-                    for (degree, _, residues), c in zip(block, e):
-                        v = _spread(v, degree) * residues[c]
-                    bits ^= v << t * n
-            placed.append(bits)
-        rank += len(Gf2Basis(_translates(placed, dims, [low for _, low, _ in block], m.cols)))
-    return rank
+        axes.append(factors)
+    return sum(len(Gf2Basis(_block_rows(m, shape.lengths, block)))
+               for block in itertools.product(*axes))
 
 
 @functools.cache

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_oracle import (
@@ -180,6 +180,28 @@ def test_solve_matches_oracle(m, bits, consistent):
     assert x == (None if ref is None else pack(ref))
     if consistent:
         assert x is not None and m.mul_vec(x) == b
+
+
+def last_nullspace_solve(m: Gf2Matrix, b: int) -> int | None:
+    """The nullspace formula `solve` once used: the last nullspace vector of
+    [A | b] is x plus b's bit when b's column is free, and the system is
+    inconsistent otherwise."""
+    aug = Gf2Matrix(m.rows, m.cols + 1,
+                    [r | ((b >> i) & 1) << m.cols for i, r in enumerate(m.data)])
+    last = (aug.nullspace() or [0])[-1]
+    return last ^ (1 << m.cols) if last >> m.cols else None
+
+
+# no rows, no columns with b = 0 and with b != 0 (inconsistent), and 1 x 1
+@given(gf2_matrices(), st.integers(0, 2**11 - 1), st.booleans())
+@example(Gf2Matrix(0, 4), 0, True)
+@example(Gf2Matrix(3, 0), 0, True)
+@example(Gf2Matrix(3, 0), 0b101, False)
+@example(Gf2Matrix(1, 1, [0]), 1, False)
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_the_last_nullspace_vector(m, bits, consistent):
+    b = m.mul_vec(bits) if consistent else bits & ((1 << m.rows) - 1)
+    assert m.solve(b) == last_nullspace_solve(m, b)
 
 
 @given(gf2_matrices(), st.lists(st.integers(0, 2**11 - 1), max_size=6))

@@ -639,6 +639,27 @@ def test_holonomy_sectors_count_logical_qubits_on_random_models(lat):
     assert (rep.ground_dim_flat, rep.ground_dim_local_fields) == packed_ground_dims(lat)
 
 
+def assert_masks_are_placed_pi_translates(lat):
+    # the Gauss-law masks, read off the rows of instantiated eta, are the
+    # disentangler images of single-site matter X translated to every site
+    # and placed on the lattice, in the order of the matter bit they flip
+    expected = [lat.masks(PauliColumn.from_entries(lat.model.dim,
+                                                   [p.shift(site) for p in pi.entries()]))
+                for pi in pi_generators(lat.model) for site in lat.shape.sites()]
+    assert list(lat.constraint_masks) == expected
+
+
+@given(small_lattices())
+@settings(max_examples=60, deadline=None)
+def test_constraint_masks_are_placed_pi_translates_on_random_models(lat):
+    assert_masks_are_placed_pi_translates(lat)
+
+
+@pytest.mark.parametrize("L", range(2, 6))
+def test_constraint_masks_are_placed_pi_translates_on_fold_model(L):
+    assert_masks_are_placed_pi_translates(DenseLattice(fold_model(), shape_of((L,))))
+
+
 @given(small_lattices(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_groundspace_containment_is_the_flat_field_scan_on_any_masks(lat, data):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -294,12 +296,14 @@ def test_rank_on_torus_matches_rank(case):
     assert rank_on_torus(m, shape) == instantiate(m, shape).rank()
 
 
+SPLIT_TORI = [(15,), (21,), (11, 6), (36, 45), (3, 5, 6), (12, 5, 9), (6, 10, 14)]
+
+
 @st.composite
-def maps_on_split_tori(draw):
+def maps_on_split_tori(draw, tori=SPLIT_TORI):
     """Small maps with exponents in [-12, 12] on tori whose lengths have odd
     parts, so x^L + 1 has several factors per axis; 11 keeps its axis whole."""
-    lengths = draw(st.sampled_from([
-        (15,), (21,), (11, 6), (36, 45), (3, 5, 6), (12, 5, 9), (6, 10, 14)]))
+    lengths = draw(st.sampled_from(tori))
     dim = len(lengths)
     exps = st.tuples(*[st.integers(-12, 12)] * dim)
     rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -314,6 +318,48 @@ def test_block_ranks_add_up_to_the_rank(case):
     # the block sum is called directly, so tori below SPLIT_SITES exercise it too
     m, shape = case
     assert torus_mod._block_rank(m, shape) == instantiate(m, shape).rank()
+
+
+def clmod(a: int, g: int) -> int:
+    """a modulo g for bit polynomials over GF(2), by long division."""
+    while a.bit_length() >= g.bit_length():
+        a ^= g << a.bit_length() - g.bit_length()
+    return a
+
+
+def reduce_torus_row(row: int, shape, block, n_cols: int) -> int:
+    """A torus row, one N-bit block per column, with each term reduced
+    modulo the block's factor g on every axis, on the block's row-major
+    sites: the monomials below x^(deg g) on each axis."""
+    dims = [g.bit_length() - 1 for g in block]
+    n, nb = shape.n_sites, math.prod(dims)
+    out = 0
+    for b in range(n_cols * n):
+        if (row >> b) & 1:
+            t, j = divmod(b, n)
+            digits = [[k for k in range(d) if (clmod(1 << c, g) >> k) & 1]
+                      for c, g, d in zip(shape.site(j), block, dims)]
+            for ks in itertools.product(*digits):
+                out ^= 1 << t * nb + sum(k * math.prod(dims[a + 1:]) for a, k in enumerate(ks))
+    return out
+
+
+# small tori only: every site of every block is checked, whole axes included
+@given(maps_on_split_tori([(15,), (12,), (6, 10), (9, 5), (3, 5, 6), (6, 3, 5)]))
+@settings(max_examples=40, deadline=None)
+def test_block_rows_are_the_torus_rows_reduced_modulo_each_factor(case):
+    m, shape = case
+    rows, n = instantiate(m, shape).data, shape.n_sites
+    factors = [torus_mod._axis_factors(l) + (1 << l | 1,) for l in shape.lengths]
+    for block in itertools.product(*factors):
+        dims = [g.bit_length() - 1 for g in block]
+        nb = math.prod(dims)
+        got = torus_mod._block_rows(m, shape.lengths, block)
+        assert len(got) == m.rows * nb
+        for r in range(m.rows):
+            for sb, site in enumerate(itertools.product(*map(range, dims))):
+                torus_row = rows[r * n + shape.site_index(site)]
+                assert got[r * nb + sb] == reduce_torus_row(torus_row, shape, block, m.cols)
 
 
 def clmul(a: int, b: int) -> int:

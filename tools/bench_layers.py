@@ -8,6 +8,10 @@ Each layer is one call, timed after its inputs are built:
   sectors at L = 12, 24 and 27, instantiation included (tori of at least
   `torus.SPLIT_SITES` sites are ranked block by block);
 - `instantiate` of both cubic sectors at (6, 6, 6);
+- `place_column` of one cubic sigma_X column at (8, 8, 8), the one
+  writer of torus bits, residue tables included;
+- `DenseLattice.constraint_masks` of `fractal_ising` at (8, 8, 8), on a
+  fresh lattice, so the Gauss-law masks are built;
 - the certification-window `nullspace` and the whole `certify_on_torus`
   of the two kernels torus counting certifies for cubic and for
   generalized_toric(3,1), those of sigma_X and of its dagger, at
@@ -49,13 +53,15 @@ ROUNDS = 10
 def layers(quick: bool):
     """(name, build) pairs; build() makes the inputs and returns the call."""
     from stabgauge.codebook import generalized_toric, get_code
+    from stabgauge.gauging import symmetry_model_from_code
+    from stabgauge.smallscale import DenseLattice
     from stabgauge.syzygy import (
         _box_columns,
         bounded_kernel,
         certification_lengths,
         certify_on_torus,
     )
-    from stabgauge.torus import instantiate, rank_on_torus, shape_of
+    from stabgauge.torus import instantiate, place_column, rank_on_torus, shape_of
 
     def rank(sector, length):
         def build():
@@ -77,6 +83,19 @@ def layers(quick: bool):
             code, shape = get_code("cubic"), shape_of((length,) * 3)
             return lambda: (instantiate(code.sigma_x, shape), instantiate(code.sigma_z, shape))
         return f"torus.instantiate cubic both sectors L={length}", build
+
+    def place(length):
+        def build():
+            col, shape = get_code("cubic").sigma_x.column(0), shape_of((length,) * 3)
+            return lambda: place_column(col, shape)
+        return f"torus.place_column cubic sigma_x column L={length}", build
+
+    def masks(length):
+        def build():
+            model = symmetry_model_from_code(get_code("fractal_ising"))
+            shape = shape_of((length,) * 3)
+            return lambda: DenseLattice(model, shape).constraint_masks
+        return f"smallscale.DenseLattice.constraint_masks fractal_ising L={length}", build
 
     def kernel(m):
         kb = bounded_kernel(m)
@@ -102,7 +121,9 @@ def layers(quick: bool):
         out += [rank(s, 16) for s in ("sigma_x", "sigma_z")]
     out.append(torus_rank("toric2d", 24 if quick else 48))
     out += [torus_rank("cubic", length) for length in ((12,) if quick else (12, 24, 27))]
-    out.append(instantiate_both(6))
+    out += [instantiate_both(6), place(8)]
+    if not quick:
+        out.append(masks(8))
     for name, code in (("cubic", get_code("cubic")),
                        ("generalized_toric(3,1)", generalized_toric(3, 1))):
         for label, m in ((f"{name} sigma_x", code.sigma_x),
@@ -155,7 +176,7 @@ def table(columns: dict[str, dict[str, float]]) -> str:
     lines = ["| layer | " + " | ".join(f"{h} (ms)" for h in heads) + " |",
              "| --- |" + " ---: |" * len(heads)]
     for n in names:
-        lines.append(f"| {n} | " + " | ".join(f"{columns[h][n] * 1e3:.2f}" for h in heads) + " |")
+        lines.append(f"| {n} | " + " | ".join(f"{columns[h][n] * 1e3:.3f}" for h in heads) + " |")
     return "\n".join(lines)
 
 
