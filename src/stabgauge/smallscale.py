@@ -19,14 +19,16 @@ sigma and flips the sign by parities, and no phase tableau is needed
 (Aaronson and Gottesman, quant-ph/0406196).
 
 Each check decides its report from rank and span facts on the n_matter
-Gauss-law masks (`gf2.Gf2Basis` on Python ints): ker A, A(K), the kernel
-of A on a twirl region, the masks' gauge parts against the row space of
-the constraint map.  Its largest deviation is the one an entry-by-entry
+Gauss-law masks, read off one cached echelon of them (`gf2.Gf2Basis` on
+Python ints): ker A, which is K, the left kernel of `instantiate(eta)`
+and so the torus kernel of its dagger; A(K); the masks' gauge parts
+against eta's row space; and, from the region's masks alone, the kernel
+of A on a twirl region.  Its largest deviation is the one an entry-by-entry
 comparison of the states or matrices gives, read off in closed form, so no
 check enumerates matter patterns, twirls or fields, and no qubit count is
-refused: the lattice size is bounded by memory.  `tests/naive_oracle.py` keeps
-the enumerated implementation as the oracle these reports must equal,
-repr for repr.
+refused: the lattice size is bounded by memory.  `tests/naive_oracle.py`
+keeps the enumerated implementation as the oracle these reports must
+equal, repr for repr.
 
 On a closed torus the flat-connection fields generated by the box-local
 kernel leave the wrapping (holonomy) sectors degenerate, so the span of
@@ -38,8 +40,8 @@ Every check takes one `DenseLattice` (and the operator it checks, where it
 has one).  Its qubit bits are the torus bit layout of the `torus` module,
 matter types first and gauge types after them, so matter basis state u is
 bit pattern u; one operator's Pauli masks are placed by `place_column`, and
-all Gauss-law masks are read off the rows of `instantiate(eta)`, which is
-instantiated once per lattice.
+all Gauss-law masks are the rows of `instantiate(eta)`, instantiated and
+eliminated once per lattice.
 """
 
 from __future__ import annotations
@@ -132,16 +134,30 @@ class DenseLattice(namedtuple("DenseLattice", ("model", "shape"))):
     def coset_rep(self, xmask: int) -> int:
         """The gauge-only rep xmask ^ W(u) of an X mask's coset, for u its
         matter bits; for a matter pattern u it is A u."""
-        for i, (xm, _) in enumerate(self.constraint_masks):
-            if (xmask >> i) & 1:
-                xmask ^= xm
+        masks, u = self.constraint_masks, xmask & self.matter_mask
+        while u:
+            xmask ^= masks[(u & -u).bit_length() - 1][0]
+            u &= u - 1
         return xmask
 
     @cached_property
+    def gauss_echelon(self) -> Gf2Basis:
+        """The one elimination of the Gauss-law rows 1 << i | row_i << n_matter
+        of `eta_rows`.  Each holds its own matter bit below every gauge bit,
+        so the rows with a matter pivot, having no gauge part, span ker A."""
+        n = self.n_matter
+        return Gf2Basis(1 << i | row << n for i, row in enumerate(self.eta_rows))
+
+    @cached_property
+    def gauss_kernel(self) -> list[int]:
+        """A basis of ker A, as masks over matter bits."""
+        return [r for r in self.gauss_echelon.rows[1:self.n_matter + 1] if r]
+
+    @property
     def symmetry_basis(self) -> list[int]:
-        """A basis of the symmetry group K, as masks over matter bits: the
-        torus kernel of the dagger of the constraint map."""
-        return instantiate(self.model.constraint_map.dagger(), self.shape).nullspace()
+        """A basis of the symmetry group K over matter bits: the torus kernel
+        of eta-dagger, the left kernel of `instantiate(eta)`, so ker A."""
+        return self.gauss_kernel
 
     @property
     def symmetry_dim(self) -> int:
@@ -181,15 +197,6 @@ def apply_pauli(lat: DenseLattice, state: CosetState, xmask: int, zmask: int) ->
         raise ValueError(f"Z mask {zmask:#x} anticommutes with a Gauss-law generator")
     return CosetState(state.rep ^ lat.coset_rep(xmask), state.sigma ^ (zmask & lat.matter_mask),
                       state.sign * _sign(state.rep & zmask))
-
-
-def _gauss_kernel(lat: DenseLattice, bits) -> list[int]:
-    """A basis of the patterns p on the given matter bits whose Gauss-law
-    product W(p) has no gauge part; over all bits, of ker A.  The masks are
-    independent, each holding its own matter bit below every gauge bit, so
-    in their echelon basis these are the rows with a matter pivot."""
-    rows = Gf2Basis(lat.constraint_masks[i][0] for i in bits).rows
-    return [r for r in rows[1:lat.n_matter + 1] if r]
 
 
 def _max_deviation(lat: DenseLattice, a: CosetState, b: CosetState) -> float:
@@ -267,7 +274,7 @@ def check_lemma2(lat: DenseLattice) -> CheckReport:
     exactly when j ^ j' lies in K: the two agree iff ker A = K, and
     otherwise differ by 2^-dim K somewhere.
     """
-    symmetries, kernel = lat.symmetry_basis, _gauss_kernel(lat, range(lat.n_matter))
+    symmetries, kernel = lat.symmetry_basis, lat.gauss_kernel
     same = len(symmetries) == len(kernel) and not any(lat.coset_rep(v) for v in symmetries)
     dev = 0.0 if same else math.ldexp(1.0, -len(symmetries))
     return CheckReport("gram-vs-symmetric-projector", dev == 0, dev,
@@ -311,7 +318,9 @@ def check_claim1(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     reported.
     """
     gamma_m, proj_mask = _claim1_region(lat, op, _gauged_image(lat, op))
-    region_kernel = _gauss_kernel(lat, gamma_m)
+    # the region's masks alone, read as in `gauss_echelon`: the kernel of A on gamma
+    rows = Gf2Basis(lat.constraint_masks[i][0] for i in gamma_m).rows
+    region_kernel = [r for r in rows[1:lat.n_matter + 1] if r]
     _, op_z = lat.masks(op)
     orthogonal = not any((p & op_z).bit_count() & 1 for p in region_kernel)
     dev = float(abs((1 << len(region_kernel) if orthogonal else 0) - 1))
@@ -346,9 +355,7 @@ def check_matrix_elements(lat: DenseLattice, op: PauliColumn) -> CheckReport:
     if s and image.contains(lat.coset_rep(x) ^ rep):
         # c runs over every pattern, so differing characters meet with both signs
         worst = (1 << k) + overlap if sigma != z else (1 << k) - overlap
-        symmetries = Gf2Basis(lat.symmetry_basis)
-        kernel = _gauss_kernel(lat, range(lat.n_matter))
-        if not all(symmetries.contains(v) for v in kernel):
+        if not all(map(Gf2Basis(lat.symmetry_basis).contains, lat.gauss_kernel)):
             worst = max(worst, overlap)
     else:
         worst = 1 << k
@@ -394,20 +401,19 @@ def check_groundspace_span(lat: DenseLattice) -> GroundspaceReport:
     local_ok = certify_on_torus(exact, certification_lengths(exact)).passed
     ker_mu_dag = lat.n_gauge - rank_on_torus(mu_map, lat.shape)
     # the flat fields are the torus kernel of eta, the vectors orthogonal to
-    # its rows, so the rank of eta (the dagger's) is that of its row space
-    row_space = Gf2Basis(lat.eta_rows)
-    im_eta_dag = len(row_space)
+    # its rows, so the rank of eta (the dagger's) is n_matter - dim ker A
+    im_eta_dag = lat.n_matter - len(lat.gauss_kernel)
     # the n_matter Gauss-law masks are independent pure X, each holding its
     # own matter bit, and the fields are pure Z on gauge qubits, so a ground
     # space has dimension 2^(n_gauge - rank of its fields)
     dim_flat, dim_local = 1 << im_eta_dag, 1 << ker_mu_dag
 
     # G is fixed by every Gauss-law generator, and by every flat field exactly
-    # when each mask's gauge part has even overlap with all of them, that is,
-    # lies in eta's row space; its columns lie on the 2^rank A cosets of im A,
-    # one dimension each
-    contained = all(row_space.contains(xm >> lat.n_matter) for xm, _ in lat.constraint_masks)
-    g_rank = 1 << (lat.n_matter - len(_gauss_kernel(lat, range(lat.n_matter))))
+    # when each mask's gauge part is in eta's row space: the mask reduces to no
+    # gauge bit; its columns lie on 2^rank A cosets of im A, one dimension each
+    echelon, n = lat.gauss_echelon, lat.n_matter
+    contained = not any(echelon.reduce(xm) >> n for xm, _ in lat.constraint_masks)
+    g_rank = 1 << im_eta_dag
     passed = local_ok and contained and g_rank == dim_flat
     return GroundspaceReport(
         passed=passed,

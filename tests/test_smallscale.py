@@ -21,7 +21,7 @@ from stabgauge.gauging import (
     pi_generators,
     symmetry_model_from_code,
 )
-from stabgauge.gf2 import Gf2Basis
+from stabgauge.gf2 import Gf2Basis, Gf2Matrix
 from stabgauge.pauli import GeneratorMap, PauliColumn
 from stabgauge.poly import LaurentPoly, parse_poly
 from stabgauge.smallscale import (
@@ -38,7 +38,7 @@ from stabgauge.smallscale import (
     check_matrix_elements,
 )
 from stabgauge.syzygy import KernelBasis, bounded_kernel, certify_on_torus
-from stabgauge.torus import count_logical, instantiate, shape_of
+from stabgauge.torus import count_logical, instantiate, rank_on_torus, shape_of
 
 SHAPE = shape_of((2, 2))
 
@@ -711,10 +711,23 @@ def assert_reports_match_oracle(lat):
                 assert repr(check(lat, op)) == repr(enumerated(lat, op))
 
 
+def assert_symmetry_basis_is_the_dagger_nullspace(lat):
+    # K by its definition, the nullspace of instantiated eta-dagger, spans what
+    # the Gauss-law echelon reads off as the left kernel of instantiated eta
+    eta = lat.model.constraint_map
+    reference = instantiate(eta.dagger(), lat.shape).nullspace()
+    basis = Gf2Basis(lat.symmetry_basis)
+    assert len(basis) == len(lat.symmetry_basis) == len(reference)
+    assert all(map(basis.contains, reference))
+    assert all(map(Gf2Basis(reference).contains, lat.symmetry_basis))
+    assert len(lat.symmetry_basis) == lat.n_matter - rank_on_torus(eta, lat.shape)
+
+
 @given(small_lattices())
 @settings(max_examples=40, deadline=None)
 def test_reports_match_enumerated_oracle_on_random_models(lat):
     assert_reports_match_oracle(lat)
+    assert_symmetry_basis_is_the_dagger_nullspace(lat)
 
 
 @given(small_lattices(), st.data())
@@ -770,6 +783,7 @@ TIER1_LATTICES = [("ising2d", (2, 2)), ("toric2d", (2, 2)), ("ising2d", (3, 2)),
 def test_reports_match_enumerated_oracle_on_tier1_lattices(name, lengths):
     lat = DenseLattice(symmetry_model_from_code(get_code(name)), shape_of(lengths))
     assert_reports_match_oracle(lat)
+    assert_symmetry_basis_is_the_dagger_nullspace(lat)
     axes = tuple(reversed(range(len(lengths))))
     assert_reports_match_oracle(relabeled(lat, axes, (1, -2, 3)[:len(lengths)]))
 
@@ -777,7 +791,33 @@ def test_reports_match_enumerated_oracle_on_tier1_lattices(name, lengths):
 @pytest.mark.parametrize("length", [2, 3, 4, 5])
 def test_reports_match_enumerated_oracle_on_fold_model(length):
     # 1 + x^2 folds to zero at L = 2 and is not exact in windowed form
-    assert_reports_match_oracle(DenseLattice(fold_model(), shape_of((length,))))
+    lat = DenseLattice(fold_model(), shape_of((length,)))
+    assert_reports_match_oracle(lat)
+    assert_symmetry_basis_is_the_dagger_nullspace(lat)
+
+
+def test_all_checks_eliminate_the_gauss_law_rows_once():
+    # one instantiation per lattice, of eta, and no nullspace as wide as the
+    # matter lattice: the seven reports read K, ker A, rank A and eta's row
+    # space off one echelon of the Gauss-law rows
+    lat = DenseLattice(symmetry_model_from_code(get_code("fractal_ising")), shape_of((4, 4, 4)))
+    maps, widths = [], []
+    instantiate_, nullspace = smallscale.instantiate, Gf2Matrix.nullspace
+
+    def counted_instantiate(m, shape):
+        maps.append(m)
+        return instantiate_(m, shape)
+
+    def counted_nullspace(self):
+        widths.append(self.cols)
+        return nullspace(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smallscale, "instantiate", counted_instantiate)
+        mp.setattr(Gf2Matrix, "nullspace", counted_nullspace)
+        assert all(r.passed for r in _all_reports(lat))
+    assert maps == [lat.model.constraint_map]
+    assert widths and lat.n_matter not in widths
 
 
 @pytest.mark.parametrize("name,lengths,k", [("fractal_ising", (4, 4, 4), 14),
@@ -788,8 +828,10 @@ def test_reports_pass_on_lattices_beyond_enumeration(name, lengths, k):
     # no qubit count is refused; the holonomy sectors are 2^k of the gauged code
     model = symmetry_model_from_code(get_code(name))
     shape = shape_of(lengths)
-    reports = _all_reports(DenseLattice(model, shape))
+    lat = DenseLattice(model, shape)
+    reports = _all_reports(lat)
     assert all(r.passed for r in reports)
+    assert_symmetry_basis_is_the_dagger_nullspace(lat)
     k_encoded = count_logical(gauge(model)[0], shape).k_encoded
     assert reports[-1].holonomy_sectors == 2 ** k_encoded == 2 ** k
 

@@ -10,8 +10,11 @@ Each layer is one call, timed after its inputs are built:
 - `instantiate` of both cubic sectors at (6, 6, 6);
 - `place_column` of one cubic sigma_X column at (8, 8, 8), the one
   writer of torus bits, residue tables included;
-- `DenseLattice.constraint_masks` of `fractal_ising` at (8, 8, 8), on a
-  fresh lattice, so the Gauss-law masks are built;
+- `DenseLattice.constraint_masks` and `DenseLattice.symmetry_basis` of
+  `fractal_ising` at (8, 8, 8), each on a fresh lattice, so the Gauss-law
+  masks are built and, for K, instantiated and eliminated;
+- the seven checks of `smallscale --check all` on `fractal_ising` at
+  (12, 12, 12), on a fresh lattice;
 - the certification-window `nullspace` and the whole `certify_on_torus`
   of the two kernels torus counting certifies for cubic and for
   generalized_toric(3,1), those of sigma_X and of its dagger, at
@@ -52,9 +55,10 @@ ROUNDS = 10
 
 def layers(quick: bool):
     """(name, build) pairs; build() makes the inputs and returns the call."""
+    from stabgauge import smallscale
     from stabgauge.codebook import generalized_toric, get_code
     from stabgauge.gauging import symmetry_model_from_code
-    from stabgauge.smallscale import DenseLattice
+    from stabgauge.pauli import PauliColumn
     from stabgauge.syzygy import (
         _box_columns,
         bounded_kernel,
@@ -90,12 +94,24 @@ def layers(quick: bool):
             return lambda: place_column(col, shape)
         return f"torus.place_column cubic sigma_x column L={length}", build
 
-    def masks(length):
+    def fractal(label, length, read):
         def build():
             model = symmetry_model_from_code(get_code("fractal_ising"))
             shape = shape_of((length,) * 3)
-            return lambda: DenseLattice(model, shape).constraint_masks
-        return f"smallscale.DenseLattice.constraint_masks fractal_ising L={length}", build
+            return lambda: read(smallscale.DenseLattice(model, shape))
+        return f"smallscale.{label} fractal_ising L={length}", build
+
+    def all_checks(lat):
+        # the reports of `smallscale --check all`, on its two operators
+        model = lat.model
+        single_x = PauliColumn.single_x(model.dim, model.matter_q, 0)
+        bond = PauliColumn(model.dim, model.matter_q, single_x.z_block,
+                           model.constraint_map.column(0))
+        return [smallscale.check_lemma2(lat),
+                smallscale.check_lemma3(lat, single_x), smallscale.check_lemma3(lat, bond),
+                smallscale.check_claim1(lat, single_x), smallscale.check_claim1(lat, bond),
+                smallscale.check_matrix_elements(lat, single_x),
+                smallscale.check_groundspace_span(lat)]
 
     def kernel(m):
         kb = bounded_kernel(m)
@@ -121,9 +137,11 @@ def layers(quick: bool):
         out += [rank(s, 16) for s in ("sigma_x", "sigma_z")]
     out.append(torus_rank("toric2d", 24 if quick else 48))
     out += [torus_rank("cubic", length) for length in ((12,) if quick else (12, 24, 27))]
-    out += [instantiate_both(6), place(8)]
+    out += [instantiate_both(6), place(8),
+            fractal("DenseLattice.symmetry_basis", 8, lambda lat: lat.symmetry_basis)]
     if not quick:
-        out.append(masks(8))
+        out += [fractal("DenseLattice.constraint_masks", 8, lambda lat: lat.constraint_masks),
+                fractal("check all", 12, all_checks)]
     for name, code in (("cubic", get_code("cubic")),
                        ("generalized_toric(3,1)", generalized_toric(3, 1))):
         for label, m in ((f"{name} sigma_x", code.sigma_x),
